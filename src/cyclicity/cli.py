@@ -435,14 +435,12 @@ def _cmd_criterion_analyze(args) -> int:
             # it or are exponentially many slivers of the listed ones
             gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
             enum_set = bnd.BoundarySet.cantor(gen_cap, mirror=bset.mirror)
-        arcs = bnd.complementary_arcs(enum_set, cutoff)
-        rows = []
-        for arc in arcs:
-            if arc.a >= weight.pure_cut:
-                continue
-            cls = crit.classify_arc(arc, weight)
-            contrib = crit.arc_contribution(arc, cls, weight, lower=float(eps.min()))
-            rows.append((arc.a, arc.b, cls, contrib))
+        a, b = bnd.arc_arrays(enum_set, cutoff)
+        # an open arc meets [cutoff, 1] when b > cutoff (as in complementary_arcs)
+        keep = (b > cutoff) & (a < weight.pure_cut)
+        a, b = a[keep], b[keep]
+        cls, contrib, _ = crit.arc_terms(weight, a, b, float(eps.min()))
+        rows = zip(a, b, (crit.ARC_CLASSES[c] for c in cls), contrib)
         _write_out(csv_text(("a", "b", "class", "contribution"), rows), args.arcs_out)
     if args.strict_verdict and verdict.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE

@@ -38,11 +38,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import boundary as bnd
 from . import weights as wts
-from .errors import CapacityError, DomainError, NumericError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 
 KAPPA = math.log(2.0) / math.log(3.0)
 
@@ -55,9 +54,40 @@ DEFAULT_MARGIN = 0.05
 # deepest log(1/eps) reachable before the point-sequence rules underflow float64
 _U_MAX = 650.0
 
+# arcs per batch of whole-arc terms in the criterion engine (bounds its memory)
+_BLOCK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # arc classification and contributions
+
+
+def _arc_class(a, b, w_b):
+    """Class codes (indices into ARC_CLASSES) of arcs (a, b) with w_b = w(b).
+
+    The one class rule of the module docstring, for floats and arrays alike.
+    """
+    q = a / b
+    return np.where(q <= 0.5, 2, np.where(1.0 - q < 2.0 / w_b, 0, 1))
+
+
+def arc_terms(weight: wts.WeightSpec, a, b, lower):
+    """Class codes, contributions and unified arc-sum terms of arcs (a, b).
+
+    Array form of classify_arc and arc_contribution: every a lies below the
+    pure cut, arcs straddling the cut are scored by their inner part
+    (a, pure_cut), and the integrals run over [max(a, lower), b].  The third
+    output is log[1 + (1 - a/b) w(b)] / w(b)^2, the three-quantity form's term.
+    """
+    b = np.minimum(b, weight.pure_cut)
+    w_b = wts.effective_w(weight, b)
+    cls = _arc_class(a, b, w_b)
+    ratio = 1.0 - a / b
+    lo = np.maximum(a, lower)
+    inter = np.log(ratio * w_b) / w_b**2
+    long_ = wts.inv_tw_integral(weight, 2.0, lo, b) + np.maximum(np.log(w_b), 0.0) / w_b**2
+    value = np.where(cls == 0, wts.inv_tw_integral(weight, 1.0, lo, b), np.where(cls == 1, inter, long_))
+    return cls, value, np.log1p(ratio * w_b) / w_b**2
 
 
 def classify_arc(arc: bnd.Arc, weight: wts.WeightSpec) -> str:
@@ -67,12 +97,7 @@ def classify_arc(arc: bnd.Arc, weight: wts.WeightSpec) -> str:
     if arc.a >= cut:
         raise UsageError("arc lies entirely outside the pure region")
     b_eff = min(arc.b, cut)
-    if arc.a / b_eff <= 0.5:
-        return "long"
-    w_b = wts.effective_w(weight, b_eff)
-    if 1.0 - arc.a / b_eff < 2.0 / w_b:
-        return "short"
-    return "intermediate"
+    return ARC_CLASSES[int(_arc_class(arc.a, b_eff, wts.effective_w(weight, b_eff)))]
 
 
 def arc_contribution(arc: bnd.Arc, cls: str, weight: wts.WeightSpec, lower: float = 0.0) -> float:
@@ -82,17 +107,9 @@ def arc_contribution(arc: bnd.Arc, cls: str, weight: wts.WeightSpec, lower: floa
     expected = classify_arc(arc, weight)
     if cls != expected:
         raise UsageError(f"class mismatch: arc classifies as {expected!r}, got {cls!r}")
-    cut = weight.pure_cut
-    b_eff = min(arc.b, cut)
-    lo = max(arc.a, lower)
-    w_b = wts.effective_w(weight, b_eff)
-    if cls == "intermediate":
-        return math.log((1.0 - arc.a / b_eff) * w_b) / w_b**2
-    if lo <= 0.0:
+    if max(arc.a, lower) <= 0.0:  # only long arcs reach a = 0
         raise DomainError("arc with a = 0 needs a positive lower cutoff for its integral")
-    if cls == "short":
-        return wts.inv_tw_integral(weight, 1.0, lo, b_eff)
-    return wts.inv_tw_integral(weight, 2.0, lo, b_eff) + max(math.log(w_b), 0.0) / w_b**2
+    return float(arc_terms(weight, arc.a, arc.b, lower)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +149,6 @@ class CriterionReport:
         )
         return DivergenceVerdict(tag, best.model, best.exponent, best.fit_residual)
 
-    def forms_agree(self, margin: float = DEFAULT_MARGIN) -> bool:
-        return self.verdict(margin).verdict == self.alt_verdict(margin).verdict
-
 
 def _validate_checkpoints(eps: np.ndarray, cut: float) -> None:
     if eps.size < 1:
@@ -145,95 +159,43 @@ def _validate_checkpoints(eps: np.ndarray, cut: float) -> None:
         raise UsageError("checkpoints must be strictly decreasing")
 
 
-def _interval_engine(weight, eps, arcs_a, arcs_b, e_intervals, factor):
-    cut = weight.pure_cut
-    keep = arcs_a < cut * (1.0 - 1e-15)
-    a = np.asarray(arcs_a, dtype=float)[keep]
-    b_eff = np.minimum(np.asarray(arcs_b, dtype=float)[keep], cut)
-    n = a.size
-    if n:
-        w_b = wts.effective_w(weight, b_eff)
-        ratio = 1.0 - a / b_eff
-        long_m = (a / b_eff) <= 0.5
-        short_m = ~long_m & (ratio < 2.0 / w_b)
-        inter_m = ~long_m & ~short_m
-        inter_terms = np.where(inter_m, np.log(np.maximum(ratio * w_b, 1.0 + 1e-15)) / w_b**2, 0.0)
-        long_edge = np.where(long_m, np.maximum(np.log(w_b), 0.0) / w_b**2, 0.0)
-        alt_terms = np.log1p(ratio * w_b) / w_b**2
-    cols = {k: np.zeros(eps.size) for k in
-            ("e_and_short", "intermediate_sum", "long_sum", "alt_e", "alt_gs", "alt_arc")}
-    for i, e in enumerate(eps):
-        e_part = 0.0
-        for lo_i, hi_i in e_intervals:
-            hi_c = min(hi_i, cut)
-            if hi_c > e and hi_c > lo_i:
-                e_part += wts.inv_tw_integral(weight, 1.0, max(lo_i, e), hi_c)
-        short_part = inter = long_s = alt_arc = 0.0
-        if n:
-            inc = b_eff >= e
-            lo = np.maximum(a, e)
-            if np.any(inc & short_m):
-                short_part = float(np.sum(wts.inv_tw_integral(weight, 1.0, lo, b_eff)[inc & short_m]))
-            inter = float(np.sum(inter_terms[inc]))
-            if np.any(inc & long_m):
-                long_s = float(
-                    np.sum(wts.inv_tw_integral(weight, 2.0, lo, b_eff)[inc & long_m])
-                    + np.sum(long_edge[inc])
-                )
-            alt_arc = float(np.sum(alt_terms[inc]))
-        cols["e_and_short"][i] = factor * (e_part + short_part)
-        cols["intermediate_sum"][i] = factor * inter
-        cols["long_sum"][i] = factor * long_s
-        cols["alt_e"][i] = factor * e_part
-        cols["alt_gs"][i] = factor * wts.inv_tw_integral(weight, 2.0, e, cut)
-        cols["alt_arc"][i] = factor * alt_arc
-    return cols
+def _checkpoint_sums(eps, a, b, terms):
+    """Per-checkpoint sums of arc terms in one pass over the arcs.
 
-
-def _cantor_e_integral(weight, depth, lo, hi):
-    """Integral of dt/(t w_eff) over F_depth intersected with [lo, hi].
-
-    Computed as a Stieltjes integral against the exactly computable measure
-    m(x) = |F_depth ∩ [0, x]|: integrate by parts and quadrature the smooth
-    remainder in v = log(1/t).
+    The arcs (a, b) are disjoint and sorted by decreasing b, so at checkpoint
+    e the arcs with b >= e form a leading run, of which at most the last
+    straddles e (a < e).  terms(idx, lower) gives the (columns x arcs) terms
+    of the arcs a[idx], integrals starting at max(a, lower).  Whole-arc terms
+    are computed once, in blocks of at most _BLOCK arcs, and summed segment
+    by segment between checkpoints; the straddling arcs are then added with
+    lower = e.  Returns (columns x checkpoints).
     """
-    s = weight.w_exponent
-    pref = math.sqrt(weight.scale)
-
-    def f(t):  # 1/(t w_eff(t)) in the pure region
-        return pref / (t * math.log(1.0 / t) ** s)
-
-    def m(t):
-        return bnd.cantor_measure(depth, t)
-
-    def integrand(v):  # -f'(t) * m(t) * t at t = e^-v, nonnegative
-        t = math.exp(-v)
-        return pref * (v - s) / v ** (s + 1.0) * m(t) / t
-
-    import warnings
-    from scipy.integrate import IntegrationWarning
-
-    with warnings.catch_warnings():
-        # the measure has kinks at every surviving endpoint; the leftover
-        # quadrature error there is far below the report's working accuracy
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, math.log(1.0 / hi), math.log(1.0 / lo),
-                      epsrel=1e-7, epsabs=1e-13, limit=400)
-    return f(hi) * m(hi) - f(lo) * m(lo) + val
+    n_in = np.searchsorted(-b, -eps, side="right")  # arcs with b >= e
+    n_whole = np.searchsorted(-a, -eps, side="right")  # arcs with a >= e
+    bounds = np.concatenate(([0], n_whole))
+    segments = 0.0
+    for lo in range(0, max(bounds[-1], 1), _BLOCK):  # one empty block if no arc is whole
+        block = terms(slice(lo, min(lo + _BLOCK, bounds[-1])), eps[-1])
+        cuts = np.clip(bounds - lo, 0, block.shape[1])
+        segments = segments + np.array([np.sum(block[:, i:j], axis=1) for i, j in zip(cuts[:-1], cuts[1:])]).T
+    sums = np.cumsum(segments, axis=1)
+    k = np.flatnonzero(n_whole < n_in)
+    sums[:, k] += terms(n_whole[k], eps[k])
+    return sums
 
 
-def _cantor_engine(weight, bset, eps):
-    depth = bset.depth
+def _cantor_candidates(weight, depth, eps_min):
+    """Gaps of F_depth with b >= eps_min that may be non-short, as (a, b) arrays.
+
+    Exact DFS below a cap per generation; every other gap is provably short:
+    (den/b) * w_eff(b) is strictly decreasing in b, so all gaps of generation
+    g with b above the root b*(g) are short.
+    """
     cut = weight.pure_cut
-    factor = 2.0 if bset.mirror else 1.0
-    eps_min = float(eps.min())
     if eps_min < 3.0**-depth:
         need = int(math.ceil(math.log(1.0 / eps_min) / math.log(3.0)))
         raise CapacityError(f"cantor depth {depth} insufficient for eps={eps_min!r}; need depth >= {need}")
 
-    # Candidate non-short gaps below the cut (exact DFS); everything else is
-    # provably short.  (den/b) * w_eff(b) is strictly decreasing in b, so all
-    # gaps of generation g with b above the root b*(g) are short.
     def b_star(g: int) -> float:
         den = 3.0**-g
         lo, hi = 2.0 * den, cut
@@ -267,43 +229,92 @@ def _cantor_engine(weight, bset, eps):
     if loc[0] == "gap" and loc[1] < cut:
         a_list.append(loc[1])
         b_list.append(loc[2])
-    a = np.asarray(a_list)
-    b = np.asarray(b_list)
-    keep = a < cut * (1.0 - 1e-15)
+    return np.asarray(a_list, dtype=float), np.asarray(b_list, dtype=float)
+
+
+def _cantor_e_integral(weight, depth, eps):
+    """Integral of dt/(t w_eff) over F_depth intersected with [e, cut], per checkpoint e.
+
+    Walks the construction one generation at a time.  A generation-g
+    interval [x, x + w] of F_depth holds a copy of F_(depth-g) scaled by w:
+    mass w (2/3)^(depth-g), centred, with variance w^2 (1/8 - 9^-(depth-g)/24).
+    Once the interval lies inside one piece [e_k, e_(k-1)] (e_(-1) = cut) and
+    w <= x / 100, its integral is the two-point rule that is exact for cubics
+    under that measure (error of order (w/x)^4; the tests check the result
+    against full gap enumeration to 1e-8).  The intervals left at generation
+    depth are whole and integrate in closed form, clipped to each piece.
+    Every term is nonnegative and lands in one piece, and the pieces are
+    cumulated, so the result is nondecreasing by construction.
+    """
+    s = weight.w_exponent
+    pref = math.sqrt(weight.scale)
+    cut = weight.pure_cut
+    edges = np.concatenate(([cut], eps))  # piece k is [eps[k], edges[k]]
+    pieces = np.zeros(eps.size)
+    x = np.zeros(1)  # left ends of the live generation-g intervals
+    for g in range(depth):
+        w = 3.0**-g
+        x = x[(x + w > eps[-1]) & (x < cut)]
+        k = np.searchsorted(-eps, -x)  # eps[k] <= x < edges[k]
+        done = (k < eps.size) & (x + w <= edges[np.minimum(k, eps.size - 1)]) & (100.0 * w <= x)
+        n = depth - g
+        mid, half = x[done] + 0.5 * w, w * math.sqrt(0.125 - 9.0**-n / 24.0)
+        t = np.concatenate((mid - half, mid + half))
+        rule = pref / (t * np.log(1.0 / t) ** s)
+        pieces += np.bincount(np.tile(k[done], 2), rule, eps.size) * (0.5 * w * (2.0 / 3.0) ** n)
+        x = x[~done]
+        x = np.concatenate((x, x + 2.0 * w / 3.0))
+    w = 3.0**-depth
+    x = x[(x + w > eps[-1]) & (x < cut)][:, None]
+    pieces += wts.inv_tw_integral(weight, 1.0, np.maximum(x, eps), np.minimum(x + w, edges[:-1])).sum(axis=0)
+    return np.cumsum(pieces)
+
+
+def _set_arcs(weight, bset, eps):
+    """The arcs of one set kind and its E-parts, per checkpoint.
+
+    Returns (a, b, e_part, alt_e): the arcs as (a, b_eff) arrays sorted by
+    decreasing b, with a below the cut and b at or above the smallest
+    checkpoint; the part of e_and_short that no listed arc carries; and the
+    integral of dt/(t w) over E.  The two E-parts coincide except on the
+    Cantor set, which lists only its non-short gaps: there e_part is the
+    integral over [e, cut] less the listed gaps, and alt_e the integral over
+    F_depth.
+    """
+    cut = weight.pure_cut
+    eps_min = float(eps[-1])
+    empty = np.empty(0)
+    e_hi = 0.0  # interval kinds: E meets the pure region in (0, e_hi]
+    if bset.kind == "cantor":
+        a, b = _cantor_candidates(weight, bset.depth, eps_min)
+    elif bset.kind == "full":
+        a, b, e_hi = empty, empty, cut
+    elif bset.kind == "arc":
+        b0 = float(bset.b)
+        a, b = (np.array([b0]), np.ones(1)) if b0 < 1.0 else (empty, empty)
+        e_hi = min(b0, cut)
+    elif bset.kind == "point":
+        a, b = np.zeros(1), np.ones(1)
+    else:
+        if eps_min < math.exp(-_U_MAX) * 0.5:
+            raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
+        a, b = bnd.arc_arrays(bset, eps_min * 0.5)
+    keep = (a < cut * (1.0 - 1e-15)) & (b >= eps_min)
     a, b = a[keep], np.minimum(b[keep], cut)
-    w_b = wts.effective_w(weight, b)
-    ratio = 1.0 - a / b
-    long_m = (a / b) <= 0.5
-    inter_m = ~long_m & (ratio >= 2.0 / w_b)
-    nonshort = long_m | inter_m
-    a, b, w_b, ratio, long_m, inter_m = (x[nonshort] for x in (a, b, w_b, ratio, long_m, inter_m))
+    if bset.kind != "cantor":
+        e_part = np.zeros(eps.size)
+        if e_hi > 0.0:
+            e_part = wts.inv_tw_integral(weight, 1.0, np.minimum(eps, e_hi), e_hi)
+        return a, b, e_part, e_part
+    nonshort = _arc_class(a, b, wts.effective_w(weight, b)) != 0
+    order = np.argsort(-b[nonshort])
+    a, b = a[nonshort][order], b[nonshort][order]
 
-    inter_terms = np.where(inter_m, np.log(np.maximum(ratio * w_b, 1.0 + 1e-15)) / w_b**2, 0.0)
-    long_edge = np.where(long_m, np.maximum(np.log(w_b), 0.0) / w_b**2, 0.0)
-    alt_terms = np.log1p(ratio * w_b) / w_b**2
+    def tw1(idx, lower):
+        return wts.inv_tw_integral(weight, 1.0, np.maximum(a[idx], lower), b[idx])[None]
 
-    cols = {k: np.zeros(eps.size) for k in
-            ("e_and_short", "intermediate_sum", "long_sum", "alt_e", "alt_gs", "alt_arc")}
-    for i, e in enumerate(eps):
-        inc = b >= e
-        lo = np.maximum(a, e)
-        sub_tw1 = float(np.sum(wts.inv_tw_integral(weight, 1.0, lo, b)[inc])) if np.any(inc) else 0.0
-        term1 = wts.inv_tw_integral(weight, 1.0, e, cut) - sub_tw1
-        e_int = _cantor_e_integral(weight, depth, e, cut)
-        inter = float(np.sum(inter_terms[inc]))
-        long_s = 0.0
-        if np.any(inc & long_m):
-            long_s = float(
-                np.sum(wts.inv_tw_integral(weight, 2.0, lo, b)[inc & long_m]) + np.sum(long_edge[inc])
-            )
-        short_surrogate = max(term1 - e_int, 0.0)
-        cols["e_and_short"][i] = factor * term1
-        cols["intermediate_sum"][i] = factor * inter
-        cols["long_sum"][i] = factor * long_s
-        cols["alt_e"][i] = factor * e_int
-        cols["alt_gs"][i] = factor * wts.inv_tw_integral(weight, 2.0, e, cut)
-        cols["alt_arc"][i] = factor * (float(np.sum(alt_terms[inc])) + short_surrogate)
-    return cols
+    e_part = wts.inv_tw_integral(weight, 1.0, eps, cut) - _checkpoint_sums(eps, a, b, tw1)[0]
+    return a, b, e_part, _cantor_e_integral(weight, bset.depth, eps)
 
 
 def criterion_partials(weight: wts.WeightSpec, bset: bnd.BoundarySet, checkpoints) -> CriterionReport:
@@ -311,36 +322,23 @@ def criterion_partials(weight: wts.WeightSpec, bset: bnd.BoundarySet, checkpoint
     eps = np.asarray(list(checkpoints), dtype=float)
     cut = weight.pure_cut
     _validate_checkpoints(eps, cut)
-    factor = 2.0 if bset.mirror else 1.0
-    eps_min = float(eps.min())
+    a, b, e_part, alt_e = _set_arcs(weight, bset, eps)
 
-    if bset.kind == "cantor":
-        cols = _cantor_engine(weight, bset, eps)
-    elif bset.kind == "full":
-        cols = _interval_engine(weight, eps, np.empty(0), np.empty(0), [(0.0, cut)], factor)
-    elif bset.kind == "arc":
-        b0 = float(bset.b)
-        arcs_a, arcs_b = (np.asarray([b0]), np.asarray([1.0])) if b0 < 1.0 else (np.empty(0), np.empty(0))
-        cols = _interval_engine(weight, eps, arcs_a, arcs_b, [(0.0, b0)], factor)
-    elif bset.kind == "point":
-        cols = _interval_engine(weight, eps, np.asarray([0.0]), np.asarray([1.0]), [], factor)
-    else:
-        if eps_min < math.exp(-_U_MAX) * 0.5:
-            raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
-        arcs_a, arcs_b = bnd.arc_arrays(bset, eps_min * 0.5)
-        cols = _interval_engine(weight, eps, arcs_a, arcs_b, [], factor)
+    def by_class(idx, lower):
+        cls, value, unified = arc_terms(weight, a[idx], b[idx], lower)
+        return np.stack([np.where(cls == c, value, 0.0) for c in range(3)] + [unified])
 
-    total = cols["e_and_short"] + cols["intermediate_sum"] + cols["long_sum"]
-    return CriterionReport(
-        checkpoints=eps,
-        e_and_short=cols["e_and_short"],
-        intermediate_sum=cols["intermediate_sum"],
-        long_sum=cols["long_sum"],
-        total=total,
-        alt_e_integral=cols["alt_e"],
-        alt_gs_integral=cols["alt_gs"],
-        alt_arc_sum=cols["alt_arc"],
-    )
+    short, inter, long_s, arc_sum = _checkpoint_sums(eps, a, b, by_class)
+    # short gaps the set does not list enter the unified arc sum through
+    # their integral, e_part - alt_e (zero unless the set is Cantor); the
+    # running maximum keeps the rounding of alt_e from making it dip
+    unlisted = np.maximum.accumulate(np.maximum(e_part - alt_e, 0.0))
+    e_and_short = e_part + short
+    cols = (2.0 if bset.mirror else 1.0) * np.array([
+        e_and_short, inter, long_s, e_and_short + inter + long_s,
+        alt_e, wts.inv_tw_integral(weight, 2.0, eps, cut), arc_sum + unlisted,
+    ])
+    return CriterionReport(eps, *cols)
 
 
 def default_checkpoints(weight: wts.WeightSpec, bset: bnd.BoundarySet, count: int = 24) -> np.ndarray:
@@ -569,11 +567,7 @@ def cantor_reduced_partials(weight: wts.WeightSpec, depth: int, count: int = 20)
     u = u0 * g ** np.arange(count)
     s = weight.w_exponent * (2.0 - KAPPA)  # integrand is scale-adjusted v^-s
     pref = weight.scale ** ((2.0 - KAPPA) / 2.0)
-    if abs(s - 1.0) < 1e-14:
-        sums = pref * (np.log(u) - math.log(u0))
-    else:
-        sums = pref * (u ** (1.0 - s) - u0 ** (1.0 - s)) / (1.0 - s)
-    return np.exp(-u), sums
+    return np.exp(-u), wts._log_power_integral(pref, s, u, u0)
 
 
 def theorem_scan_point(theorem: str, alpha: float, beta: float = 0.0, depth: int = 30,

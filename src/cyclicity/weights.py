@@ -215,6 +215,13 @@ def lambda_prime(spec: WeightSpec, t: float) -> float:
 # closed-form partial integrals of 1/(t * w_eff(t)^power)
 
 
+def _log_power_integral(pref: float, s: float, La, Lb):
+    """pref * integral of L^(-s) dL over [Lb, La]; the log branch covers s = 1."""
+    if abs(s - 1.0) < 1e-14:
+        return pref * (np.log(La) - np.log(Lb))
+    return pref * (La ** (1.0 - s) - Lb ** (1.0 - s)) / (1.0 - s)
+
+
 def inv_tw_integral(spec: WeightSpec, power: float, lo, hi):
     """Integral of dt / (t * w_eff(t)^power) over [lo, hi] in the pure region.
 
@@ -229,12 +236,7 @@ def inv_tw_integral(spec: WeightSpec, power: float, lo, hi):
     La = np.log(1.0 / lo_a)
     Lb = np.log(1.0 / np.minimum(hi_a, cut))
     s = power * spec.log_exponent / 2.0
-    pref = spec.scale ** (power / 2.0)
-    if abs(s - 1.0) < 1e-14:
-        val = pref * (np.log(La) - np.log(Lb))
-    else:
-        val = pref * (La ** (1.0 - s) - Lb ** (1.0 - s)) / (1.0 - s)
-    val = np.maximum(val, 0.0)
+    val = np.maximum(_log_power_integral(spec.scale ** (power / 2.0), s, La, Lb), 0.0)
     if np.ndim(lo) == 0 and np.ndim(hi) == 0:
         return float(val)
     return val
@@ -343,10 +345,4 @@ def condition_partials(spec: WeightSpec, kind: str, checkpoints, beta: float | N
         if beta is None or not (0.0 <= beta <= 0.5):
             raise UsageError("c_beta requires beta in [0, 1/2]")
         s, pref = a * (1.0 - beta), spec.scale ** (1.0 - beta)
-    La = np.log(1.0 / eps)
-    Lb = math.log(1.0 / cut)
-    if abs(s - 1.0) < 1e-14:
-        vals = pref * (np.log(La) - math.log(Lb))
-    else:
-        vals = pref * (La ** (1.0 - s) - Lb ** (1.0 - s)) / (1.0 - s)
-    return np.maximum(vals, 0.0)
+    return np.maximum(_log_power_integral(pref, s, np.log(1.0 / eps), math.log(1.0 / cut)), 0.0)

@@ -242,7 +242,7 @@ def test_acceptance_7_forms_and_invariances():
                 rep = criterion_partials(w, bset, default_checkpoints(w, bset))
                 verdicts.add(rep.verdict().verdict)
                 if sc == 1.0 and tc == t_cuts[0]:
-                    agree_at_default = rep.forms_agree()
+                    agree_at_default = rep.verdict().verdict == rep.alt_verdict().verdict
         assert len(verdicts) == 1, (fam, bset.kind, verdicts)
         assert agree_at_default, (fam, bset.kind)
     _report(7, "form equivalence and scale/t_cut invariance", started)

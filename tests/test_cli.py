@@ -154,6 +154,41 @@ class TestCommands:
         assert classes.count("long") >= len(classes) - 1
         assert all(c in ("long", "short") for c in classes)
 
+    @pytest.mark.parametrize("depth", [15, 20])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.5])
+    def test_criterion_analyze_shallow_cantor(self, capsys, alpha, depth):
+        # the truncation E-integral and the unified arc sum stay nondecreasing
+        code, out, err = run(capsys, "criterion", "analyze", "--weight",
+                             json.dumps({"family": "log_power", "alpha": alpha}),
+                             "--set", json.dumps({"kind": "cantor", "depth": depth}))
+        assert code == EXIT_OK, err
+        res = json.loads(out)["results"]
+        for key in ("alt_e_integral", "alt_arc_sum"):
+            assert all(hi >= lo for lo, hi in zip(res[key], res[key][1:])), key
+
+    @pytest.mark.parametrize("weight,bset", [
+        ('{"family":"log_power","alpha":1.5}', '{"kind":"beta","beta":0.25}'),
+        ('{"family":"from_w","p":0.4}', GEO),
+    ])
+    def test_arc_listing_matches_engine(self, capsys, tmp_path, weight, bset):
+        # at the default cutoff (the smallest checkpoint) the listed arcs are
+        # exactly the arcs the engine sums at its last checkpoint
+        arcs = tmp_path / "arcs.csv"
+        code, out, _ = run(capsys, "criterion", "analyze", "--weight", weight, "--set", bset,
+                           "--checkpoints", "12", "--arcs-out", str(arcs))
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        sums = {"short": 0.0, "intermediate": 0.0, "long": 0.0}
+        for line in arcs.read_text().splitlines()[1:]:
+            _, _, cls, contrib = line.split(",")
+            sums[cls] += float(contrib)
+        assert sums["intermediate"] + sums["long"] > 0.0
+        # the CSV carries 12 significant digits per row
+        assert sums["intermediate"] == pytest.approx(res["intermediate_sum"][-1], rel=1e-10, abs=1e-14)
+        assert sums["long"] == pytest.approx(res["long_sum"][-1], rel=1e-10, abs=1e-14)
+        short = res["e_and_short"][-1] - res["alt_e_integral"][-1]
+        assert sums["short"] == pytest.approx(short, rel=1e-9, abs=1e-12)
+
     def test_aux_keldysh(self, capsys):
         code, out, _ = run(capsys, "aux", "keldysh", "--weight", W2, "--set", PT,
                            "--samples", "1e-2,1e-3")
