@@ -27,7 +27,6 @@ import cmath
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -46,8 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_INCONCLUSIVE = 3
-
-THREADS_ENV = "CYCLICITY_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +159,6 @@ def _profile(args) -> phr.DomainProfile:
     return phr.DomainProfile.from_json(_load_json_arg(args.profile, "--profile"))
 
 
-def _threads(args) -> int | None:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise UsageError(f"{THREADS_ENV} must be an integer") from exc
-        if n < 1:
-            raise UsageError(f"{THREADS_ENV} must be >= 1")
-        return n
-    return None
-
-
 def build_parser() -> _Parser:
     p = _Parser(prog="cyclicity", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
@@ -223,7 +205,6 @@ def build_parser() -> _Parser:
     ph.add_argument("--rho", type=float, required=True)
     ph.add_argument("--paths", type=int, default=100_000)
     ph.add_argument("--seed", type=int, required=True)
-    ph.add_argument("--threads", type=int, default=None)
     ph.add_argument("--out", default=None)
 
     pa = sub.add_parser("aux", help="auxiliary function checks")
@@ -329,8 +310,7 @@ def _cmd_hm_mc(args) -> int:
         z0 = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise UsageError("--z0 must be re,im") from exc
-    est = phr.harmonic_measure_mc(profile, z0, args.rho, args.paths, args.seed,
-                                  threads=_threads(args))
+    est = phr.harmonic_measure_mc(profile, z0, args.rho, args.paths, args.seed)
     report = RunReport("hm-mc", {"profile": profile.to_json(), "z0": [z0.real, z0.imag],
                                  "rho": args.rho, "paths": args.paths, "seed": args.seed},
                        {"mean": est.mean, "standard_error": est.standard_error,

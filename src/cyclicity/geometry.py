@@ -27,7 +27,7 @@ from scipy.integrate import quad
 
 from . import boundary as bnd
 from . import weights as wts
-from .errors import DomainError, NumericError, UsageError
+from .errors import CapacityError, DomainError, NumericError, UsageError
 
 _GAMMA_FLOOR = 1e-300
 _THETA_FLOOR = 1e-300  # below this theta itself is not representable
@@ -205,7 +205,7 @@ def gamma_criterion_partial(
     if bset.kind not in ("full",):
         try:
             arcs = bnd.complementary_arcs(bset, eps)
-        except Exception:
+        except CapacityError:  # too many arcs to list (deep Cantor sets): no break points
             arcs = []
         for arc in arcs[:40]:
             for endpoint in (arc.a, arc.b):

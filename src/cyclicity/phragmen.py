@@ -21,7 +21,6 @@ a lower bound keeps the walk law exact, it only costs steps.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,44 +266,35 @@ class HarmonicMeasureEstimate:
 def _simulate_block(profile: DomainProfile, z0: complex, rho: float, n: int,
                     seed: int, block_index: int, tol: float):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block_index,))))
-    x = np.full(n, z0.real)
+    x = np.full(n, z0.real)  # positions of the walkers still alive
     y = np.full(n, z0.imag)
-    alive = np.ones(n, dtype=bool)
-    hit = np.zeros(n, dtype=bool)
-    capped = 0
+    hits = 0
     for _ in range(_WOS_MAX_STEPS):
-        if not alive.any():
+        if not x.size:
             break
-        xa, ya = x[alive], y[alive]
-        d_side = _boundary_distance(profile, xa, ya)
-        d_circ = rho - np.hypot(xa, ya)
+        d_side = _boundary_distance(profile, x, y)
+        d_circ = rho - np.hypot(x, y)
         step = np.minimum(d_side, d_circ)
         absorbed = step < tol
-        if absorbed.any():
-            idx = np.flatnonzero(alive)[absorbed]
-            hit[idx] = d_circ[absorbed] <= d_side[absorbed]
-            keep = ~absorbed
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=int(keep.sum()))
-            x[np.flatnonzero(alive)[keep]] = xa[keep] + step[keep] * np.cos(ang)
-            y[np.flatnonzero(alive)[keep]] = ya[keep] + step[keep] * np.sin(ang)
-            alive[idx] = False
-        else:
-            ang = rng.uniform(0.0, 2.0 * math.pi, size=xa.size)
-            x[alive] = xa + step * np.cos(ang)
-            y[alive] = ya + step * np.sin(ang)
-    else:
-        capped = int(alive.sum())  # leftovers count as lateral-boundary hits
-    return int(hit.sum()), capped
+        hits += int(np.count_nonzero(d_circ[absorbed] <= d_side[absorbed]))
+        keep = ~absorbed
+        x, y, step = x[keep], y[keep], step[keep]
+        ang = rng.uniform(0.0, 2.0 * math.pi, size=x.size)
+        x = x + step * np.cos(ang)
+        y = y + step * np.sin(ang)
+    # walkers left after _WOS_MAX_STEPS count as lateral-boundary hits
+    return hits, int(x.size)
 
 
 def harmonic_measure_mc(profile: DomainProfile, z0: complex, rho: float,
-                        paths: int, seed: int, threads: int | None = None) -> HarmonicMeasureEstimate:
+                        paths: int, seed: int) -> HarmonicMeasureEstimate:
     """Probability that Brownian motion from z0 exits through |z| = rho.
 
     Walk-on-spheres with absorption tolerance 1e-4 * rho; deterministic for a
-    given seed: every block of 4096 paths draws from its own derived
-    generator and blocks are reduced in a fixed order, so thread scheduling
-    cannot change the estimate.
+    given seed: every block of 4096 paths draws from its own derived Philox
+    generator and the blocks are reduced in block order.  Each step keeps
+    only the walkers still alive, so its cost scales with the live walkers
+    rather than the block size.
     """
     z0 = complex(z0)
     rho = float(rho)
@@ -316,19 +306,11 @@ def harmonic_measure_mc(profile: DomainProfile, z0: complex, rho: float,
     if abs(z0) >= rho / 2.0:
         raise DomainError("need |z0| < rho/2")
     tol = _WOS_TOL_FACTOR * rho
-    blocks = [(i, min(_BLOCK, paths - i * _BLOCK)) for i in range((paths + _BLOCK - 1) // _BLOCK)]
-
-    def run(block):
-        i, n = block
-        return _simulate_block(profile, z0, rho, n, seed, i, tol)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
-    hits = sum(r[0] for r in results)
-    capped = sum(r[1] for r in results)
+    hits = capped = 0
+    for i in range((paths + _BLOCK - 1) // _BLOCK):
+        h, c = _simulate_block(profile, z0, rho, min(_BLOCK, paths - i * _BLOCK), seed, i, tol)
+        hits += h
+        capped += c
     p = hits / paths
     se = math.sqrt(max(p * (1.0 - p), 1.0 / paths) / paths)
     return HarmonicMeasureEstimate(mean=p, standard_error=se, paths=paths,

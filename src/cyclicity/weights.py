@@ -257,12 +257,11 @@ class RegularityReport:
 
 
 def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
-    """Grid report of t*Lambda(t), t|Lambda'|/Lambda (central differences), monotonicity.
+    """Grid report of t*Lambda(t), t|Lambda'|/Lambda, monotonicity.
 
     The grid must be decreasing, contain at least 8 points inside the pure
-    region, and span at least 4 decades.  Lambda' is estimated by a central
-    difference with relative step 1e-6; the closed form is cross-checked in
-    the test suite rather than trusted here.
+    region, and span at least 4 decades.  Lambda' is the closed form
+    `lambda_prime`.
     """
     ts = [float(t) for t in grid]
     if len(ts) < 8:
@@ -279,12 +278,7 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
     tl = [t * v for t, v in zip(ts, lam)]
     i_max = max(range(len(ts)), key=lambda i: tl[i])
 
-    ratios = []
-    for t in ts:
-        h = 1e-6 * t
-        dp = (eval_lambda(spec, t + h) - eval_lambda(spec, t - h)) / (2.0 * h)
-        ratios.append(t * abs(dp) / eval_lambda(spec, t))
-
+    ratios = [t * abs(lambda_prime(spec, t)) / v for t, v in zip(ts, lam)]
     decreasing = all(l2 > l1 for l1, l2 in zip(lam, lam[1:]))
     vanishing = tl[-1] <= 0.5 * tl[0]
     return RegularityReport(

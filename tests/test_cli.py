@@ -204,12 +204,3 @@ class TestCommands:
         assert out.startswith("SUP_H ")
         assert float(out.split()[1]) <= 1e-9
         assert f.read_text().splitlines()[0] == "lambda_re,lambda_im,z_re,z_im,H,case_tag"
-
-    def test_hm_mc_threads_env(self, capsys, monkeypatch, tmp_path):
-        f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "hm-mc", "--profile", HP, "--z0", "1,0", "--rho", "8",
-            "--paths", "20000", "--seed", "3", "--out", str(f1))
-        monkeypatch.setenv("CYCLICITY_THREADS", "3")
-        run(capsys, "hm-mc", "--profile", HP, "--z0", "1,0", "--rho", "8",
-            "--paths", "20000", "--seed", "3", "--out", str(f2))
-        assert f1.read_bytes() == f2.read_bytes()

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from cyclicity import boundary, geometry
 from cyclicity.boundary import BoundarySet
-from cyclicity.errors import DomainError, NumericError, UsageError
+from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
 from cyclicity.geometry import (
     GammaSolution,
     boundary_point,
@@ -204,6 +206,33 @@ class TestGammaCriterionPartial:
         assert all(d > 0.0 for d in diffs)
         assert all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3
+
+    def test_arc_capacity_drops_break_points(self, monkeypatch):
+        spec = WeightSpec.log_power(1.0)
+        expected = gamma_criterion_partial(spec, POINT, 1e-4, 1e-2)
+
+        def overflow(bset, cutoff):
+            raise CapacityError("arc list capacity exceeded")
+
+        seen = []
+
+        def recording_quad(*args, **kwargs):
+            seen.append(kwargs.get("points"))
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(boundary, "complementary_arcs", overflow)
+        monkeypatch.setattr(geometry, "quad", recording_quad)
+        assert gamma_criterion_partial(spec, POINT, 1e-4, 1e-2) == expected
+        assert seen == [None]
+
+    @pytest.mark.parametrize("error", [DomainError, RuntimeError])
+    def test_other_arc_errors_propagate(self, monkeypatch, error):
+        def broken(bset, cutoff):
+            raise error("not a capacity overflow")
+
+        monkeypatch.setattr(boundary, "complementary_arcs", broken)
+        with pytest.raises(error):
+            gamma_criterion_partial(WeightSpec.log_power(1.0), POINT, 1e-4, 1e-2)
 
     def test_usage(self):
         with pytest.raises(UsageError):

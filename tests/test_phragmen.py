@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cyclicity import phragmen
 from cyclicity.errors import DomainError, UsageError
 from cyclicity.phragmen import (
     DomainProfile,
+    HarmonicMeasureEstimate,
     arc_length_s,
     harmonic_measure_mc,
     pl_divergence_integrand,
@@ -17,6 +19,7 @@ from cyclicity.phragmen import (
 HP = DomainProfile.half_plane()
 WEDGE = DomainProfile.wedge()
 STRIP = DomainProfile.half_strip()
+X2 = DomainProfile("cartesian", "x2")
 
 
 class TestArcLength:
@@ -142,10 +145,23 @@ class TestMonteCarlo:
         c = harmonic_measure_mc(HP, 1.0 + 0.0j, 8.0, 20_000, seed=124)
         assert c.mean != a.mean
 
-    def test_threads_do_not_change_result(self):
-        a = harmonic_measure_mc(WEDGE, 1.0 + 0.0j, 8.0, 20_000, seed=5)
-        b = harmonic_measure_mc(WEDGE, 1.0 + 0.0j, 8.0, 20_000, seed=5, threads=4)
-        assert a == b
+    @pytest.mark.parametrize("prof, rho, paths, seed, mean, se", [
+        (X2, 4.0, 100_000, 11, 0.08902, 0.0009005300639068082),
+        (X2, 16.0, 100_000, 11, 0.01458, 0.0003790438444296385),
+        (HP, 8.0, 20_000, 5, 0.15805, 0.0025794398374453316),
+        (WEDGE, 16.0, 20_000, 5, 0.00515, 0.0005061362217822392),
+    ])
+    def test_pinned_estimates(self, prof, rho, paths, seed, mean, se):
+        # exact values: the per-block draw order is part of the reported result
+        est = harmonic_measure_mc(prof, 1.0 + 0.0j, rho, paths, seed=seed)
+        assert est == HarmonicMeasureEstimate(mean=mean, standard_error=se, paths=paths,
+                                               seed=seed, rho=rho, capped_paths=0)
+
+    def test_capped_walks(self, monkeypatch):
+        monkeypatch.setattr(phragmen, "_WOS_MAX_STEPS", 10)
+        est = harmonic_measure_mc(WEDGE, 1.0 + 0.0j, 4.0, 10_000, seed=11)
+        assert est.mean == 0.0173
+        assert est.capped_paths == 5119
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):

@@ -133,6 +133,9 @@ class TestCheckRegularity:
         assert rep.max_t_lambda == pytest.approx(1.0 / math.log(100.0), rel=1e-10)
         assert rep.argmax_t_lambda == pytest.approx(1e-2)
         assert rep.max_log_deriv_ratio < 1.0
+        # t|Lambda'|/Lambda = (L - 1)/L with L = log(1/t), largest at the smallest t
+        logs = np.log(1.0 / grid)
+        assert rep.max_log_deriv_ratio == pytest.approx(np.max((logs - 1.0) / logs), rel=1e-12)
         assert rep.lambda_decreasing
         assert rep.t_lambda_vanishing
 
