@@ -37,14 +37,18 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import boundary as bnd
+from . import criterion as crit
 from . import geometry as geo
 from . import weights as wts
 from .errors import DomainError, NumericError, UsageError
 
 _EXP_CAP = 700.0  # exp overflow guard
+_GUARD_CHECKPOINTS = 12  # cutoffs of the convergence guard
+_GUARD_U_MAX = 300.0  # deepest log(1/theta) the convergence guard integrates to
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +260,21 @@ def case_tag(spec: GammaRegionSpec, lam: complex, z: complex) -> str:
 # outer witness for the convergent case
 
 
-def gamma_integral_is_convergent(weight: wts.WeightSpec, bset: bnd.BoundarySet,
-                                 upper: float | None = None) -> bool:
-    """Cauchy-style guard on the criterion integral of gamma(theta)/theta^2."""
-    cut = weight.pure_cut
-    upper = cut * 0.9 if upper is None else float(upper)
-    eps = [upper * math.exp(-8.0 * k) for k in range(1, 4)]
-    partials = [geo.gamma_criterion_partial(weight, bset, e, upper) for e in eps]
-    d1 = partials[1] - partials[0]
-    d2 = partials[2] - partials[1]
-    return d2 < 0.6 * max(d1, 1e-12)
+def gamma_integral_is_convergent(weight: wts.WeightSpec, bset: bnd.BoundarySet) -> bool:
+    """Whether the criterion integral of gamma(theta)/theta^2 converges.
+
+    The integral is taken piece by piece between _GUARD_CHECKPOINTS cutoffs,
+    geometric in u = log(1/theta) from just inside the pure cut down to
+    u = _GUARD_U_MAX, and cumulated; only a "convergent" verdict of
+    divergence_verdict (the criterion's own estimator) passes.
+    """
+    upper = weight.pure_cut * 0.9
+    u0 = math.log(1.0 / upper)
+    k = np.arange(1, _GUARD_CHECKPOINTS + 1)
+    eps = np.exp(-u0 * (_GUARD_U_MAX / u0) ** (k / _GUARD_CHECKPOINTS))
+    edges = np.concatenate(([upper], eps))
+    pieces = [geo.gamma_criterion_partial(weight, bset, lo, hi) for hi, lo in zip(edges[:-1], eps)]
+    return crit.divergence_verdict(np.cumsum(pieces), eps).verdict == "convergent"
 
 
 def keldysh_log_boundary(weight: wts.WeightSpec, bset: bnd.BoundarySet, theta: float) -> float:
@@ -331,9 +340,9 @@ def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: floa
                   w: complex) -> complex:
     """Outer function with boundary modulus exp(amplitude * gamma(theta)/theta^2).
 
-    Requires the criterion integral to converge (guard: Cauchy test on its
-    partials); the boundary data is then integrable and the Herglotz integral
-    defines an outer function.
+    Requires the criterion integral to converge (see
+    gamma_integral_is_convergent); the boundary data is then integrable and
+    the Herglotz integral defines an outer function.
     """
     if amplitude < 0.0:
         raise DomainError("amplitude must be nonnegative")

@@ -128,13 +128,6 @@ def to_halfplane(w: complex) -> HalfplaneCoords:
     return HalfplaneCoords(R=1.0 / abs(one_minus), phi=cmath.phase(one_minus))
 
 
-def boundary_point(weight: wts.WeightSpec, bset: bnd.BoundarySet, theta: float,
-                   normalize_lambda1: bool = False) -> complex:
-    """The boundary point (1 - gamma(theta)) e^{i theta}."""
-    sol = solve_gamma(weight, bset, theta, normalize_lambda1=normalize_lambda1)
-    return (1.0 - sol.gamma) * cmath.exp(1j * theta)
-
-
 def solve_profile_y(weight: wts.WeightSpec, x: float) -> float:
     """Boundary height y(x) >= 0 of the half-plane image of the full-circle domain.
 
@@ -181,7 +174,6 @@ def gamma_criterion_partial(
     bset: bnd.BoundarySet,
     eps: float,
     upper: float,
-    normalize_lambda1: bool = False,
 ) -> float:
     """Adaptive quadrature of gamma(theta)/theta^2 over [eps, upper].
 
@@ -197,8 +189,7 @@ def gamma_criterion_partial(
 
     def integrand(v: float) -> float:
         theta = math.exp(-v)
-        sol = solve_gamma(weight, bset, theta, normalize_lambda1=normalize_lambda1)
-        return sol.gamma / theta
+        return solve_gamma(weight, bset, theta).gamma / theta
 
     v_lo, v_hi = math.log(1.0 / upper), math.log(1.0 / eps)
     pts: list[float] = []

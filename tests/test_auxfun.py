@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -74,6 +75,19 @@ class TestShadowConstant:
     def test_closed_form_vs_quadrature(self):
         for lam in (0.3, 0.5 + 0.2j, 0.85j, -0.6 + 0.1j):
             assert 1.0 / c_lambda(lam) == pytest.approx(c_lambda_inv_quad(lam), rel=1e-8)
+
+    @pytest.mark.parametrize("r", [0.1, 0.5, 0.9, 1.0 - 1e-6])
+    def test_mpmath_oracles(self, r):
+        # 50-digit closed form and 50-digit quadrature of the Poisson kernel
+        # (1 - r^2)/(1 - 2 r cos t + r^2) over the shadow [-(1-r)/2, (1-r)/2]
+        with mpmath.workdps(50):
+            rm = mpmath.mpf(r)
+            closed = 4 * mpmath.atan((1 + rm) / (1 - rm) * mpmath.tan((1 - rm) / 4))
+            half = (1 - rm) / 2
+            quad = mpmath.quad(lambda t: (1 - rm**2) / (1 - 2 * rm * mpmath.cos(t) + rm**2),
+                               [-half, 0, half])
+            assert abs(quad / closed - 1) < mpmath.mpf(10) ** -40
+            assert c_lambda(r) == pytest.approx(float(1 / closed), rel=1e-12)
 
     def test_lower_bound_four_fifths(self):
         for lam in lambda_grid():
@@ -247,6 +261,11 @@ class TestKeldyshWitness:
 
     def test_convergence_guard_accepts(self):
         assert gamma_integral_is_convergent(WeightSpec.log_power(2.0), POINT)
+
+    @pytest.mark.parametrize("alpha", [2.2, 2.5])
+    def test_convergence_guard_full_circle_above_nikolski(self, alpha):
+        # gamma w(gamma) = theta on the full circle: the integral converges for alpha > 2
+        assert gamma_integral_is_convergent(WeightSpec.log_power(alpha), FULL)
 
     def test_witness_amplitude_and_inequality(self):
         weight = WeightSpec.log_power(2.0)

@@ -196,6 +196,13 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["results"]["amplitude"] <= 1024
 
+    def test_aux_keldysh_full_circle_above_nikolski(self, capsys):
+        # the criterion integral converges on the full circle for every alpha > 2
+        code, out, err = run(capsys, "aux", "keldysh", "--weight", '{"family":"log_power","alpha":2.5}',
+                             "--set", '{"kind":"full"}')
+        assert code == EXIT_OK, err
+        assert json.loads(out)["results"]["amplitude"] <= 1024
+
     def test_aux_verify_lemma(self, capsys, tmp_path):
         f = tmp_path / "grid.csv"
         code, out, _ = run(capsys, "aux", "verify-lemma", "--weight", W1, "--set",

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cyclicity.boundary import Arc, BoundarySet, complementary_arcs
 from cyclicity.criterion import (
+    DEFAULT_MARGIN,
     KAPPA,
     arc_contribution,
     cantor_reduced_partials,
@@ -289,16 +292,20 @@ class TestReports:
         assert base > 0.0
 
 
+# a geometric-in-log schedule, u from 2 to 600 (the span of default_checkpoints)
+SCHEDULE = np.exp(-np.geomspace(2.0, 600.0, 24))
+
+
 class TestDivergenceVerdict:
     def test_log_model_member(self):
-        S = [math.log(k) for k in range(1, 25)]
-        v = divergence_verdict(S)
+        S = np.log(np.log(1.0 / SCHEDULE))  # S = log u
+        v = divergence_verdict(S, SCHEDULE)
         assert v.verdict == "divergent"
         assert v.model == "log"
 
     def test_cauchy_bounded(self):
         S = [5.0 - 2.0**-k for k in range(1, 25)]
-        v = divergence_verdict(S)
+        v = divergence_verdict(S, SCHEDULE)
         assert v.verdict == "convergent"
         assert v.model == "bounded"
         assert v.fit_residual < 1e-3
@@ -314,15 +321,80 @@ class TestDivergenceVerdict:
 
     def test_non_monotone_rejected(self):
         with pytest.raises(UsageError):
-            divergence_verdict([1.0, 2.0, 1.5, 3.0, 4.0, 5.0])
+            divergence_verdict([1.0, 2.0, 1.5, 3.0, 4.0, 5.0], SCHEDULE[::4])
 
     def test_too_few_points(self):
         with pytest.raises(UsageError):
-            divergence_verdict([1.0, 2.0, 3.0])
+            divergence_verdict([1.0, 2.0, 3.0], SCHEDULE[::8])
 
     def test_span_requirement(self):
         with pytest.raises(UsageError):
             divergence_verdict(np.arange(8.0), np.geomspace(1e-2, 1e-3, 8))
+
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)),
+                    min_size=7, max_size=30),
+           st.floats(min_value=0.0, max_value=1e3),
+           st.floats(min_value=0.5, max_value=5.0),
+           st.floats(min_value=16.0, max_value=650.0),
+           st.integers(min_value=-30, max_value=30))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_free(self, increments, start, u0, u_max, k):
+        # powers of two scale every sum exactly, so the verdict may not move
+        eps = np.exp(-np.geomspace(u0, u_max, len(increments) + 1))
+        S = start + np.concatenate(([0.0], np.cumsum(increments)))
+        assert divergence_verdict(2.0**k * S, eps).verdict == divergence_verdict(S, eps).verdict
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("kind", ["point", "geometric"])
+    def test_report_verdicts_scale_free(self, kind, alpha):
+        # Lambda scaled by 1e-6 scales every criterion term by about 1e-6
+        bset = BoundarySet(kind)
+        got = []
+        for scale in (1.0, 1e-6):
+            w = WeightSpec.log_power(alpha, scale=scale)
+            rep = criterion_partials(w, bset, default_checkpoints(w, bset))
+            got.append((rep.verdict().verdict, rep.alt_verdict().verdict))
+        assert got[0] == got[1]
+
+
+def _calibration_rows(dip):
+    """(q, m, C, verdict) over sums C * int u^(q-1) (log u)^m du on the
+    default schedule, with the increment at index dip (if any) cut to 1/10."""
+    eps = default_checkpoints(WeightSpec.log_power(1.0), BoundarySet.full_circle())
+    u = np.log(1.0 / eps)
+    um, du = np.sqrt(u[1:] * u[:-1]), np.diff(u)
+    rows = []
+    for q in np.arange(-20, 21) * 0.025:
+        for m in (0, 1):
+            inc = um ** (q - 1.0) * np.log(um) ** m * du
+            if dip is not None:
+                inc[dip] *= 0.1
+            for C in (1e-6, 1.0, 1e6):
+                S = C * np.concatenate(([0.0], np.cumsum(inc)))
+                rows.append((q, m, C, divergence_verdict(S, eps).verdict))
+    return rows
+
+
+class TestCalibration:
+    """Confusion matrix of the estimator on sums of known growth.
+
+    Truth is divergent for q >= 0 and convergent for q < 0.  Within the band
+    |q| <= DEFAULT_MARGIN an inconclusive verdict is allowed (at q = +-0.05
+    exactly the estimate sits on the margin, where rounding decides).
+    """
+
+    @pytest.mark.parametrize("dip", [None, 6, 12, 18])
+    def test_confusion_matrix(self, dip):
+        wrong, inconclusive_outside = [], []
+        for q, m, C, verdict in _calibration_rows(dip):
+            truth = "divergent" if q >= 0.0 else "convergent"
+            if verdict == "inconclusive":
+                if abs(q) > DEFAULT_MARGIN:
+                    inconclusive_outside.append((q, m, C))
+            elif verdict != truth:
+                wrong.append((q, m, C, verdict))
+        assert wrong == []
+        assert inconclusive_outside == []
 
 
 class TestThresholdOracle:

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +12,6 @@ from cyclicity.boundary import BoundarySet
 from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
 from cyclicity.geometry import (
     GammaSolution,
-    boundary_point,
     gamma_criterion_partial,
     normalized_for_lambda1,
     profile_y_predictor,
@@ -48,6 +48,18 @@ class TestSolveGamma:
         assert sol.dist_at_theta == pytest.approx(d, rel=1e-12)
         assert sol.gamma == pytest.approx(oracle, rel=1e-10)
         assert sol.gamma == pytest.approx(1.8968e-3, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("theta", [1e-3, 1e-50, 1e-150, 1e-290])
+    def test_mpmath_oracle_full_circle(self, theta, alpha):
+        # gamma^2 log(1/gamma)^alpha = theta^2: with x = log gamma, the root of
+        # 2x + alpha log(-x) = 2 log theta, to 60 digits
+        with mpmath.workdps(60):
+            rhs = 2 * mpmath.log(mpmath.mpf(theta))
+            x = mpmath.findroot(lambda x: 2 * x + alpha * mpmath.log(-x) - rhs, rhs / 2)
+            oracle = float(mpmath.exp(x))
+        sol = solve_gamma(WeightSpec.log_power(alpha), FULL, theta)
+        assert sol.gamma == pytest.approx(oracle, rel=1e-12)
 
     def test_residual_certificates(self):
         rng = np.random.default_rng(11)
@@ -129,14 +141,15 @@ class TestHalfplane:
         for bset in (FULL, POINT):
             for theta in np.geomspace(1e-5, 1e-2, 12):
                 sol = solve_gamma(spec, bset, float(theta))
-                hp = to_halfplane(boundary_point(spec, bset, float(theta)))
+                hp = to_halfplane((1.0 - sol.gamma) * cmath.exp(1j * theta))
                 r_ratio = hp.R * abs(theta)
                 p_ratio = (math.pi / 2 - abs(hp.phi)) / (sol.gamma / abs(theta))
                 assert 0.25 <= r_ratio <= 4.0
                 assert 0.25 <= p_ratio <= 4.0
 
     def test_worked_example(self):
-        hp = to_halfplane(boundary_point(WeightSpec.log_power(1.0), POINT, 0.01))
+        sol = solve_gamma(WeightSpec.log_power(1.0), POINT, 0.01)
+        hp = to_halfplane((1.0 - sol.gamma) * cmath.exp(0.01j))
         assert hp.R == pytest.approx(98.34, rel=2e-3)
         assert math.pi / 2 - abs(hp.phi) == pytest.approx(0.1926, rel=2e-3)
 
