@@ -7,13 +7,13 @@ lambda; the outer function f_lambda built from the Herglotz integral over the
 shadow is normalized (via the constant c_lambda) so that
 |f_lambda(lambda) S(lambda)| = 1.
 
-Boundary-arc integrals are evaluated two ways and cross-checked in the test
-suite: the closed-form antiderivative of the Herglotz kernel,
+Boundary-arc integrals use the closed-form antiderivative of the Herglotz
+kernel,
 
     int (e^{it}+z)/(e^{it}-z) dt  =  [-t - 2i Log(e^{it}-z)],
 
-tracked along a continuous branch by adaptive subdivision, and adaptive
-Gauss-Kronrod quadrature.
+tracked along a continuous branch by adaptive subdivision (the test suite
+checks it against adaptive quadrature).
 
 The comparison function
 
@@ -28,17 +28,19 @@ The outer witness for the convergent-criterion case has boundary modulus
 log|F(e^{i theta})| = amplitude * gamma(theta)/theta^2; by linearity the
 smallest dyadic amplitude making |F| dominate exp((1-|w|^2)/|1-w|^2 +
 Lambda(dist(w, E))) on boundary samples is found from a single Poisson
-integral per sample point.
+integral per sample point.  All samples share one fixed-node rule in
+log(1/|theta|) (geometry.log_rule) down to |theta| ~ 1e-290, with an error
+estimate that bounds what lies deeper.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import boundary as bnd
 from . import criterion as crit
@@ -49,6 +51,8 @@ from .errors import DomainError, NumericError, UsageError
 _EXP_CAP = 700.0  # exp overflow guard
 _GUARD_CHECKPOINTS = 12  # cutoffs of the convergence guard
 _GUARD_U_MAX = 300.0  # deepest log(1/theta) the convergence guard integrates to
+_WITNESS_U = 667.0  # deepest log(1/|theta|) of the witness rule: theta ~ 2e-290
+_LOG_GAMMA_FLOOR = 690.0  # just inside log(1e300): the gamma solver's lower bracket
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +140,6 @@ def poisson_arc_integral(z: complex, lo: float, hi: float) -> float:
     return herglotz_arc_integral(z, lo, hi).real
 
 
-def herglotz_arc_integral_quad(z: complex, lo: float, hi: float) -> complex:
-    """Quadrature route for the same integral (cross-check path)."""
-
-    def kern(t: float) -> complex:
-        e = cmath.exp(1j * t)
-        return (e + z) / (e - z)
-
-    re, _ = quad(lambda t: kern(t).real, lo, hi, epsrel=1e-9, epsabs=1e-13, limit=200)
-    im, _ = quad(lambda t: kern(t).imag, lo, hi, epsrel=1e-9, epsabs=1e-13, limit=200)
-    return complex(re, im)
-
-
 def c_lambda(lam: complex) -> float:
     """Normalizing constant with 1/c = Poisson integral over the shadow at lambda.
 
@@ -160,12 +152,6 @@ def c_lambda(lam: complex) -> float:
         raise DomainError("c_lambda needs 0 < |lambda| < 1")
     inv = 4.0 * math.atan((1.0 + r) / (1.0 - r) * math.tan(0.25 * (1.0 - r)))
     return 1.0 / inv
-
-
-def c_lambda_inv_quad(lam: complex) -> float:
-    """Quadrature cross-check of the reciprocal constant."""
-    sh = PrivalovShadow(lam)
-    return poisson_arc_integral(lam, sh.lo, sh.hi)
 
 
 def log_f_lambda(lam: complex, z: complex) -> complex:
@@ -260,80 +246,108 @@ def case_tag(spec: GammaRegionSpec, lam: complex, z: complex) -> str:
 # outer witness for the convergent case
 
 
+@functools.lru_cache(maxsize=64)
 def gamma_integral_is_convergent(weight: wts.WeightSpec, bset: bnd.BoundarySet) -> bool:
     """Whether the criterion integral of gamma(theta)/theta^2 converges.
 
-    The integral is taken piece by piece between _GUARD_CHECKPOINTS cutoffs,
-    geometric in u = log(1/theta) from just inside the pure cut down to
-    u = _GUARD_U_MAX, and cumulated; only a "convergent" verdict of
-    divergence_verdict (the criterion's own estimator) passes.
+    The partial integrals from _GUARD_CHECKPOINTS cutoffs, geometric in
+    u = log(1/theta) from just inside the pure cut down to u = _GUARD_U_MAX,
+    come from one gamma_criterion_partial rule (sums over node subsets);
+    only a "convergent" verdict of divergence_verdict (the criterion's own
+    estimator) passes.  The verdict depends on the pair alone and is cached.
     """
     upper = weight.pure_cut * 0.9
     u0 = math.log(1.0 / upper)
     k = np.arange(1, _GUARD_CHECKPOINTS + 1)
     eps = np.exp(-u0 * (_GUARD_U_MAX / u0) ** (k / _GUARD_CHECKPOINTS))
-    edges = np.concatenate(([upper], eps))
-    pieces = [geo.gamma_criterion_partial(weight, bset, lo, hi) for hi, lo in zip(edges[:-1], eps)]
-    return crit.divergence_verdict(np.cumsum(pieces), eps).verdict == "convergent"
+    partials = geo.gamma_criterion_partial(weight, bset, eps, upper).value
+    return crit.divergence_verdict(partials, eps).verdict == "convergent"
 
 
-def keldysh_log_boundary(weight: wts.WeightSpec, bset: bnd.BoundarySet, theta: float) -> float:
-    """Boundary data gamma(theta)/theta^2 of the unit-amplitude witness.
+def keldysh_log_boundary(weight: wts.WeightSpec, bset: bnd.BoundarySet, thetas) -> np.ndarray:
+    """Boundary data gamma(theta)/theta^2 of the unit-amplitude witness, per theta.
 
     The weight is first rescaled so Lambda(1) < 1/10 (the smallness
     normalization the domain construction assumes; gamma then exists for
     every theta up to pi, and all divergence criteria are scale-robust).
     """
-    if abs(theta) < 1e-8:
-        return 0.0
-    sol = geo.solve_gamma(weight, bset, theta, normalize_lambda1=True)
-    return sol.gamma / theta**2
+    sol = geo.solve_gamma_array(weight, bset, thetas, normalize_lambda1=True)
+    th = np.abs(sol.theta)
+    return sol.gamma / th / th  # theta^2 itself may underflow
 
 
-def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, w: complex,
-                     herglotz: bool = False):
-    """Poisson (or Herglotz) integral of the unit-amplitude boundary data at w."""
-    w = complex(w)
-    if abs(w) >= 1.0:
+def _witness_depth(spec: wts.WeightSpec) -> float:
+    """Deepest u = log(1/|theta|) of the witness rule: _WITNESS_U, or less.
+
+    Every set has dist <= |theta| and gamma <= |theta| there, so
+    gamma >= theta^2 Lambda(2|theta|) = |theta| s / (2 (u - log 2)^a); the
+    depth stops where that bound meets the solver's floor gamma = 1e-300.
+    """
+    u = _WITNESS_U
+    for _ in range(8):  # a contraction: the step shrinks by a/u
+        u = min(_WITNESS_U, _LOG_GAMMA_FLOOR + math.log(0.5 * spec.scale)
+                - spec.log_exponent * math.log(u - math.log(2.0)))
+    return u
+
+
+def _witness_tail(spec: wts.WeightSpec, bset: bnd.BoundarySet, depth: float) -> float:
+    """Bound on the integral of gamma/|theta| over u = log(1/|theta|) > depth, one side.
+
+    gamma = theta^2 Lambda(gamma + d) <= theta^2 Lambda(gamma) gives
+    gamma/|theta| <= sqrt(s) u^(-a/2) on every set; on the point set
+    d >= c|theta| with c = 2/pi also gives gamma/|theta| <= (s/c)(u - log c)^(-a).
+    """
+    s, a = spec.scale, spec.log_exponent
+    bounds = []
+    if a > 2.0:
+        bounds.append(math.sqrt(s) * depth ** (1.0 - 0.5 * a) / (0.5 * a - 1.0))
+    if bset.kind == "point" and a > 1.0:
+        c = 2.0 / math.pi
+        bounds.append(s / c * (depth - math.log(c)) ** (1.0 - a) / (a - 1.0))
+    if not bounds:
+        raise DomainError("no bound on the witness data below the rule's depth for this weight and set")
+    return min(bounds)
+
+
+def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
+                     herglotz: bool = False) -> geo.Quadrature:
+    """Poisson (or Herglotz) integrals of the unit-amplitude boundary data at each w.
+
+    One composite Gauss-Legendre rule in v = log(1/|theta|) per side of the
+    circle serves every w: geometry.panel_edges (uniform panels, kinks,
+    pure-cut crossings) plus panels graded by powers of 2 in
+    delta = 1 - |w| around each w's angle, from
+    |theta| = pi down to |theta| = e^-depth (about 1e-290), all solved in
+    one array call.  The value stops at that depth: data and Poisson kernel
+    are >= 0, so it is a lower bound.  The error of the Poisson part is the
+    difference of the two rule orders plus the bound on what lies deeper.
+    """
+    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
+    if np.any(np.abs(ws) >= 1.0):
         raise DomainError("witness evaluation needs |w| < 1")
-    theta_w = cmath.phase(w)
-    delta = 1.0 - abs(w)
-
-    def data(theta: float) -> float:
-        return keldysh_log_boundary(weight, bset, theta)
-
-    def side(sign: float):
-        # integrate over theta = sign * e^{-v}, v from log(1/pi) upward
-        def integrand(v: float):
-            theta = sign * math.exp(-v)
-            e = cmath.exp(1j * theta)
-            kern = (e + w) / (e - w)
-            val = data(theta) * abs(theta)
-            return (kern * val) if herglotz else (kern.real * val)
-
-        pts = []
-        if sign * theta_w > 0:
-            base = abs(theta_w)
-            for k in (0.2, 1.0, 5.0, 25.0):
-                t = base + k * delta
-                if 1e-8 < t < math.pi:
-                    pts.append(math.log(1.0 / t))
-                t = base - k * delta
-                if 1e-8 < t < math.pi:
-                    pts.append(math.log(1.0 / t))
-        v_lo, v_hi = math.log(1.0 / math.pi), math.log(1e8)
-        pts = sorted(p for p in set(pts) if v_lo < p < v_hi)
-        if herglotz:
-            re, _ = quad(lambda v: integrand(v).real, v_lo, v_hi, epsrel=1e-8,
-                         epsabs=1e-12, limit=400, points=pts or None)
-            im, _ = quad(lambda v: integrand(v).imag, v_lo, v_hi, epsrel=1e-8,
-                         epsabs=1e-12, limit=400, points=pts or None)
-            return complex(re, im)
-        val, _ = quad(integrand, v_lo, v_hi, epsrel=1e-8, epsabs=1e-12,
-                      limit=400, points=pts or None)
-        return val
-
-    return (side(1.0) + side(-1.0)) / (2.0 * math.pi)
+    spec = geo.normalized_for_lambda1(weight)
+    depth = _witness_depth(spec)
+    tail = _witness_tail(spec, bset, depth)
+    breaks = []
+    for w in ws:
+        theta_w, delta = abs(cmath.phase(w)), 1.0 - abs(w)
+        steps = delta * 2.0 ** np.arange(-2, math.ceil(math.log2(2.0 * math.pi / delta)))
+        near = np.concatenate(([theta_w], theta_w + steps, theta_w - steps))
+        breaks.append(-np.log(near[(0.0 < near) & (near < math.pi)]))
+    breaks = np.concatenate(breaks)
+    v_lo = math.log(1.0 / math.pi)
+    pos, neg = (geo.log_rule(geo.panel_edges(spec, bset, sign, v_lo, depth, breaks)) for sign in (1.0, -1.0))
+    theta = np.concatenate([np.exp(-pos[0]), -np.exp(-neg[0])])
+    fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
+    data = keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
+    e = np.exp(1j * theta)
+    value, error = [], []
+    for w in ws:
+        poisson = geo.rule_sum((1.0 - abs(w) ** 2) / np.abs(e - w) ** 2 * data, fine, coarse)
+        value.append(((e + w) / (e - w) * data * fine).sum() if herglotz else poisson.value)
+        kernel_at_0 = (1.0 - abs(w) ** 2) / (abs(1.0 - w) - math.exp(-depth)) ** 2
+        error.append(poisson.error + 2.0 * kernel_at_0 * tail)
+    return geo.Quadrature(np.array(value) / (2.0 * math.pi), np.array(error) / (2.0 * math.pi))
 
 
 def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: float,
@@ -350,9 +364,7 @@ def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: floa
         return complex(1.0, 0.0)
     if not gamma_integral_is_convergent(weight, bset):
         raise DomainError("criterion integral diverges; no outer witness exists")
-    weight = geo.normalized_for_lambda1(weight)
-    val = _witness_poisson(weight, bset, w, herglotz=True)
-    lf = amplitude * val
+    lf = amplitude * complex(_witness_poisson(weight, bset, [w], herglotz=True).value[0])
     if lf.real > _EXP_CAP:
         raise NumericError("witness magnitude overflows at this amplitude")
     return cmath.exp(lf)
@@ -364,21 +376,20 @@ def witness_amplitude_search(weight: wts.WeightSpec, bset: bnd.BoundarySet,
 
     At each sampled boundary point w = (1 - gamma) e^{i theta} the witness
     must satisfy log|F(w)| > (1-|w|^2)/|1-w|^2 + Lambda(dist(w, E)).  log|F|
-    is linear in the amplitude, so one Poisson integral per sample suffices.
+    is linear in the amplitude, so one Poisson integral per sample suffices;
+    one rule serves all samples.
     """
     if not gamma_integral_is_convergent(weight, bset):
         raise DomainError("criterion integral diverges; no outer witness exists")
     weight = geo.normalized_for_lambda1(weight)
-    need = 1.0
-    for theta in thetas:
-        sol = geo.solve_gamma(weight, bset, theta)
-        w = (1.0 - sol.gamma) * cmath.exp(1j * theta)
-        base = _witness_poisson(weight, bset, w, herglotz=False)
-        rhs = (1.0 - abs(w) ** 2) / abs(1.0 - w) ** 2 + wts.eval_lambda(
-            weight, min(bnd.distance_to_set(bset, w), 2.0))
-        if base <= 0.0:
-            raise NumericError("witness Poisson integral is not positive")
-        need = max(need, rhs / base)
+    sol = geo.solve_gamma_array(weight, bset, thetas)
+    ws = (1.0 - sol.gamma) * np.exp(1j * sol.theta)
+    base = _witness_poisson(weight, bset, ws).value
+    if np.any(base <= 0.0):
+        raise NumericError("witness Poisson integral is not positive")
+    d = bnd.distance_to_set(bset, ws)
+    rhs = (1.0 - np.abs(ws) ** 2) / np.abs(1.0 - ws) ** 2 + wts.eval_lambda(weight, np.minimum(d, 2.0))
+    need = max(1.0, float(np.max(rhs / base)))
     power = max(0, int(math.ceil(math.log2(need * (1.0 + 1e-12)))))
     if power > max_power:
         raise NumericError(f"no amplitude up to 2^{max_power} dominates the boundary growth")

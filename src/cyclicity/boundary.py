@@ -18,6 +18,8 @@ cantor      the middle-thirds set at a finite generation depth (1..38),
 
 Distances are Euclidean (chordal).  Chord and arc-length differ by a factor
 in [2/pi, 1], so every divergence criterion is insensitive to the choice.
+distance_to_set takes arrays of points; kink_angles lists the angles where
+the distance along the circle has corners, for quadrature break points.
 """
 
 from __future__ import annotations
@@ -354,63 +356,82 @@ def arc_arrays(bset: BoundarySet, cutoff: float):
 # distance and measure
 
 
-def _candidate_angles(bset: BoundarySet, theta: float) -> list[float]:
-    """Angles of E-points near theta; nearest-in-angle is nearest-in-chord."""
-    cands = [0.0]
-    if bset.kind == "full":
-        return [theta]
+def _candidate_angles(bset: BoundarySet, theta: np.ndarray) -> np.ndarray:
+    """Angles of E-points near each theta, one row per angle.
+
+    Nearest-in-angle is nearest-in-chord, so the distance is the least chord
+    to a row's candidates.  Rows are padded by repeating a candidate.
+    """
     if bset.kind == "arc":
-        if bset.a <= theta <= bset.b:
-            return [theta]
-        return [float(bset.a), float(bset.b)]
+        inside = (bset.a <= theta) & (theta <= bset.b)
+        return np.stack([np.where(inside, theta, bset.a), np.where(inside, theta, bset.b)], axis=-1)
+    zero = np.zeros_like(theta)
     if bset.kind == "point":
-        return cands
+        return zero[..., None]
     if bset.kind == "cantor":
-        cands.append(1.0)
-        if 0.0 <= theta <= 1.0:
-            loc = _cantor_locate(bset.depth, theta)
-            if loc[0] == "set":
-                cands.append(theta)
-            else:
-                cands.extend([loc[1], loc[2]])
-        return cands
+        near = np.empty(theta.shape + (2,))
+        for i, t in np.ndenumerate(theta):
+            loc = _cantor_locate(bset.depth, t) if 0.0 <= t <= 1.0 else ("gap", 0.0, 0.0)
+            near[i] = (t, t) if loc[0] == "set" else loc[1:]
+        return np.concatenate([np.stack([zero, zero + 1.0], axis=-1), near], axis=-1)
     # point sequences: invert the rule and take a small index neighborhood
-    cands.append(1.0)
-    if theta <= 0.0 or theta >= 1.0:
-        return cands
-    u = math.log(1.0 / max(theta, _ENUM_FLOOR))
+    inside = (theta > 0.0) & (theta < 1.0)
+    u = np.log(1.0 / np.clip(theta, _ENUM_FLOOR, 1.0))
+    j = np.arange(-2, 3)
     if bset.kind == "geometric":
-        n0 = u / math.log(2.0)
-        idx = range(max(0, int(n0) - 2), int(n0) + 3)
-        cands.extend(float(2.0**-n) for n in idx)
+        n = np.maximum(0, np.floor(u / math.log(2.0)).astype(int)[..., None] + j)
+        near = np.ldexp(1.0, -n)
     elif bset.kind == "doubly_exp":
-        m0 = math.log2(max(u / math.log(2.0), 1.0))
-        idx = range(max(0, int(m0) - 2), int(m0) + 3)
-        cands.extend(float(2.0 ** -(2.0**m)) for m in idx)
+        m0 = np.log2(np.maximum(u / math.log(2.0), 1.0))
+        near = np.ldexp(1.0, -(2 ** np.maximum(0, np.floor(m0).astype(int)[..., None] + j)))
     else:
         n0 = u ** (1.0 / (1.0 - bset.beta))
-        idx = range(max(1, int(n0) - 2), int(n0) + 3)
-        cands.extend(float(a) for a in _beta_angle(bset.beta, list(idx)))
-    return cands
+        near = _beta_angle(bset.beta, np.maximum(1, np.floor(n0)[..., None] + j))
+    near = np.where(inside[..., None], near, 0.0)
+    return np.concatenate([np.stack([zero, zero + 1.0], axis=-1), near], axis=-1)
 
 
-def distance_to_set(bset: BoundarySet, z: complex) -> float:
-    """Euclidean distance from z (|z| <= 1) to E."""
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise DomainError(f"|z| must be <= 1, got {abs(z)!r}")
+def distance_to_set(bset: BoundarySet, z):
+    """Euclidean distance from z (|z| <= 1) to E; z may be a numpy array."""
+    zs = np.asarray(z, dtype=complex)
+    x, y = zs.real, zs.imag
+    r = np.hypot(x, y)
+    if np.count_nonzero(r > 1.0 + 1e-12):
+        raise DomainError(f"|z| must be <= 1, got {np.max(r)!r}")
     if bset.kind == "full":
-        return abs(1.0 - abs(z))
-    theta = math.atan2(z.imag, z.real)
-    if bset.mirror and bset.kind != "arc":
-        theta = abs(theta)
-        z = complex(z.real, abs(z.imag))
-    best = math.inf
-    for eta in _candidate_angles(bset, theta):
-        d = abs(z - complex(math.cos(eta), math.sin(eta)))
-        if d < best:
-            best = d
-    return best
+        d = np.abs(1.0 - r)
+    else:
+        theta = np.arctan2(y, x)
+        if bset.mirror and bset.kind != "arc":
+            theta, y = np.abs(theta), np.abs(y)
+        eta = _candidate_angles(bset, theta)
+        d = np.hypot(x[..., None] - np.cos(eta), y[..., None] - np.sin(eta)).min(axis=-1)
+    return float(d) if d.ndim == 0 else d
+
+
+def kink_angles(bset: BoundarySet, floor: float, limit: int = _MAX_ARC_LIST) -> np.ndarray:
+    """Angles theta with floor <= |theta| < pi where dist(e^{i theta}, E) has a corner.
+
+    These are the ends of E's complementary arcs and the arcs' midpoints.
+    The window arcs come from arc_arrays; more than limit of them raise
+    CapacityError.  The outer gap from the window end 1 round to 0 has its midpoint
+    at 0.5 - pi, or at pi for a mirrored set.
+    """
+    if bset.kind in ("full", "point"):
+        return np.empty(0)
+    if bset.kind == "arc":
+        mid = 0.5 * (bset.a + bset.b) + math.pi
+        pts = np.array([bset.a, bset.b, mid - 2.0 * math.pi if mid > math.pi else mid])
+    else:
+        if bset.kind == "cantor" and 2**bset.depth > limit:
+            raise CapacityError(f"cantor depth {bset.depth} has more than {limit} gaps")
+        a, b = arc_arrays(bset, floor)
+        if a.size > limit:
+            raise CapacityError(f"more than {limit} complementary arcs above {floor!r}")
+        pts = np.concatenate([a, b, 0.5 * (a + b)])
+        pts = np.concatenate([pts, -pts]) if bset.mirror else np.append(pts, 0.5 - math.pi)
+    pts = np.unique(pts)
+    return pts[(np.abs(pts) >= floor) & (np.abs(pts) < math.pi)]
 
 
 def measure_complement(bset: BoundarySet, eps: float) -> float:

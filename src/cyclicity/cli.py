@@ -269,16 +269,18 @@ def _cmd_weights_check(args) -> int:
 _TRACE_HEADER = ("theta", "gamma", "residual", "R", "phi")
 
 
-def _trace_row(weight, bset, theta, normalize):
-    sol = geo.solve_gamma(weight, bset, theta, normalize_lambda1=normalize)
-    w = (1.0 - sol.gamma) * cmath.exp(1j * theta)
-    hp = geo.to_halfplane(w)
-    return (sol.theta, sol.gamma, sol.residual, hp.R, hp.phi)
+def _trace_rows(weight, bset, thetas, normalize):
+    sol = geo.solve_gamma_array(weight, bset, thetas, normalize_lambda1=normalize)
+    rows = []
+    for theta, gamma, residual in zip(sol.theta.tolist(), sol.gamma.tolist(), sol.residual.tolist()):
+        hp = geo.to_halfplane((1.0 - gamma) * cmath.exp(1j * theta))
+        rows.append((theta, gamma, residual, hp.R, hp.phi))
+    return rows
 
 
 def _cmd_gamma(args) -> int:
-    row = _trace_row(_weight(args), _bset(args), args.theta, args.normalize_lambda1)
-    _write_out(csv_text(_TRACE_HEADER, [row]), args.out)
+    rows = _trace_rows(_weight(args), _bset(args), [args.theta], args.normalize_lambda1)
+    _write_out(csv_text(_TRACE_HEADER, rows), args.out)
     return EXIT_OK
 
 
@@ -287,9 +289,8 @@ def _cmd_omega_trace(args) -> int:
         raise UsageError("need 0 < --from < --to")
     if args.points < 2:
         raise UsageError("need at least 2 points")
-    weight, bset = _weight(args), _bset(args)
     thetas = np.geomspace(args.from_, args.to, args.points)
-    rows = [_trace_row(weight, bset, float(t), args.normalize_lambda1) for t in thetas]
+    rows = _trace_rows(_weight(args), _bset(args), thetas, args.normalize_lambda1)
     _write_out(csv_text(_TRACE_HEADER, rows), args.out)
     return EXIT_OK
 
@@ -346,7 +347,9 @@ def _cmd_verify_lemma(args) -> int:
                          aux.case_tag(spec, lam, z)))
     _write_out(csv_text(("lambda_re", "lambda_im", "z_re", "z_im", "H", "case_tag"), rows),
                args.out)
-    sys.stdout.write("SUP_H %s\n" % format_float(sup_h))
+    # stdout stays pure CSV when the grid goes there
+    summary = sys.stderr if args.out in (None, "-") else sys.stdout
+    summary.write("SUP_H %s\n" % format_float(sup_h))
     return EXIT_OK
 
 

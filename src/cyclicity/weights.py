@@ -159,19 +159,13 @@ def eval_lambda(spec: WeightSpec, t) -> float:
 
 
 def _eval_lambda_vec(spec: WeightSpec, t: np.ndarray) -> np.ndarray:
-    if np.any(t <= 0.0) or np.any(t > 2.0):
+    if np.count_nonzero(t <= 0.0) or np.count_nonzero(t > 2.0):
         raise DomainError("t values must lie in (0, 2]")
     cut = spec.pure_cut
     a = spec.log_exponent
-    out = np.empty_like(t, dtype=float)
-    pure = t <= cut
-    if a > 0.0:
-        L = np.log(1.0 / t[pure])
-        out[pure] = spec.scale / (t[pure] * L**a)
-    else:
-        out[pure] = spec.scale / t[pure]
-    out[~pure] = _pure_lambda(spec, cut) * cut / t[~pure]
-    return out
+    # min(t, cut) is t wherever the pure formula is kept
+    pure = spec.scale / (t * np.log(1.0 / np.minimum(t, cut)) ** a) if a > 0.0 else spec.scale / t
+    return np.where(t <= cut, pure, _pure_lambda(spec, cut) * cut / t)
 
 
 def eval_w(spec: WeightSpec, t: float) -> float:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from crosschecks import profile_y_predictor
 from cyclicity.auxfun import (
     GammaRegionSpec,
     case_tag,
@@ -32,7 +33,7 @@ from cyclicity.criterion import (
     theorem_scan_point,
     threshold_oracle,
 )
-from cyclicity.geometry import normalized_for_lambda1, profile_y_predictor, solve_gamma, solve_profile_y
+from cyclicity.geometry import normalized_for_lambda1, solve_gamma, solve_profile_y
 from cyclicity.phragmen import DomainProfile, harmonic_measure_mc, sigma
 from cyclicity.weights import WeightSpec, condition_partials, eval_lambda, eval_w
 
@@ -261,10 +262,10 @@ def test_acceptance_8_keldysh_witness():
     from cyclicity.auxfun import _witness_poisson
 
     norm = normalized_for_lambda1(weight)
-    for theta in thetas:
-        sol = solve_gamma(norm, point, theta)
-        w = (1.0 - sol.gamma) * cmath.exp(1j * theta)
-        lhs = amp * _witness_poisson(weight, point, w, herglotz=False)
+    ws = [(1.0 - solve_gamma(norm, point, theta).gamma) * cmath.exp(1j * theta) for theta in thetas]
+    bases = _witness_poisson(weight, point, ws).value
+    for theta, w, base in zip(thetas, ws, bases):
+        lhs = amp * base
         rhs = (1.0 - abs(w) ** 2) / abs(1.0 - w) ** 2 + eval_lambda(
             norm, min(distance_to_set(point, w), 2.0))
         assert lhs > rhs, (theta, lhs, rhs)

@@ -5,18 +5,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_quad
+from cyclicity import auxfun, geometry
 from cyclicity.auxfun import (
     GammaRegionSpec,
     PrivalovShadow,
     c_lambda,
-    c_lambda_inv_quad,
     case_tag,
     f_lambda,
     gamma_integral_is_convergent,
     h_lambda,
     herglotz_arc_integral,
-    herglotz_arc_integral_quad,
     in_gamma_region,
+    keldysh_log_boundary,
     keldysh_outer,
     log_f_lambda,
     singular_inner,
@@ -24,6 +25,7 @@ from cyclicity.auxfun import (
 )
 from cyclicity.boundary import BoundarySet, distance_to_set
 from cyclicity.errors import DomainError, NumericError
+from cyclicity.geometry import normalized_for_lambda1, solve_gamma
 from cyclicity.weights import WeightSpec, eval_lambda
 
 FULL = BoundarySet.full_circle()
@@ -267,6 +269,21 @@ class TestKeldyshWitness:
         # gamma w(gamma) = theta on the full circle: the integral converges for alpha > 2
         assert gamma_integral_is_convergent(WeightSpec.log_power(alpha), FULL)
 
+    def test_guard_runs_once_per_pair(self, monkeypatch):
+        calls = []
+        partial = geometry.gamma_criterion_partial
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return partial(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "gamma_criterion_partial", counting)
+        gamma_integral_is_convergent.cache_clear()
+        weight = WeightSpec.log_power(2.0)
+        for w in (0.3 + 0.2j, 0.5 - 0.1j):
+            keldysh_outer(weight, POINT, 1.0, w)
+        assert calls == [(weight, POINT)]
+
     def test_witness_amplitude_and_inequality(self):
         weight = WeightSpec.log_power(2.0)
         thetas = [1e-2, 1e-3, 1e-4]
@@ -275,8 +292,6 @@ class TestKeldyshWitness:
         amp2 = witness_amplitude_search(weight, POINT, thetas)
         assert amp2 == amp
         # verify the domination inequality at the samples for the found amplitude
-        from cyclicity.geometry import normalized_for_lambda1, solve_gamma
-
         norm = normalized_for_lambda1(weight)
         for theta in thetas:
             sol = solve_gamma(norm, POINT, theta)
@@ -293,8 +308,65 @@ class TestKeldyshWitness:
 
         weight = WeightSpec.log_power(2.0)
         w = 0.15 + 0.1j
-        herg = _witness_poisson(weight, POINT, w, herglotz=True)
-        pois = _witness_poisson(weight, POINT, w, herglotz=False)
-        assert herg.real == pytest.approx(pois, rel=1e-6)
+        herg = _witness_poisson(weight, POINT, [w], herglotz=True).value[0]
+        pois = _witness_poisson(weight, POINT, [w], herglotz=False).value[0]
+        assert herg.real == pytest.approx(pois, rel=1e-9)
         F = keldysh_outer(weight, POINT, 2.0, w)
-        assert abs(F) == pytest.approx(math.exp(2.0 * pois), rel=1e-6)
+        assert abs(F) == pytest.approx(math.exp(2.0 * pois), rel=1e-9)
+
+
+class TestWitnessRule:
+    @pytest.mark.parametrize("alpha,bset", [(2.0, POINT), (3.0, FULL), (3.0, BoundarySet.geometric())])
+    def test_error_estimate_covers_a_finer_rule(self, monkeypatch, alpha, bset):
+        # the rule at orders 20/10 against orders 40/20 on panels a quarter
+        # as wide: the coarse result's error estimate covers the difference
+        weight = normalized_for_lambda1(WeightSpec.log_power(alpha))
+        sol = geometry.solve_gamma_array(weight, bset, [1e-2, 1e-3, 1e-4])
+        ws = (1.0 - sol.gamma) * np.exp(1j * sol.theta)
+        coarse = auxfun._witness_poisson(weight, bset, ws)
+        monkeypatch.setattr(geometry, "_RULE_ORDER", 40)
+        monkeypatch.setattr(geometry, "_PANEL_WIDTH", 2.0)
+        fine = auxfun._witness_poisson(weight, bset, ws)
+        assert np.all(np.abs(coarse.value - fine.value) <= coarse.error)
+        assert np.all(coarse.error < 0.1 * coarse.value)
+
+    @pytest.mark.parametrize("alpha,bset,recorded", [
+        (2.0, POINT, (1.89862833658, 8.38856000339, 46.9919809667)),
+        (3.0, POINT, (1.02717677496, 3.03922408719, 12.8118165761)),
+        (3.0, FULL, (5.35880315705, 32.5337248071, 225.46432813)),
+    ])
+    def test_part_above_1e8_matches_adaptive_quadrature(self, monkeypatch, alpha, bset, recorded):
+        # the Poisson integral over 1e-8 <= |theta| <= pi at the samples
+        # 1e-2, 1e-3, 1e-4, recorded from adaptive Gauss-Kronrod quadrature
+        # (scipy quad, epsrel 1e-8), which stopped at |theta| = 1e-8
+        monkeypatch.setattr(auxfun, "_witness_depth", lambda spec: math.log(1e8))
+        monkeypatch.setattr(auxfun, "_witness_tail", lambda spec, bset, depth: 0.0)
+        weight = normalized_for_lambda1(WeightSpec.log_power(alpha))
+        sol = geometry.solve_gamma_array(weight, bset, [1e-2, 1e-3, 1e-4])
+        got = auxfun._witness_poisson(weight, bset, (1.0 - sol.gamma) * np.exp(1j * sol.theta))
+        np.testing.assert_allclose(got.value, recorded, rtol=1e-8)
+
+    def test_no_cutoff_below_1e8(self):
+        # the boundary data is solved, not dropped, down to theta ~ 1e-290
+        thetas = np.array([1e-9, -1e-50, 1e-200, 2e-290])
+        data = keldysh_log_boundary(WeightSpec.log_power(2.0), POINT, thetas)
+        assert np.all(np.isfinite(data)) and np.all(data > 0.0)
+        # gamma/|theta| <= (s/c)(u - log c)^-a on the point set, c = 2/pi
+        s = normalized_for_lambda1(WeightSpec.log_power(2.0)).scale
+        u = -np.log(np.abs(thetas))
+        c = 2.0 / math.pi
+        assert np.all(data * np.abs(thetas) <= s / c * (u - math.log(c)) ** -2.0)
+
+    def test_full_circle_amplitude_with_deep_tail(self):
+        # the data below theta = 1e-8 carries most of the Poisson integral on
+        # the full circle at alpha = 2.2; with it the smallest amplitude is 2
+        assert witness_amplitude_search(WeightSpec.log_power(2.2), FULL, [1e-2, 1e-3, 1e-4]) == 2
+
+    @pytest.mark.parametrize("weight,bset", [
+        (WeightSpec.log_power(2.0), FULL),
+        (WeightSpec.log_power(1.0), POINT),
+        (WeightSpec.log_power(1.9), BoundarySet.geometric()),
+    ])
+    def test_unbounded_tail_refused(self, weight, bset):
+        with pytest.raises(DomainError):
+            auxfun._witness_tail(weight, bset, 600.0)

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import time
 
 import pytest
 
@@ -202,6 +205,27 @@ class TestCommands:
                              "--set", '{"kind":"full"}')
         assert code == EXIT_OK, err
         assert json.loads(out)["results"]["amplitude"] <= 1024
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bset", [GEO, '{"kind":"beta","beta":0.25}'])
+    def test_aux_keldysh_point_sequences(self, capsys, bset):
+        # the kink breaks of the witness rule resolve these sets without warnings
+        started = time.perf_counter()
+        code, out, err = run(capsys, "aux", "keldysh", "--weight", '{"family":"log_power","alpha":3}',
+                             "--set", bset)
+        assert code == EXIT_OK, err
+        assert json.loads(out)["results"]["amplitude"] == 4
+        assert time.perf_counter() - started < 2.0
+
+    def test_aux_verify_lemma_csv_on_stdout(self, capsys):
+        code, out, err = run(capsys, "aux", "verify-lemma", "--weight", W1, "--set",
+                             '{"kind":"full"}', "--grid", "4")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["lambda_re", "lambda_im", "z_re", "z_im", "H", "case_tag"]
+        assert len(rows) > 1 and all(len(row) == 6 for row in rows)
+        assert all(float(row[4]) <= 1e-9 for row in rows[1:])
+        assert err.startswith("SUP_H ")
 
     def test_aux_verify_lemma(self, capsys, tmp_path):
         f = tmp_path / "grid.csv"

@@ -4,9 +4,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from crosschecks import profile_y_predictor
 from cyclicity import boundary, geometry
 from cyclicity.boundary import BoundarySet
 from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
@@ -14,8 +14,8 @@ from cyclicity.geometry import (
     GammaSolution,
     gamma_criterion_partial,
     normalized_for_lambda1,
-    profile_y_predictor,
     solve_gamma,
+    solve_gamma_array,
     solve_profile_y,
     to_halfplane,
 )
@@ -96,6 +96,28 @@ class TestSolveGamma:
         vals = [solve_gamma(spec, POINT, t).gamma / t**2
                 for t in np.geomspace(1e-4, 0.1, 40)]
         assert min(vals) > 0.0
+
+    def test_array_matches_scalar(self):
+        # the scalar solver is the array solver on one angle: same bits
+        rng = np.random.default_rng(17)
+        thetas = np.exp(rng.uniform(np.log(1e-290), np.log(0.1), 40)) * rng.choice([-1.0, 1.0], 40)
+        for bset in (FULL, POINT, BoundarySet.geometric(), BoundarySet.beta_points(0.25),
+                     BoundarySet.cantor(12)):
+            sols = solve_gamma_array(WeightSpec.log_power(2.0), bset, thetas)
+            assert sols.gamma.shape == thetas.shape
+            for k in (0, 17, 39):
+                one = solve_gamma(WeightSpec.log_power(2.0), bset, float(thetas[k]))
+                assert (one.gamma, one.residual, one.dist_at_theta) == (
+                    sols.gamma[k], sols.residual[k], sols.dist_at_theta[k])
+
+    def test_array_errors(self):
+        spec = WeightSpec.log_power(1.0)
+        with pytest.raises(DomainError):
+            solve_gamma_array(spec, FULL, [1e-3, 0.0])
+        with pytest.raises(DomainError):
+            solve_gamma_array(spec, FULL, [1e-3, -4.0])
+        with pytest.raises(NumericError):
+            solve_gamma_array(spec, FULL, [1e-3, math.pi])
 
     def test_errors(self):
         spec = WeightSpec.log_power(1.0)
@@ -187,7 +209,8 @@ class TestGammaCriterionPartial:
     def test_const_w_closed_form(self):
         # gamma/theta^2 = 1/theta: the integral is log(upper/eps)
         got = gamma_criterion_partial(WeightSpec.const_w(), FULL, 1e-4, 1e-1)
-        assert got == pytest.approx(math.log(1000.0), rel=1e-6)
+        assert got.value == pytest.approx(math.log(1000.0), rel=1e-10)
+        assert abs(got.value - math.log(1000.0)) <= got.error
 
     def test_log_power_2_exact_oracle(self):
         # gamma L(gamma) = theta exactly; substituting theta = e^-v the
@@ -204,8 +227,19 @@ class TestGammaCriterionPartial:
         got = gamma_criterion_partial(WeightSpec.log_power(2.0), FULL,
                                       math.exp(-100.0), math.exp(-2.0))
         assert closed == pytest.approx(3.19614539543922, rel=1e-10)
-        assert got == pytest.approx(closed, rel=1e-5)
-        assert 0.5 <= got / math.log(50.0) <= 1.0
+        assert got.value == pytest.approx(closed, rel=1e-8)
+        assert abs(got.value - closed) <= got.error
+        assert 0.5 <= got.value / math.log(50.0) <= 1.0
+
+    def test_partials_over_several_cutoffs(self):
+        # one rule with a break at each cutoff gives every partial integral
+        spec = WeightSpec.log_power(2.0)
+        eps = np.exp(-np.array([10.0, 100.0, 300.0]))
+        got = gamma_criterion_partial(spec, POINT, eps, spec.pure_cut)
+        for k, e in enumerate(eps):
+            one = gamma_criterion_partial(spec, POINT, e, spec.pure_cut)
+            assert got.value[k] == pytest.approx(one.value, abs=got.error[k] + one.error)
+        assert np.all(np.diff(got.value) > 0.0)
 
     def test_nikolski_convergent_case_cauchy(self):
         # alpha = 4 (the convergent side of the square-root condition):
@@ -213,7 +247,7 @@ class TestGammaCriterionPartial:
         # checkpoint ladder stops at exp(-690)
         spec = WeightSpec.log_power(4.0)
         upper = spec.pure_cut * 0.9
-        vals = [gamma_criterion_partial(spec, FULL, math.exp(-v), upper)
+        vals = [gamma_criterion_partial(spec, FULL, math.exp(-v), upper).value
                 for v in (10.0, 100.0, 500.0, 650.0)]
         diffs = [b - a for a, b in zip(vals, vals[1:])]
         assert all(d > 0.0 for d in diffs)
@@ -222,30 +256,31 @@ class TestGammaCriterionPartial:
 
     def test_arc_capacity_drops_break_points(self, monkeypatch):
         spec = WeightSpec.log_power(1.0)
-        expected = gamma_criterion_partial(spec, POINT, 1e-4, 1e-2)
+        geo_set = BoundarySet.geometric()
+        expected = gamma_criterion_partial(spec, geo_set, 1e-4, 1e-2)
+        kinks = boundary.kink_angles(geo_set, 1e-4)
+        kinks = -np.log(kinks[kinks > 0.0])
+        kinks = kinks[(kinks > -math.log(1e-2)) & (kinks < -math.log(1e-4))]
+        assert kinks.size > 0
 
         def overflow(bset, cutoff):
             raise CapacityError("arc list capacity exceeded")
 
-        seen = []
-
-        def recording_quad(*args, **kwargs):
-            seen.append(kwargs.get("points"))
-            return quad(*args, **kwargs)
-
-        monkeypatch.setattr(boundary, "complementary_arcs", overflow)
-        monkeypatch.setattr(geometry, "quad", recording_quad)
-        assert gamma_criterion_partial(spec, POINT, 1e-4, 1e-2) == expected
-        assert seen == [None]
+        monkeypatch.setattr(boundary, "arc_arrays", overflow)
+        edges = geometry.panel_edges(spec, geo_set, 1.0, -math.log(1e-2), -math.log(1e-4))
+        assert not np.any(np.isin(kinks, edges))
+        got = gamma_criterion_partial(spec, geo_set, 1e-4, 1e-2)
+        assert abs(got.value - expected.value) <= got.error
+        assert got.error > expected.error
 
     @pytest.mark.parametrize("error", [DomainError, RuntimeError])
     def test_other_arc_errors_propagate(self, monkeypatch, error):
         def broken(bset, cutoff):
             raise error("not a capacity overflow")
 
-        monkeypatch.setattr(boundary, "complementary_arcs", broken)
+        monkeypatch.setattr(boundary, "arc_arrays", broken)
         with pytest.raises(error):
-            gamma_criterion_partial(WeightSpec.log_power(1.0), POINT, 1e-4, 1e-2)
+            gamma_criterion_partial(WeightSpec.log_power(1.0), BoundarySet.geometric(), 1e-4, 1e-2)
 
     def test_usage(self):
         with pytest.raises(UsageError):
