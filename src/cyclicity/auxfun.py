@@ -30,7 +30,8 @@ smallest dyadic amplitude making |F| dominate exp((1-|w|^2)/|1-w|^2 +
 Lambda(dist(w, E))) on boundary samples is found from a single Poisson
 integral per sample point.  All samples share one fixed-node rule in
 log(1/|theta|) (geometry.log_rule) down to |theta| ~ 1e-290, with an error
-estimate that bounds what lies deeper.
+estimate and, where the weight and set allow one, a bound on what lies
+deeper.  The search divides by the integral less its error estimate.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -296,21 +298,29 @@ def _witness_tail(spec: wts.WeightSpec, bset: bnd.BoundarySet, depth: float) -> 
     gamma = theta^2 Lambda(gamma + d) <= theta^2 Lambda(gamma) gives
     gamma/|theta| <= sqrt(s) u^(-a/2) on every set; on the point set
     d >= c|theta| with c = 2/pi also gives gamma/|theta| <= (s/c)(u - log c)^(-a).
+    Where neither is integrable the bound is inf.
     """
     s, a = spec.scale, spec.log_exponent
-    bounds = []
+    bounds = [math.inf]
     if a > 2.0:
         bounds.append(math.sqrt(s) * depth ** (1.0 - 0.5 * a) / (0.5 * a - 1.0))
     if bset.kind == "point" and a > 1.0:
         c = 2.0 / math.pi
         bounds.append(s / c * (depth - math.log(c)) ** (1.0 - a) / (a - 1.0))
-    if not bounds:
-        raise DomainError("no bound on the witness data below the rule's depth for this weight and set")
     return min(bounds)
 
 
+class WitnessIntegral(NamedTuple):
+    """Witness integrals at each sample, with the rule's error estimate and
+    a bound on the Poisson integral beyond the rule's depth (inf if none is known)."""
+
+    value: np.ndarray
+    error: np.ndarray
+    tail: np.ndarray
+
+
 def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
-                     herglotz: bool = False) -> geo.Quadrature:
+                     herglotz: bool = False) -> WitnessIntegral:
     """Poisson (or Herglotz) integrals of the unit-amplitude boundary data at each w.
 
     One composite Gauss-Legendre rule in v = log(1/|theta|) per side of the
@@ -319,8 +329,9 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
     delta = 1 - |w| around each w's angle, from
     |theta| = pi down to |theta| = e^-depth (about 1e-290), all solved in
     one array call.  The value stops at that depth: data and Poisson kernel
-    are >= 0, so it is a lower bound.  The error of the Poisson part is the
-    difference of the two rule orders plus the bound on what lies deeper.
+    are >= 0, so stopping only lowers it.  The error estimate is the
+    difference of the two rule orders on the Poisson part; the tail bounds
+    the Poisson part beyond the depth.
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
     if np.any(np.abs(ws) >= 1.0):
@@ -341,13 +352,13 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
     fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
     data = keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
     e = np.exp(1j * theta)
-    value, error = [], []
+    value, error, beyond = [], [], []
     for w in ws:
         poisson = geo.rule_sum((1.0 - abs(w) ** 2) / np.abs(e - w) ** 2 * data, fine, coarse)
         value.append(((e + w) / (e - w) * data * fine).sum() if herglotz else poisson.value)
-        kernel_at_0 = (1.0 - abs(w) ** 2) / (abs(1.0 - w) - math.exp(-depth)) ** 2
-        error.append(poisson.error + 2.0 * kernel_at_0 * tail)
-    return geo.Quadrature(np.array(value) / (2.0 * math.pi), np.array(error) / (2.0 * math.pi))
+        error.append(poisson.error)
+        beyond.append(2.0 * (1.0 - abs(w) ** 2) / (abs(1.0 - w) - math.exp(-depth)) ** 2 * tail)
+    return WitnessIntegral(*(np.array(x) / (2.0 * math.pi) for x in (value, error, beyond)))
 
 
 def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: float,
@@ -377,14 +388,16 @@ def witness_amplitude_search(weight: wts.WeightSpec, bset: bnd.BoundarySet,
     At each sampled boundary point w = (1 - gamma) e^{i theta} the witness
     must satisfy log|F(w)| > (1-|w|^2)/|1-w|^2 + Lambda(dist(w, E)).  log|F|
     is linear in the amplitude, so one Poisson integral per sample suffices;
-    one rule serves all samples.
+    one rule serves all samples.  The search divides by the integral less
+    its rule error estimate; stopping the rule at its depth only lowers it.
     """
     if not gamma_integral_is_convergent(weight, bset):
         raise DomainError("criterion integral diverges; no outer witness exists")
     weight = geo.normalized_for_lambda1(weight)
     sol = geo.solve_gamma_array(weight, bset, thetas)
     ws = (1.0 - sol.gamma) * np.exp(1j * sol.theta)
-    base = _witness_poisson(weight, bset, ws).value
+    poisson = _witness_poisson(weight, bset, ws)
+    base = poisson.value - poisson.error
     if np.any(base <= 0.0):
         raise NumericError("witness Poisson integral is not positive")
     d = bnd.distance_to_set(bset, ws)

@@ -36,6 +36,7 @@ KINDS = ("full", "arc", "point", "geometric", "doubly_exp", "beta", "cantor")
 
 MAX_CANTOR_DEPTH = 38  # 3^38 < 2^63, gap endpoints stay exact in 64-bit terms
 _MAX_ARC_LIST = 1 << 21
+_MAX_KINK_GAPS = 1 << 13  # Cantor gaps are exact fractions: listing more is slow
 
 # Smallest angle the point-sequence rules can represent in float64 with slack.
 _ENUM_FLOOR = 1e-290
@@ -409,13 +410,14 @@ def distance_to_set(bset: BoundarySet, z):
     return float(d) if d.ndim == 0 else d
 
 
-def kink_angles(bset: BoundarySet, floor: float, limit: int = _MAX_ARC_LIST) -> np.ndarray:
+def kink_angles(bset: BoundarySet, floor: float) -> np.ndarray:
     """Angles theta with floor <= |theta| < pi where dist(e^{i theta}, E) has a corner.
 
     These are the ends of E's complementary arcs and the arcs' midpoints.
-    The window arcs come from arc_arrays; more than limit of them raise
-    CapacityError.  The outer gap from the window end 1 round to 0 has its midpoint
-    at 0.5 - pi, or at pi for a mirrored set.
+    The window arcs come from arc_arrays; a Cantor set with more than
+    _MAX_KINK_GAPS gaps raises CapacityError before they are enumerated.
+    The outer gap from the window end 1 round to 0 has its midpoint at
+    0.5 - pi, or at pi for a mirrored set.
     """
     if bset.kind in ("full", "point"):
         return np.empty(0)
@@ -423,11 +425,9 @@ def kink_angles(bset: BoundarySet, floor: float, limit: int = _MAX_ARC_LIST) -> 
         mid = 0.5 * (bset.a + bset.b) + math.pi
         pts = np.array([bset.a, bset.b, mid - 2.0 * math.pi if mid > math.pi else mid])
     else:
-        if bset.kind == "cantor" and 2**bset.depth > limit:
-            raise CapacityError(f"cantor depth {bset.depth} has more than {limit} gaps")
+        if bset.kind == "cantor" and 2**bset.depth > _MAX_KINK_GAPS:
+            raise CapacityError(f"cantor depth {bset.depth} has more than {_MAX_KINK_GAPS} gaps")
         a, b = arc_arrays(bset, floor)
-        if a.size > limit:
-            raise CapacityError(f"more than {limit} complementary arcs above {floor!r}")
         pts = np.concatenate([a, b, 0.5 * (a + b)])
         pts = np.concatenate([pts, -pts]) if bset.mirror else np.append(pts, 0.5 - math.pi)
     pts = np.unique(pts)

@@ -51,7 +51,6 @@ _RULE_ORDER = 20  # Gauss-Legendre points per panel; the error estimate uses hal
 _ROUNDING = 50.0 * np.finfo(float).eps  # relative rounding allowance of a rule sum
 _PANEL_WIDTH = 8.0  # widest panel in v = log(1/theta)
 _KINK_SPACING = 0.25  # at most one kink break per cell of this width in v
-_MAX_KINK_ARCS = 1 << 13  # more complementary arcs than this: no kink breaks
 
 
 @dataclass(frozen=True)
@@ -262,20 +261,23 @@ def rule_sum(f, fine, coarse) -> Quadrature:
                       + _ROUNDING * (np.abs(f) * fine).sum(-1))
 
 
-def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float, ends) -> np.ndarray:
-    """Angles |theta| where gamma + dist reaches the pure cut, where Lambda' jumps.
+def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
+                   kinks: np.ndarray, floor: float) -> np.ndarray:
+    """Angles floor <= |theta| <= pi where gamma + dist reaches the pure cut, where Lambda' jumps.
 
     There gamma = theta^2 Lambda(cut), so they are the roots of
     phi(theta) = dist + theta^2 Lambda(cut) - cut; between consecutive
-    kinks of dist (the sorted ends) phi is monotone, and every bracket with
-    a sign change is bisected.
+    kinks of dist phi is monotone, and every bracket with a sign change is
+    bisected.  dist < |theta| (1 is in E), so phi < 0 below the root t0 of
+    theta + theta^2 Lambda(cut) = cut, and only the kinks above t0 bracket.
     """
-    cut, lam_cut = spec.pure_cut, wts.eval_lambda(spec, spec.pure_cut)
+    cut, lam_cut = spec.pure_cut, float(wts.eval_lambda(spec, spec.pure_cut))
 
     def phi(t):
         return bnd.distance_to_set(bset, np.exp(1j * sign * t)) + t * t * lam_cut - cut
 
-    ends = np.asarray(ends, dtype=float)
+    t0 = min(math.pi, max(floor, 2.0 * cut / (1.0 + math.sqrt(1.0 + 4.0 * lam_cut * cut))))
+    ends = np.unique(np.concatenate(([t0], kinks[kinks > t0], [math.pi])))
     f = phi(ends)
     bracket = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
     lo, hi, f_lo = ends[bracket], ends[bracket + 1], f[bracket]
@@ -293,20 +295,19 @@ def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     Uniform panels at most _PANEL_WIDTH wide, the given breaks, the kinks
     of theta -> dist(e^{i theta}, E) on that side (the first in each cell of
     width _KINK_SPACING in v: deep point sequences have thousands), and every
-    angle where gamma + dist crosses the pure cut of Lambda.  A set with
-    more than _MAX_KINK_ARCS complementary arcs in range gets no kink
-    breaks.  The rule's error estimate shows what either leaves unresolved.
+    angle where gamma + dist crosses the pure cut of Lambda.  A set whose
+    kinks raise CapacityError (a deep Cantor set) gets no kink breaks.  The
+    rule's error estimate shows what either leaves unresolved.
     """
     try:
-        kinks = bnd.kink_angles(bset, math.exp(-v_hi), _MAX_KINK_ARCS)
+        kinks = bnd.kink_angles(bset, math.exp(-v_hi))
     except CapacityError:
         kinks = np.empty(0)
     kinks = np.abs(kinks[np.sign(kinks) == sign])
-    ends = np.unique(np.concatenate(([math.exp(-v_hi)], kinks, [math.pi])))
     v_kinks = -np.log(kinks)
     v_kinks = v_kinks[np.unique(np.floor(v_kinks / _KINK_SPACING), return_index=True)[1]]
-    inner = np.concatenate([v_kinks, -np.log(_cut_crossings(weight, bset, sign, ends)),
-                            np.asarray(breaks, dtype=float)])
+    crossings = _cut_crossings(weight, bset, sign, kinks, math.exp(-v_hi))
+    inner = np.concatenate([v_kinks, -np.log(crossings), np.asarray(breaks, dtype=float)])
     uniform = np.linspace(v_lo, v_hi, max(1, math.ceil((v_hi - v_lo) / _PANEL_WIDTH)) + 1)
     return np.concatenate([uniform, inner[(v_lo < inner) & (inner < v_hi)]])
 

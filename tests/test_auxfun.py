@@ -328,7 +328,8 @@ class TestWitnessRule:
         monkeypatch.setattr(geometry, "_PANEL_WIDTH", 2.0)
         fine = auxfun._witness_poisson(weight, bset, ws)
         assert np.all(np.abs(coarse.value - fine.value) <= coarse.error)
-        assert np.all(coarse.error < 0.1 * coarse.value)
+        assert np.all(coarse.error < 1e-2 * coarse.value)
+        assert np.all(coarse.tail < 0.1 * coarse.value)
 
     @pytest.mark.parametrize("alpha,bset,recorded", [
         (2.0, POINT, (1.89862833658, 8.38856000339, 46.9919809667)),
@@ -367,6 +368,10 @@ class TestWitnessRule:
         (WeightSpec.log_power(1.0), POINT),
         (WeightSpec.log_power(1.9), BoundarySet.geometric()),
     ])
-    def test_unbounded_tail_refused(self, weight, bset):
-        with pytest.raises(DomainError):
-            auxfun._witness_tail(weight, bset, 600.0)
+    def test_unbounded_tail_keeps_the_value(self, weight, bset):
+        # no remainder bound is known: the tail is inf, but the rule's value
+        # (a lower bound) and its error estimate stay finite
+        assert auxfun._witness_tail(weight, bset, 600.0) == math.inf
+        got = auxfun._witness_poisson(weight, bset, [0.99 * cmath.exp(0.01j)])
+        assert np.all(np.isinf(got.tail))
+        assert np.all(got.value > 0.0) and np.all(got.error < 1e-3 * got.value)

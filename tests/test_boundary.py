@@ -14,6 +14,7 @@ from cyclicity.boundary import (
     cantor_measure,
     complementary_arcs,
     distance_to_set,
+    kink_angles,
     measure_complement,
 )
 from cyclicity.errors import CapacityError, DomainError, UsageError
@@ -156,6 +157,22 @@ class TestDistance:
         bset = BoundarySet.single_point()
         z = 0.99 * cmath.exp(-0.3j)
         assert distance_to_set(bset, z) == pytest.approx(abs(z - 1.0), rel=1e-13)
+
+
+class TestKinkAngles:
+    def test_dense_sequence_lists_every_kink(self):
+        # beta = 0.5 has about 2e5 arcs above 1e-200; each end and midpoint is a kink
+        bset = BoundarySet.beta_points(0.5)
+        a, b = arc_arrays(bset, 1e-200)
+        assert a.size > 100_000
+        kinks = kink_angles(bset, 1e-200)
+        assert np.all(np.isin(b, kinks)) and np.all(np.isin(0.5 * (a + b), kinks))
+        assert np.abs(kinks).min() >= 1e-200 and 0.5 - math.pi in kinks
+
+    def test_deep_cantor_refused(self):
+        assert kink_angles(BoundarySet.cantor(5), 1e-3).size > 3 * 2**4
+        with pytest.raises(CapacityError):
+            kink_angles(BoundarySet.cantor(20), 1e-3)
 
 
 class TestMeasure:

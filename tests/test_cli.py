@@ -207,11 +207,14 @@ class TestCommands:
         assert json.loads(out)["results"]["amplitude"] <= 1024
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bset", [GEO, '{"kind":"beta","beta":0.25}'])
-    def test_aux_keldysh_point_sequences(self, capsys, bset):
-        # the kink breaks of the witness rule resolve these sets without warnings
+    @pytest.mark.parametrize("alpha,bset", [(3, GEO), (3, '{"kind":"beta","beta":0.25}'),
+                                            (1.5, '{"kind":"doubly_exp"}')])
+    def test_aux_keldysh_point_sequences(self, capsys, alpha, bset):
+        # the kink breaks of the witness rule resolve these sets without
+        # warnings; at alpha = 1.5 no bound on the data beyond the rule's
+        # depth is known, and the rule's value, a lower bound, still serves
         started = time.perf_counter()
-        code, out, err = run(capsys, "aux", "keldysh", "--weight", '{"family":"log_power","alpha":3}',
+        code, out, err = run(capsys, "aux", "keldysh", "--weight", f'{{"family":"log_power","alpha":{alpha}}}',
                              "--set", bset)
         assert code == EXIT_OK, err
         assert json.loads(out)["results"]["amplitude"] == 4

@@ -273,6 +273,15 @@ class TestGammaCriterionPartial:
         assert abs(got.value - expected.value) <= got.error
         assert got.error > expected.error
 
+    def test_dense_set_kink_breaks_thinned(self):
+        # every arc of beta = 0.5 is listed, but at most one kink break per
+        # cell of width _KINK_SPACING in v reaches the panels
+        spec = WeightSpec.log_power(3.0)
+        edges = geometry.panel_edges(spec, BoundarySet.beta_points(0.5), 1.0, 1.0, 600.0)
+        uniform = math.ceil(599.0 / geometry._PANEL_WIDTH) + 1
+        cells = 599.0 / geometry._KINK_SPACING
+        assert 0.9 * cells < edges.size - uniform < cells + 8
+
     @pytest.mark.parametrize("error", [DomainError, RuntimeError])
     def test_other_arc_errors_propagate(self, monkeypatch, error):
         def broken(bset, cutoff):
