@@ -12,10 +12,12 @@ measure of the circular cross-section at |z| = rho, seen from an interior
 point, is estimated independently by walk-on-spheres so the exponential decay
 rate exp(-pi int dr/s) can be validated against simulation.
 
-Walk-on-spheres steps use inscribed-disc radii that are exact for half
-planes, constant-opening sectors, the wedge |y| <= x, and the half strip, and
-conservative (Lipschitz cone or monotone-opening) lower bounds otherwise;
-a lower bound keeps the walk law exact, it only costs steps.
+Walk-on-spheres steps move by g/|g| for a standard normal pair g (an exactly
+uniform angle, no trigonometry) over inscribed-disc radii that are exact for
+half planes, constant-opening sectors, the wedge |y| <= x and the half strip,
+and lower bounds otherwise: the distance to the tangent line at (x, x^2) for
+the profile x^2, a trig-based static-sector bound for invlog.  A lower bound
+keeps the walk law exact, it only costs steps.
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ def arc_length_s(profile: DomainProfile, r: float) -> float:
 def sigma(profile: DomainProfile, rho: float) -> float:
     """Comparison quantity exp(pi int_1^rho dr / s(r)); sigma(1) = 1."""
     rho = float(rho)
+    if not math.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho!r}")
     lo = max(1.0, profile.r_min() * (1.0 + 1e-9))
     if rho < lo:
         raise DomainError(f"rho must be >= {lo!r}")
@@ -228,11 +232,10 @@ def pl_divergence_partials(profile: DomainProfile, checkpoints) -> np.ndarray:
 def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Lower bound for the distance to the lateral boundary (vectorized)."""
     if profile.variant == "sector":
+        if profile.phi == "const":  # r sin(beta - theta), exact as beta = pi/2 - phi <= pi/2
+            return x * math.cos(profile.value) - np.abs(y) * math.sin(profile.value)
         r = np.hypot(x, y)
         theta = np.abs(np.arctan2(y, x))
-        if profile.phi == "const":
-            beta = math.pi / 2 - float(profile.value)
-            return r * np.sin(np.minimum(beta - theta, math.pi / 2))
         # invlog: opening widens with R; inside the annulus R > r/2 the domain
         # contains the static sector with the opening at r/2, and the rest of
         # the boundary is at least r/2 away
@@ -243,14 +246,12 @@ def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray) -> 
     if profile.phi == "const1":
         return np.minimum(x, 1.0 - np.abs(y))
     if profile.phi == "x":
-        # the wedge |y| <= x is the sector of half-opening pi/4
-        r = np.hypot(x, y)
-        theta = np.abs(np.arctan2(y, x))
-        return r * np.sin(np.clip(math.pi / 4 - theta, 0.0, math.pi / 2))
-    # phi = x^2: cone bound with the local slope over a window of size gap
+        # the wedge |y| <= x: distance to the nearer of the lines y = +-x
+        return np.maximum(x - np.abs(y), 0.0) * math.sqrt(0.5)
+    # phi = x^2: distance to the tangent line at (x, x^2), which supports the
+    # convex set {y >= x^2}; 0.25 + x^2 stays finite where x^2 does
     gap = np.maximum(x * x - np.abs(y), 0.0)
-    slope = 2.0 * (x + gap)
-    return gap / np.sqrt(1.0 + slope * slope)
+    return 0.5 * gap / np.sqrt(0.25 + x * x)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ class HarmonicMeasureEstimate:
 
 def _simulate_block(profile: DomainProfile, z0: complex, rho: float, n: int,
                     seed: int, block_index: int, tol: float):
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block_index,))))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block_index,))))
     x = np.full(n, z0.real)  # positions of the walkers still alive
     y = np.full(n, z0.imag)
     hits = 0
@@ -273,15 +274,16 @@ def _simulate_block(profile: DomainProfile, z0: complex, rho: float, n: int,
         if not x.size:
             break
         d_side = _boundary_distance(profile, x, y)
-        d_circ = rho - np.hypot(x, y)
+        d_circ = rho - np.sqrt(x * x + y * y)
         step = np.minimum(d_side, d_circ)
         absorbed = step < tol
         hits += int(np.count_nonzero(d_circ[absorbed] <= d_side[absorbed]))
         keep = ~absorbed
         x, y, step = x[keep], y[keep], step[keep]
-        ang = rng.uniform(0.0, 2.0 * math.pi, size=x.size)
-        x = x + step * np.cos(ang)
-        y = y + step * np.sin(ang)
+        gx, gy = rng.standard_normal((2, x.size))
+        step /= np.sqrt(gx * gx + gy * gy)
+        x += step * gx
+        y += step * gy
     # walkers left after _WOS_MAX_STEPS count as lateral-boundary hits
     return hits, int(x.size)
 
@@ -291,16 +293,19 @@ def harmonic_measure_mc(profile: DomainProfile, z0: complex, rho: float,
     """Probability that Brownian motion from z0 exits through |z| = rho.
 
     Walk-on-spheres with absorption tolerance 1e-4 * rho; deterministic for a
-    given seed: every block of 4096 paths draws from its own derived Philox
-    generator and the blocks are reduced in block order.  Each step keeps
-    only the walkers still alive, so its cost scales with the live walkers
-    rather than the block size.
+    given seed: every block of 4096 paths draws its normal pairs from its own
+    SFC64 generator, seeded by SeedSequence(seed, spawn_key=(block,)), and
+    the blocks are reduced in block order.  Each step keeps only the walkers
+    still alive, so its cost scales with the live walkers rather than the
+    block size.  rho and rho^2 must be finite.
     """
     z0 = complex(z0)
     rho = float(rho)
     paths = int(paths)
     if paths < 10_000:
         raise UsageError("need at least 1e4 paths")
+    if not math.isfinite(rho * rho):
+        raise DomainError(f"rho must be finite with a finite square, got {rho!r}")
     if not profile.contains(z0):
         raise DomainError(f"z0={z0!r} is not inside the domain")
     if abs(z0) >= rho / 2.0:

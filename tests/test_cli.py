@@ -46,6 +46,19 @@ class TestExitCodes:
                          "--set", PT, "--theta", "0.01")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("rho", ["inf", "nan"])
+    def test_non_finite_rho_is_usage(self, capsys, rho):
+        code, out, err = run(capsys, "sigma", "--profile", HP, "--rho", rho)
+        assert code == EXIT_USAGE and out == "" and "finite" in err
+        code, out, err = run(capsys, "hm-mc", "--profile", HP, "--rho", rho,
+                             "--paths", "10000", "--seed", "1")
+        assert code == EXIT_USAGE and out == "" and "finite" in err
+
+    def test_hm_mc_rho_square_overflow_is_usage(self, capsys):
+        code, out, err = run(capsys, "hm-mc", "--profile", HP, "--rho", "1e200",
+                             "--paths", "10000", "--seed", "1")
+        assert code == EXIT_USAGE and out == "" and "finite" in err
+
     def test_numeric_failure_exit(self, capsys):
         # theta = pi without the normalization flag has no root below 1
         code, _, err = run(capsys, "gamma", "--weight", W1, "--set", PT, "--theta", "3.14159")

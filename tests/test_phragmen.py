@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cyclicity import phragmen
@@ -53,6 +56,11 @@ class TestSigma:
 
     def test_sigma_at_one(self):
         assert sigma(HP, 1.0) == 1.0
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan])
+    def test_non_finite_rho_refused(self, rho):
+        with pytest.raises(DomainError, match="finite"):
+            sigma(HP, rho)
 
     def test_monotone(self):
         vals = [sigma(STRIP, r) for r in (2.0, 4.0, 8.0, 16.0)]
@@ -146,11 +154,11 @@ class TestMonteCarlo:
         assert c.mean != a.mean
 
     @pytest.mark.parametrize("prof, rho, paths, seed, mean, se", [
-        (X2, 4.0, 100_000, 11, 0.08902, 0.0009005300639068082),
-        (X2, 16.0, 100_000, 11, 0.01458, 0.0003790438444296385),
-        (HP, 8.0, 20_000, 5, 0.15805, 0.0025794398374453316),
-        (WEDGE, 16.0, 20_000, 5, 0.00515, 0.0005061362217822392),
-    ])
+        (X2, 4.0, 100_000, 11, 0.08851, 0.0008981980845002955),
+        (X2, 16.0, 100_000, 11, 0.01445, 0.00037737511179196755),
+        (HP, 8.0, 20_000, 5, 0.15925, 0.0025873677502434786),
+        (WEDGE, 16.0, 20_000, 5, 0.0061, 0.0005505810567028256),
+    ], ids=["x2-rho4", "x2-rho16", "half-plane-rho8", "wedge-rho16"])
     def test_pinned_estimates(self, prof, rho, paths, seed, mean, se):
         # exact values: the per-block draw order is part of the reported result
         est = harmonic_measure_mc(prof, 1.0 + 0.0j, rho, paths, seed=seed)
@@ -160,8 +168,8 @@ class TestMonteCarlo:
     def test_capped_walks(self, monkeypatch):
         monkeypatch.setattr(phragmen, "_WOS_MAX_STEPS", 10)
         est = harmonic_measure_mc(WEDGE, 1.0 + 0.0j, 4.0, 10_000, seed=11)
-        assert est.mean == 0.0173
-        assert est.capped_paths == 5119
+        assert est.mean == 0.0181
+        assert est.capped_paths == 5248
 
     def test_usage_errors(self):
         with pytest.raises(UsageError):
@@ -170,6 +178,23 @@ class TestMonteCarlo:
             harmonic_measure_mc(HP, -1.0 + 0.0j, 8.0, 20_000, seed=1)
         with pytest.raises(DomainError):
             harmonic_measure_mc(HP, 5.0 + 0.0j, 8.0, 20_000, seed=1)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 1e200])
+    def test_non_finite_rho_refused(self, rho):
+        # 1e200 is finite, but the walk's squared radius is not
+        with pytest.raises(DomainError, match="finite"):
+            harmonic_measure_mc(HP, 1.0 + 0.0j, rho, 20_000, seed=1)
+
+    @pytest.mark.parametrize("prof, half_opening", [(HP, math.pi / 2), (WEDGE, math.pi / 4)],
+                             ids=["half-plane", "wedge"])
+    def test_closed_form_exit_probability(self, prof, half_opening):
+        # z -> z^(pi/(2 beta)) maps the truncated sector onto a half-disc
+        for rho in (4.0, 8.0, 16.0):
+            exact = 4.0 / math.pi * math.atan(rho ** (-math.pi / (2.0 * half_opening)))
+            for seed in range(1, 6):
+                est = harmonic_measure_mc(prof, 1.0 + 0.0j, rho, 20_000, seed=seed)
+                assert est.capped_paths == 0
+                assert abs(est.mean - exact) <= 4.0 * est.standard_error, (rho, seed, est)
 
 
 class TestProfileConfig:
@@ -187,3 +212,65 @@ class TestProfileConfig:
             DomainProfile("sector", "const", value=2.0)
         with pytest.raises(UsageError):
             DomainProfile.from_json({"variant": "sector", "phi": "const", "junk": 1})
+
+
+def _exact_lateral_distance(profile, x, y):
+    """Distance from (x, y) to the lateral boundary, at 50 digits."""
+    with mpmath.workdps(50):
+        px, py = mpmath.mpf(x), abs(mpmath.mpf(y))
+        if profile.phi == "x2":
+            # nearest point (t, t^2) of the upper branch: f(t) = 2t^3 + (1 - 2|y|)t - x
+            # has one positive root, below 1 + x + sqrt|y|; f is convex for t > 0,
+            # so Newton's method from there decreases monotonically onto it
+            t = 1 + px + mpmath.sqrt(py)
+            for _ in range(200):
+                step = (2 * t**3 + (1 - 2 * py) * t - px) / (6 * t * t + 1 - 2 * py)
+                t -= step
+                if abs(step) <= mpmath.mpf(10) ** -45 * t:
+                    break
+            else:
+                raise AssertionError("Newton's method did not converge")
+            return mpmath.hypot(t - px, t * t - py)
+        beta = mpmath.pi / 4 if profile.phi == "x" else mpmath.pi / 2 - mpmath.mpf(profile.value)
+        dists = []
+        for ex, ey in ((mpmath.cos(beta), mpmath.sin(beta)), (mpmath.cos(beta), -mpmath.sin(beta))):
+            s = max(px * ex + py * ey, 0)  # projection onto the boundary ray
+            dists.append(mpmath.hypot(px - s * ex, py - s * ey))
+        return min(dists)
+
+
+def _interior_point(profile, a, u):
+    """A point of the domain from a radial or horizontal coordinate a and a
+    fraction u in (-1, 1) of the cross-section."""
+    if profile.phi == "x2":
+        return a, u * a * a
+    if profile.phi == "x":
+        return a, u * a
+    theta = u * (math.pi / 2 - profile.value)
+    return a * math.cos(theta), a * math.sin(theta)
+
+
+_PROFILES = st.sampled_from([HP, WEDGE, X2]) | st.builds(
+    lambda v: DomainProfile("sector", "const", value=v), st.floats(min_value=0.0, max_value=1.5))
+
+
+class TestBoundaryDistance:
+    @given(_PROFILES, st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=-0.999, max_value=0.999))
+    @settings(max_examples=300, deadline=None)
+    def test_lower_bound_against_exact(self, profile, a, u):
+        x, y = _interior_point(profile, a, u)
+        got = float(phragmen._boundary_distance(profile, np.array([x]), np.array([y]))[0])
+        exact = float(_exact_lateral_distance(profile, x, y))
+        r = math.hypot(x, y)
+        # a lower bound up to the rounding of the coordinates, which near the
+        # boundary is all that is left of the distance
+        assert got <= exact + 8.0 * np.finfo(float).eps * (r + exact)
+        if profile.phi == "x2":
+            gap = max(x * x - abs(y), 0.0)
+            cone = gap / math.sqrt(1.0 + (2.0 * (x + gap)) ** 2)
+            assert got >= cone
+        else:
+            assert abs(got - exact) <= 8.0 * np.finfo(float).eps * r
+            if exact >= r / 8.0:  # cancellation costs at most 3 bits
+                assert abs(got - exact) <= 1e-14 * exact
