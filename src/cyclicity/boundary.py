@@ -13,8 +13,8 @@ point       the singleton {1} (degenerate single-point set)
 geometric   angles 2^-n, n >= 0, accumulating at 0
 doubly_exp  angles 2^-(2^n), n >= 0, plus the window anchor 1
 beta        angles exp(-n^(1-beta)), n >= 1, plus the anchor 1, beta in [0, 1/2]
-cantor      the middle-thirds set at a finite generation depth (1..38),
-            with exact rational gap endpoints k / 3^N
+cantor      the middle-thirds set at a finite generation depth (1..38);
+            its gap ends are integer numerators over 3^g, exact in int64
 
 Distances are Euclidean (chordal).  Chord and arc-length differ by a factor
 in [2/pi, 1], so every divergence criterion is insensitive to the choice.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +35,9 @@ KINDS = ("full", "arc", "point", "geometric", "doubly_exp", "beta", "cantor")
 
 MAX_CANTOR_DEPTH = 38  # 3^38 < 2^63, gap endpoints stay exact in 64-bit terms
 _MAX_ARC_LIST = 1 << 21
-_MAX_KINK_GAPS = 1 << 13  # Cantor gaps are exact fractions: listing more is slow
+# deeper Cantor sets give the gamma quadrature no kink breaks; lifting the
+# bound would change its panels (geometry.panel_edges) on those sets
+_MAX_KINK_GAPS = 1 << 13
 
 # Smallest angle the point-sequence rules can represent in float64 with slack.
 _ENUM_FLOOR = 1e-290
@@ -44,15 +45,10 @@ _ENUM_FLOOR = 1e-290
 
 @dataclass(frozen=True)
 class Arc:
-    """An open complementary arc (a, b) in window angles, 0 <= a < b <= 1.
-
-    Cantor arcs carry exact rational endpoints alongside the floats.
-    """
+    """An open complementary arc (a, b) in window angles, 0 <= a < b <= 1."""
 
     a: float
     b: float
-    a_exact: Fraction | None = None
-    b_exact: Fraction | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.a < self.b <= 1.0 + 1e-12):
@@ -181,144 +177,90 @@ def _sequence_points_desc(bset: BoundarySet, floor: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Cantor machinery (exact integer endpoints over 3^g)
+# Cantor machinery: every Cantor quantity comes from one walk, cantor_walk
 
 
-def _cantor_gaps(depth: int, cutoff: float, limit: int = _MAX_ARC_LIST):
-    """All middle-third gaps of generations 1..depth with b >= cutoff.
+def cantor_walk(depth: int, children, owner=None):
+    """Walk the construction of F_depth one generation at a time.
 
-    Yields (a_num, b_num, g) with endpoints a_num/3^g, b_num/3^g, exact.
-    A subtree over [lo, hi] is pruned when hi < cutoff: every gap it contains
-    lies below the cutoff.
+    The live intervals of generation g are [num, num + 1] / 3^g, int64 and
+    exact (3^38 < 2^63); owner[i] names the query that interval i serves (one
+    owner, 0, by default).  At each g < depth, children(g, num, owner) returns
+    two masks: whose left child [3 num, 3 num + 1] and whose right child
+    [3 num + 2, 3 num + 3] go on.  Returns (num, owner) at generation depth.
     """
-    out = []
-
-    def rec(lo_num: int, g_den: int, g: int) -> None:
-        # current interval [lo_num, lo_num + 1] / 3^g_den of F_{g_den}
-        if g > depth:
-            return
-        # child structure at generation g: interval splits in thirds
-        lo3 = 3 * lo_num
-        den = g_den + 1
-        scale = 3.0 ** -den
-        # gap (lo3+1, lo3+2)/3^g; open arcs meet [cutoff, 1] only when b > cutoff
-        if (lo3 + 2) * scale > cutoff:
-            out.append((lo3 + 1, lo3 + 2, g))
-            if len(out) > limit:
-                raise CapacityError("cantor arc enumeration exceeds the list capacity; use a larger cutoff")
-        # left child [lo3, lo3+1], right child [lo3+2, lo3+3]
-        if (lo3 + 1) * scale > cutoff:
-            rec(lo3, den, g + 1)
-        if (lo3 + 3) * scale > cutoff:
-            rec(lo3 + 2, den, g + 1)
-
-    rec(0, 0, 1)
-    return out
+    owner = np.zeros(1, dtype=np.intp) if owner is None else owner
+    num = np.zeros(owner.size, dtype=np.int64)
+    for g in range(depth):
+        left, right = children(g, num, owner)
+        num = np.concatenate((3 * num[left], 3 * num[right] + 2))
+        owner = np.concatenate((owner[left], owner[right]))
+    return num, owner
 
 
-def cantor_nonshort_candidates(depth: int, b_max_of_gen, hard_floor: float = 0.0):
-    """Exact DFS enumeration of generation-g gaps with b <= b_max_of_gen(g).
+def _gap_walk(depth: int, pick, walk_on, limit: int, overflow: str):
+    """(num, gen) of the gaps (num, num + 1) / 3^gen that pick(g, num) takes
+    below the generation-g intervals; walk_on(g, num) says which go on."""
+    nums, gens = [], []
 
-    b_max_of_gen(g) must upper-bound the right endpoint below which a gap can
-    be anything but short; gaps above it are guaranteed short.  Returns
-    (a_num, b_num, g) triples with b >= hard_floor.
-    """
-    out = []
-    for g in range(1, depth + 1):
-        den = 3.0**-g
-        # prefix digits d_1..d_{g-1} in {0,2}; b = prefix + 2*3^-g
-        cap_num = max(float(b_max_of_gen(g)), 0.0) / den  # numerator bound at denom 3^g
+    def children(g, num, _owner):
+        nums.append(3 * num[pick(g, num)] + 1)
+        gens.append(np.full(nums[-1].size, g + 1))
+        if sum(map(len, nums)) > limit:
+            raise CapacityError(overflow)
+        return (walk_on(g, num),) * 2
 
-        def rec(prefix_num: int, i: int) -> None:
-            if prefix_num + 2 > cap_num:
-                return
-            if len(out) > 200_000:
-                raise CapacityError("non-short candidate enumeration exploded; threshold bound is wrong")
-            if i == g:
-                b = (prefix_num + 2) * den
-                if b >= hard_floor:
-                    out.append((prefix_num + 1, prefix_num + 2, g))
-                return
-            rec(prefix_num, i + 1)
-            rec(prefix_num + 2 * 3 ** (g - i), i + 1)
-
-        rec(0, 1)
-    return out
+    cantor_walk(depth, children)
+    return np.concatenate(nums), np.concatenate(gens)
 
 
-def cantor_measure(depth: int, x: float) -> float:
-    """Lebesgue measure of F_depth intersected with [0, x] (exact walk)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return (2.0 / 3.0) ** depth
-    m = 0.0
-    lo, hi = 0.0, 1.0
-    remaining = depth
-    while True:
-        if remaining == 0:
-            m += max(0.0, min(x, hi) - lo)
-            return m
-        third = (hi - lo) / 3.0
-        child = third * (2.0 / 3.0) ** (remaining - 1)
-        if x >= hi - third:
-            m += child
-            lo = hi - third
-            remaining -= 1
-        elif x <= lo + third:
-            hi = lo + third
-            remaining -= 1
-        else:
-            m += child  # left child lies entirely below x
-            return m
+def cantor_gaps(depth: int, cutoff: float):
+    """(num, gen): the gaps (num, num + 1) / 3^gen of F_depth with b > cutoff."""
+    return _gap_walk(depth, lambda g, n: (3 * n + 2) * 3.0 ** -(g + 1) > cutoff,
+                     lambda g, n: (n + 1) * 3.0**-g > cutoff, _MAX_ARC_LIST,
+                     "cantor arc enumeration exceeds the list capacity; use a larger cutoff")
 
 
-def _cantor_locate(depth: int, theta: float):
-    """Walk theta through the construction; return ('set',) or ('gap', a, b)."""
-    lo, hi = 0.0, 1.0
-    for _ in range(depth):
-        third = (hi - lo) / 3.0
-        g_lo, g_hi = lo + third, hi - third
-        if theta < g_lo:
-            hi = g_lo
-        elif theta > g_hi:
-            lo = g_hi
-        elif theta == g_lo or theta == g_hi:
-            return ("set",)
-        else:
-            return ("gap", g_lo, g_hi)
-    return ("set",)
+def cantor_nonshort_candidates(depth: int, b_max):
+    """(num, gen): the generation-g gaps with b <= b_max[g - 1], where
+    b_max[g - 1] bounds the generation-g gaps that may be non-short."""
+    cap = np.maximum(np.asarray(b_max, dtype=float), 0.0)
+    reach = np.maximum.accumulate(cap[::-1])[::-1] * (1.0 + 1e-9)  # bounds every later generation
+    return _gap_walk(depth, lambda g, n: 3 * n + 2 <= cap[g] / 3.0 ** -(g + 1),
+                     lambda g, n: n * 3.0**-g <= reach[g], 200_000,
+                     "non-short candidate enumeration exploded; threshold bound is wrong")
+
+
+def cantor_locate(depth: int, theta):
+    """(a, b, mass) of each angle theta, clipped into [0, 1]: the ends of the
+    gap of F_depth holding it ((theta, theta) on F_depth, gap ends included)
+    and the measure of F_depth intersected with [0, theta]."""
+    t = np.clip(np.asarray(theta, dtype=float), 0.0, 1.0)
+    flat = t.ravel()
+    found = np.stack([flat, flat, 0.0 * flat])
+
+    def children(g, num, owner):
+        den, x = 3.0 ** -(g + 1), flat[owner]
+        lo, hi = (3 * num + 1) * den, (3 * num + 2) * den
+        gap = (lo < x) & (x < hi)
+        found[:2, owner[gap]] = lo[gap], hi[gap]
+        found[2, owner[x >= lo]] += den * (2.0 / 3.0) ** (depth - g - 1)  # the left child lies below x
+        return x < lo, x > hi
+
+    num, owner = cantor_walk(depth, children, np.arange(flat.size))
+    den = 3.0**-depth
+    found[2, owner] += np.maximum(0.0, np.minimum(flat[owner], (num + 1) * den) - num * den)
+    return tuple(found.reshape((3,) + t.shape))
+
+
+def cantor_measure(depth: int, x):
+    """Lebesgue measure of F_depth intersected with [0, x]; x may be an array."""
+    mass = cantor_locate(depth, x)[2]
+    return float(mass) if mass.ndim == 0 else mass
 
 
 # ---------------------------------------------------------------------------
 # complementary arcs
-
-
-def _window_arcs_exact(bset: BoundarySet, cutoff: float) -> list[Arc]:
-    if bset.kind == "full":
-        return []
-    if bset.kind == "arc":
-        b = float(bset.b)
-        if b >= 1.0:
-            return []
-        return [Arc(b, 1.0)] if 1.0 >= cutoff else []
-    if bset.kind == "point":
-        return [Arc(0.0, 1.0)] if 1.0 >= cutoff else []
-    if bset.kind == "cantor":
-        gaps = _cantor_gaps(bset.depth, cutoff)
-        arcs = []
-        for a_num, b_num, g in gaps:
-            den = 3**g
-            arcs.append(
-                Arc(a_num / den, b_num / den, a_exact=Fraction(a_num, den), b_exact=Fraction(b_num, den))
-            )
-        return arcs
-    pts = _sequence_points_desc(bset, cutoff)
-    arcs = []
-    for hi_pt, lo_pt in zip(pts[:-1], pts[1:]):
-        if hi_pt > cutoff and lo_pt < hi_pt:
-            arcs.append(Arc(float(lo_pt), float(hi_pt)))
-    return arcs
 
 
 def complementary_arcs(bset: BoundarySet, cutoff: float) -> list[Arc]:
@@ -330,9 +272,19 @@ def complementary_arcs(bset: BoundarySet, cutoff: float) -> list[Arc]:
     """
     if cutoff < 0.0:
         raise UsageError("cutoff must be nonnegative")
-    if cutoff == 0.0 and bset.kind in ("geometric", "doubly_exp", "beta"):
+    if bset.kind == "full":
+        return []
+    if bset.kind in ("arc", "point"):
+        b = float(bset.b) if bset.kind == "arc" else 0.0
+        return [Arc(b, 1.0)] if b < 1.0 and 1.0 >= cutoff else []
+    if bset.kind == "cantor":
+        num, gen = cantor_gaps(bset.depth, cutoff)
+        arcs = [Arc(a / 3**g, (a + 1) / 3**g) for a, g in zip(num.tolist(), gen.tolist())]
+    elif cutoff == 0.0:
         raise UsageError("cutoff must be positive for point-sequence kinds")
-    arcs = _window_arcs_exact(bset, cutoff)
+    else:
+        pts = _sequence_points_desc(bset, cutoff)
+        arcs = [Arc(float(lo), float(hi)) for hi, lo in zip(pts[:-1], pts[1:]) if hi > cutoff and lo < hi]
     if len(arcs) > _MAX_ARC_LIST:
         raise CapacityError("arc list capacity exceeded; raise the cutoff")
     return sorted(arcs, key=lambda arc: -arc.b)
@@ -370,10 +322,7 @@ def _candidate_angles(bset: BoundarySet, theta: np.ndarray) -> np.ndarray:
     if bset.kind == "point":
         return zero[..., None]
     if bset.kind == "cantor":
-        near = np.empty(theta.shape + (2,))
-        for i, t in np.ndenumerate(theta):
-            loc = _cantor_locate(bset.depth, t) if 0.0 <= t <= 1.0 else ("gap", 0.0, 0.0)
-            near[i] = (t, t) if loc[0] == "set" else loc[1:]
+        near = np.stack(cantor_locate(bset.depth, theta)[:2], axis=-1)
         return np.concatenate([np.stack([zero, zero + 1.0], axis=-1), near], axis=-1)
     # point sequences: invert the rule and take a small index neighborhood
     inside = (theta > 0.0) & (theta < 1.0)
@@ -444,7 +393,6 @@ def measure_complement(bset: BoundarySet, eps: float) -> float:
         b = min(float(bset.b), 1.0)
         return max(0.0, 1.0 - max(b, eps))
     if bset.kind == "cantor":
-        e_mass = cantor_measure(bset.depth, 1.0) - cantor_measure(bset.depth, eps)
-        return max(0.0, (1.0 - eps) - e_mass)
+        return max(0.0, (1.0 - eps) - (2.0 / 3.0) ** bset.depth + cantor_measure(bset.depth, eps))
     # countable kinds: E has measure zero
     return 1.0 - eps

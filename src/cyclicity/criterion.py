@@ -188,51 +188,33 @@ def _checkpoint_sums(eps, a, b, terms):
 
 
 def _cantor_candidates(weight, depth, eps_min):
-    """Gaps of F_depth with b >= eps_min that may be non-short, as (a, b) arrays.
+    """Gaps of F_depth that may be non-short, as (a, b) arrays (needs eps_min >= 3^-depth).
 
-    Exact DFS below a cap per generation; every other gap is provably short:
-    (den/b) * w_eff(b) is strictly decreasing in b, so all gaps of generation
-    g with b above the root b*(g) are short.
+    (den/b) * w_eff(b) is strictly decreasing in b, so every generation-g
+    gap with b above the root b*(g) of (den/b) w_eff(b) = 2 is short.  One
+    geometric bisection finds b*(g) for every generation at once, and the
+    walk lists the gaps up to b*(g) * 1.001.
     """
     cut = weight.pure_cut
     if eps_min < 3.0**-depth:
         need = int(math.ceil(math.log(1.0 / eps_min) / math.log(3.0)))
         raise CapacityError(f"cantor depth {depth} insufficient for eps={eps_min!r}; need depth >= {need}")
-
-    def b_star(g: int) -> float:
-        den = 3.0**-g
-        lo, hi = 2.0 * den, cut
-        if lo >= hi:
-            return 0.0  # no generation-g gap lies below the cut
-
-        def h(x: float) -> float:
-            return (den / x) * wts.effective_w(weight, x) - 2.0
-
-        if h(lo) <= 0.0:
-            return lo
-        if h(hi) >= 0.0:
-            return hi
-        for _ in range(120):
-            mid = math.sqrt(lo * hi)
-            if h(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    caps = {g: min(b_star(g) * 1.001, cut) for g in range(1, depth + 1)}
-    a_list, b_list = [], []
-    for a_num, b_num, g in bnd.cantor_nonshort_candidates(depth, lambda g: caps[g], hard_floor=eps_min * 0.999):
-        den = 3.0**-g
-        a_list.append(a_num * den)
-        b_list.append(b_num * den)
+    den = np.array([3.0**-g for g in range(depth + 1)])  # Python's 3.0**-g; numpy's power can differ by an ulp
+    first = 2.0 * den[1:]  # right end of each generation's first gap
+    lo, hi = first, np.full(depth, cut)
+    for _ in range(120):
+        mid = np.sqrt(lo * hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break  # converged: no later step moves an end
+        up = den[1:] / mid * wts.effective_w(weight, mid) > 2.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    caps = np.where(first < cut, np.minimum(hi * 1.001, cut), 0.0)
+    num, gen = bnd.cantor_nonshort_candidates(depth, caps)
+    a, b = num * den[gen], (num + 1) * den[gen]
     # arcs are disjoint, so at most one gap straddles the cut; its inner part
     # is scored like any other arc
-    loc = bnd._cantor_locate(depth, cut)
-    if loc[0] == "gap" and loc[1] < cut:
-        a_list.append(loc[1])
-        b_list.append(loc[2])
-    return np.asarray(a_list, dtype=float), np.asarray(b_list, dtype=float)
+    gap_a, gap_b, _ = bnd.cantor_locate(depth, np.array([cut]))
+    return np.append(a, gap_a[gap_a < cut]), np.append(b, gap_b[gap_a < cut])
 
 
 def _cantor_e_integral(weight, depth, eps):
@@ -254,20 +236,22 @@ def _cantor_e_integral(weight, depth, eps):
     cut = weight.pure_cut
     edges = np.concatenate(([cut], eps))  # piece k is [eps[k], edges[k]]
     pieces = np.zeros(eps.size)
-    x = np.zeros(1)  # left ends of the live generation-g intervals
-    for g in range(depth):
+
+    def children(g, num, _owner):
         w = 3.0**-g
-        x = x[(x + w > eps[-1]) & (x < cut)]
+        x = num * w  # left ends of the live generation-g intervals
+        live = (x + w > eps[-1]) & (x < cut)
         k = np.searchsorted(-eps, -x)  # eps[k] <= x < edges[k]
-        done = (k < eps.size) & (x + w <= edges[np.minimum(k, eps.size - 1)]) & (100.0 * w <= x)
+        done = live & (k < eps.size) & (x + w <= edges[np.minimum(k, eps.size - 1)]) & (100.0 * w <= x)
         n = depth - g
         mid, half = x[done] + 0.5 * w, w * math.sqrt(0.125 - 9.0**-n / 24.0)
         t = np.concatenate((mid - half, mid + half))
         rule = pref / (t * np.log(1.0 / t) ** s)
-        pieces += np.bincount(np.tile(k[done], 2), rule, eps.size) * (0.5 * w * (2.0 / 3.0) ** n)
-        x = x[~done]
-        x = np.concatenate((x, x + 2.0 * w / 3.0))
+        pieces[:] += np.bincount(np.tile(k[done], 2), rule, eps.size) * (0.5 * w * (2.0 / 3.0) ** n)
+        return live & ~done, live & ~done
+
     w = 3.0**-depth
+    x = bnd.cantor_walk(depth, children)[0] * w  # left ends of the generation-depth intervals
     x = x[(x + w > eps[-1]) & (x < cut)][:, None]
     pieces += wts.inv_tw_integral(weight, 1.0, np.maximum(x, eps), np.minimum(x + w, edges[:-1])).sum(axis=0)
     return np.cumsum(pieces)

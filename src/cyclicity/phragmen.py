@@ -175,18 +175,23 @@ def arc_length_s(profile: DomainProfile, r: float) -> float:
 
 
 def sigma(profile: DomainProfile, rho: float) -> float:
-    """Comparison quantity exp(pi int_1^rho dr / s(r)); sigma(1) = 1."""
+    """Comparison quantity exp(pi int_1^rho dr / s(r)); sigma(1) = 1; rho^2 must be finite."""
     rho = float(rho)
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho!r}")
+    if not math.isfinite(rho * rho):
+        raise DomainError(f"rho must be finite with a finite square, got {rho!r}")
     lo = max(1.0, profile.r_min() * (1.0 + 1e-9))
     if rho < lo:
         raise DomainError(f"rho must be >= {lo!r}")
     if rho == lo:
         return 1.0
-    val, _ = quad(lambda r: math.pi / arc_length_s(profile, r), lo, rho,
-                  epsrel=1e-6, epsabs=1e-12, limit=300)
-    return math.exp(val)
+    val, _err, _info, *message = quad(lambda r: math.pi / arc_length_s(profile, r), lo, rho,
+                                      epsrel=1e-6, epsabs=1e-12, limit=300, full_output=1)
+    if message:  # quad appends a message only when it reports a problem
+        raise NumericError(f"sigma quadrature failed: {message[0].splitlines()[0]}")
+    try:
+        return math.exp(val)
+    except OverflowError:
+        raise NumericError(f"sigma overflows: pi int dr/s = {val!r} at rho = {rho!r}") from None
 
 
 def pl_divergence_integrand(profile: DomainProfile, point: float) -> float:
@@ -204,25 +209,6 @@ def pl_divergence_integrand(profile: DomainProfile, point: float) -> float:
     if ph <= 0.0:
         raise DomainError("profile vanishes at this point")
     return v * profile.phi_prime(v) / ph**2
-
-
-def pl_divergence_partials(profile: DomainProfile, checkpoints) -> np.ndarray:
-    """Partial integrals of the divergence integrand from a base point up to
-    each checkpoint (increasing outer limits)."""
-    pts = [float(p) for p in checkpoints]
-    if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
-        raise UsageError("checkpoints must be strictly increasing")
-    base = max(profile.r_min() * 1.5, 2.0)
-    if pts[0] <= base:
-        raise UsageError(f"checkpoints must exceed the base point {base!r}")
-    out, acc, prev = [], 0.0, base
-    for p in pts:
-        val, _ = quad(lambda v: pl_divergence_integrand(profile, v), prev, p,
-                      epsrel=1e-8, epsabs=1e-14, limit=200)
-        acc += val
-        prev = p
-        out.append(acc)
-    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------

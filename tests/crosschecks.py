@@ -4,10 +4,13 @@ asymptotic predictors set against the toolkit's closed forms and solvers."""
 import cmath
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 from cyclicity.auxfun import PrivalovShadow, poisson_arc_integral
+from cyclicity.errors import UsageError
 from cyclicity.geometry import solve_profile_y
+from cyclicity.phragmen import DomainProfile, pl_divergence_integrand
 
 
 def herglotz_arc_integral_quad(z: complex, lo: float, hi: float) -> complex:
@@ -33,3 +36,22 @@ def profile_y_predictor(weight, x: float) -> float:
     y = solve_profile_y(weight, x)
     u = 4.0 * x / ((x + 1.0) ** 2 + y * y)
     return 2.0 * math.sqrt(x / u)
+
+
+def pl_divergence_partials(profile: DomainProfile, checkpoints) -> np.ndarray:
+    """Partial integrals of the divergence integrand from a base point up to
+    each checkpoint (increasing outer limits)."""
+    pts = [float(p) for p in checkpoints]
+    if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
+        raise UsageError("checkpoints must be strictly increasing")
+    base = max(profile.r_min() * 1.5, 2.0)
+    if pts[0] <= base:
+        raise UsageError(f"checkpoints must exceed the base point {base!r}")
+    out, acc, prev = [], 0.0, base
+    for p in pts:
+        val, _ = quad(lambda v: pl_divergence_integrand(profile, v), prev, p,
+                      epsrel=1e-8, epsabs=1e-14, limit=200)
+        acc += val
+        prev = p
+        out.append(acc)
+    return np.asarray(out)

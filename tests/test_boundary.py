@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from cyclicity.boundary import (
     Arc,
     BoundarySet,
     arc_arrays,
+    cantor_gaps,
     cantor_measure,
     complementary_arcs,
     distance_to_set,
@@ -30,16 +32,39 @@ def _any_set(draw_kind, beta, depth):
     return BoundarySet.cantor(depth)
 
 
+def _interval_nums(depth):
+    """Left-end numerators over 3^depth of the 2^depth intervals of F_depth,
+    from their ternary digits in {0, 2}."""
+    return [sum(d * 3 ** (depth - 1 - i) for i, d in enumerate(digits))
+            for digits in itertools.product((0, 2), repeat=depth)]
+
+
+def _brute_gaps(depth, cutoff):
+    """{(num, g)}: the gaps (num, num + 1) / 3^g of F_depth with b > cutoff,
+    one per interval of F_(g-1), compared exactly."""
+    return {(3 * n + 1, g) for g in range(1, depth + 1) for n in _interval_nums(g - 1)
+            if 3 * n + 2 > Fraction(cutoff) * 3**g}
+
+
+def _walk_gaps(depth, cutoff):
+    num, gen = cantor_gaps(depth, cutoff)
+    return set(zip(num.tolist(), gen.tolist()))
+
+
 class TestComplementaryArcs:
     def test_cantor_depth2(self):
+        assert _walk_gaps(2, 0.0) == _brute_gaps(2, 0.0) == {(1, 1), (1, 2), (7, 2)}
         arcs = complementary_arcs(BoundarySet.cantor(2), 0.0)
-        got = {(a.a_exact, a.b_exact) for a in arcs}
-        expect = {(Fraction(1, 3), Fraction(2, 3)),
-                  (Fraction(1, 9), Fraction(2, 9)),
-                  (Fraction(7, 9), Fraction(8, 9))}
-        assert got == expect
-        bs = [a.b for a in arcs]
-        assert bs == sorted(bs, reverse=True)
+        assert [(a.a, a.b) for a in arcs] == [(7 / 9, 8 / 9), (1 / 3, 2 / 3), (1 / 9, 2 / 9)]
+
+    @pytest.mark.parametrize("depth", [1, 2, 5, 8, 11, 12])
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-3, 0.2])
+    def test_cantor_gaps_against_digit_enumeration(self, depth, cutoff):
+        expect = _brute_gaps(depth, cutoff)
+        assert _walk_gaps(depth, cutoff) == expect
+        arcs = complementary_arcs(BoundarySet.cantor(depth), cutoff)
+        assert {(a.a, a.b) for a in arcs} == {(n / 3**g, (n + 1) / 3**g) for n, g in expect}
+        assert len(arcs) == len(expect)
 
     def test_geometric_cutoff(self):
         arcs = complementary_arcs(BoundarySet.geometric(), 2.0**-5)
@@ -93,15 +118,11 @@ class TestComplementaryArcs:
             assert second.b <= first.a or second.a >= first.b  # disjoint
 
     def test_cantor_self_similarity_exact(self):
-        # depth N+1 arcs inside [0, 1/3] are exactly one third of depth N arcs
+        # depth N+1 gaps inside [0, 1/3] are exactly one third of depth N gaps:
+        # (n, n + 1) / 3^g becomes (n, n + 1) / 3^(g+1)
         for depth in (2, 4, 6):
-            inner = {(a.a_exact, a.b_exact)
-                     for a in complementary_arcs(BoundarySet.cantor(depth + 1), 0.0)
-                     if a.b_exact <= Fraction(1, 3)}
-            scaled = {(x / 3, y / 3)
-                      for x, y in ((a.a_exact, a.b_exact)
-                                   for a in complementary_arcs(BoundarySet.cantor(depth), 0.0))}
-            assert inner == scaled
+            inner = {(n, g) for n, g in _walk_gaps(depth + 1, 0.0) if 3 * (n + 1) <= 3**g}
+            assert inner == {(n, g + 1) for n, g in _walk_gaps(depth, 0.0)}
 
 
 class TestDistance:
@@ -112,6 +133,22 @@ class TestDistance:
     def test_full_circle(self):
         assert distance_to_set(BoundarySet.full_circle(), cmath.exp(0.7j)) == pytest.approx(0.0, abs=1e-12)
         assert distance_to_set(BoundarySet.full_circle(), 0.25j) == pytest.approx(0.75)
+
+    @given(st.integers(min_value=1, max_value=8),
+           st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                              st.floats(min_value=-math.pi, max_value=math.pi)),
+                    min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_cantor_against_every_interval(self, depth, points):
+        # the chord to [lo, hi] is least at the angle clipped into it or at an end
+        z = np.array([r * cmath.exp(1j * t) for r, t in points])
+        lo = np.array(_interval_nums(depth)) / 3**depth
+        hi = lo + 3.0**-depth
+        theta = np.angle(z)[:, None]
+        eta = np.concatenate([np.clip(theta, lo, hi), lo + 0.0 * theta, hi + 0.0 * theta], axis=1)
+        expect = np.abs(z[:, None] - np.exp(1j * eta)).min(axis=1)
+        got = distance_to_set(BoundarySet.cantor(depth), z)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
 
     def test_cantor_gap_midpoint(self):
         z = cmath.exp(0.5j)
@@ -194,6 +231,15 @@ class TestMeasure:
         assert cantor_measure(2, 1.0) == pytest.approx((2.0 / 3.0) ** 2)
         assert cantor_measure(2, 1.0 / 3.0) == pytest.approx(2.0 / 9.0)
         assert cantor_measure(5, 0.5) == pytest.approx(0.5 * (2.0 / 3.0) ** 5, rel=1e-12)
+
+    @pytest.mark.parametrize("depth", [1, 3, 8])
+    def test_cantor_measure_against_every_interval(self, depth):
+        x = np.concatenate([np.linspace(-0.1, 1.1, 301), [1.0 / 3.0, 2.0 / 3.0, 1.0]]).reshape(-1, 4)
+        lo = np.array(_interval_nums(depth)) / 3**depth
+        expect = np.clip(x[..., None] - lo, 0.0, 3.0**-depth).sum(axis=-1)
+        got = cantor_measure(depth, x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
 
 
 class TestSerialization:

@@ -23,6 +23,8 @@ W2 = '{"family":"log_power","alpha":2.0}'
 PT = '{"kind":"point"}'
 GEO = '{"kind":"geometric"}'
 HP = '{"variant":"sector","phi":"const","params":{"value":0}}'
+WEDGE = '{"variant":"cartesian","phi":"x"}'
+STRIP = '{"variant":"cartesian","phi":"const1"}'
 
 
 def run(capsys, *argv):
@@ -58,6 +60,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "hm-mc", "--profile", HP, "--rho", "1e200",
                              "--paths", "10000", "--seed", "1")
         assert code == EXIT_USAGE and out == "" and "finite" in err
+
+    def test_sigma_rho_square_overflow_is_usage(self, capsys):
+        code, out, err = run(capsys, "sigma", "--profile", WEDGE, "--rho", "1e300")
+        assert code == EXIT_USAGE and out == "" and "finite" in err
+
+    def test_sigma_overflow_is_numeric(self, capsys):
+        # pi int_1^500 dr/s is about 784 on the half strip, past log(float max)
+        code, out, err = run(capsys, "sigma", "--profile", STRIP, "--rho", "500")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric/io error: sigma overflows")
+
+    def test_sigma_failed_quadrature_is_numeric(self, capsys):
+        # the half plane has sigma(rho) = rho exactly; quad runs out of
+        # subdivisions at rho = 1e100 and must not report a value
+        code, out, err = run(capsys, "sigma", "--profile", HP, "--rho", "1e100")
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric/io error: sigma quadrature failed") and "subdivisions" in err
 
     def test_numeric_failure_exit(self, capsys):
         # theta = pi without the normalization flag has no root below 1

@@ -15,9 +15,10 @@ from cyclicity.phragmen import (
     arc_length_s,
     harmonic_measure_mc,
     pl_divergence_integrand,
-    pl_divergence_partials,
     sigma,
 )
+
+from crosschecks import pl_divergence_partials
 
 HP = DomainProfile.half_plane()
 WEDGE = DomainProfile.wedge()
