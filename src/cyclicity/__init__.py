@@ -4,7 +4,7 @@ domain boundaries, Phragmen-Lindelof integrals with a Monte Carlo harmonic
 measure oracle, auxiliary inner/outer functions, and the arc-classification
 cyclicity criterion with closed-form threshold oracles."""
 
-from .boundary import Arc, BoundarySet, complementary_arcs, distance_to_set, measure_complement
+from .boundary import Arc, BoundarySet, complementary_arcs, distance_to_set
 from .criterion import (
     KAPPA,
     CriterionReport,

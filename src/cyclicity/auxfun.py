@@ -273,7 +273,7 @@ def keldysh_log_boundary(weight: wts.WeightSpec, bset: bnd.BoundarySet, thetas) 
     normalization the domain construction assumes; gamma then exists for
     every theta up to pi, and all divergence criteria are scale-robust).
     """
-    sol = geo.solve_gamma_array(weight, bset, thetas, normalize_lambda1=True)
+    sol = geo.solve_gamma_array(geo.normalized_for_lambda1(weight), bset, thetas)
     th = np.abs(sol.theta)
     return sol.gamma / th / th  # theta^2 itself may underflow
 

@@ -16,9 +16,13 @@ beta        angles exp(-n^(1-beta)), n >= 1, plus the anchor 1, beta in [0, 1/2]
 cantor      the middle-thirds set at a finite generation depth (1..38);
             its gap ends are integer numerators over 3^g, exact in int64
 
+arc_arrays is the one arc enumerator for every kind; complementary_arcs is
+its list-of-Arc view.
+
 Distances are Euclidean (chordal).  Chord and arc-length differ by a factor
 in [2/pi, 1], so every divergence criterion is insensitive to the choice.
-distance_to_set takes arrays of points; kink_angles lists the angles where
+Scalars and arrays share one path: distance_to_set and cantor_measure take
+either and give a float for a scalar.  kink_angles lists the angles where
 the distance along the circle has corners, for quadrature break points.
 """
 
@@ -154,8 +158,6 @@ def _beta_angle(beta: float, n) -> np.ndarray:
 
 def _sequence_points_desc(bset: BoundarySet, floor: float) -> np.ndarray:
     """E-point angles of a point-sequence kind, descending, down to >= floor."""
-    if floor <= 0.0:
-        raise UsageError("point-sequence enumeration needs a positive cutoff")
     floor = max(floor, _ENUM_FLOOR)
     if bset.kind == "geometric":
         n_max = int(math.floor(-math.log2(floor))) + 1
@@ -263,50 +265,59 @@ def cantor_measure(depth: int, x):
 # complementary arcs
 
 
-def complementary_arcs(bset: BoundarySet, cutoff: float) -> list[Arc]:
-    """Complementary window arcs meeting [cutoff, 1], sorted by decreasing b.
+# 3^g as floats: exact while 3^g < 2^53 (g <= 33)
+_POW3 = np.array([float(3**g) for g in range(MAX_CANTOR_DEPTH + 1)])
 
-    An open arc meets [cutoff, 1] exactly when b > cutoff.  cutoff = 0 is
+
+def _cantor_ends(num: np.ndarray, gen: np.ndarray) -> np.ndarray:
+    """num / 3^gen, each the exact quotient correctly rounded."""
+    ends = num / _POW3[gen]
+    deep = np.flatnonzero(gen > 33)
+    ends[deep] = [n / 3**g for n, g in zip(num[deep].tolist(), gen[deep].tolist())]
+    return ends
+
+
+def arc_arrays(bset: BoundarySet, cutoff: float):
+    """(a, b) endpoint arrays of the complementary window arcs meeting [cutoff, 1].
+
+    The one arc enumerator for every set kind.  An open arc meets [cutoff, 1]
+    exactly when b > cutoff; arcs come sorted by decreasing b.  cutoff = 0 is
     accepted for kinds with finitely many window arcs (full/arc/point/cantor);
     point sequences require cutoff > 0.
     """
     if cutoff < 0.0:
         raise UsageError("cutoff must be nonnegative")
-    if bset.kind == "full":
-        return []
-    if bset.kind in ("arc", "point"):
-        b = float(bset.b) if bset.kind == "arc" else 0.0
-        return [Arc(b, 1.0)] if b < 1.0 and 1.0 >= cutoff else []
-    if bset.kind == "cantor":
+    if bset.kind == "full" or (bset.kind == "arc" and bset.b >= 1.0):
+        a = b = np.empty(0)  # E covers the window
+    elif bset.kind in ("arc", "point"):
+        a, b = np.array([float(bset.b) if bset.kind == "arc" else 0.0]), np.ones(1)
+    elif bset.kind == "cantor":
         num, gen = cantor_gaps(bset.depth, cutoff)
-        arcs = [Arc(a / 3**g, (a + 1) / 3**g) for a, g in zip(num.tolist(), gen.tolist())]
+        a, b = _cantor_ends(num, gen), _cantor_ends(num + 1, gen)
+        # the walk lists gaps by generation; a gap deeper than 33 generations
+        # may have coinciding float ends, and then no float angle lies inside it
+        order = np.argsort(-b, kind="stable")
+        order = order[a[order] < b[order]]
+        a, b = a[order], b[order]
     elif cutoff == 0.0:
         raise UsageError("cutoff must be positive for point-sequence kinds")
     else:
         pts = _sequence_points_desc(bset, cutoff)
-        arcs = [Arc(float(lo), float(hi)) for hi, lo in zip(pts[:-1], pts[1:]) if hi > cutoff and lo < hi]
-    if len(arcs) > _MAX_ARC_LIST:
+        a, b = pts[1:], pts[:-1]
+    n = np.count_nonzero(b > cutoff)  # b decreases, so these arcs come first
+    if n > _MAX_ARC_LIST:
         raise CapacityError("arc list capacity exceeded; raise the cutoff")
-    return sorted(arcs, key=lambda arc: -arc.b)
+    return a[:n], b[:n]
 
 
-def arc_arrays(bset: BoundarySet, cutoff: float):
-    """(a, b) endpoint arrays of the complementary arcs with b >= cutoff.
-
-    Vectorized companion of complementary_arcs for criterion-scale sweeps.
-    """
-    if bset.kind in ("geometric", "doubly_exp", "beta"):
-        pts = _sequence_points_desc(bset, cutoff)
-        return np.asarray(pts[1:], dtype=float), np.asarray(pts[:-1], dtype=float)
-    arcs = complementary_arcs(bset, cutoff)
-    return (
-        np.asarray([arc.a for arc in arcs], dtype=float),
-        np.asarray([arc.b for arc in arcs], dtype=float),
-    )
+def complementary_arcs(bset: BoundarySet, cutoff: float) -> list[Arc]:
+    """The arcs of arc_arrays as a list of Arc."""
+    a, b = arc_arrays(bset, cutoff)
+    return [Arc(lo, hi) for lo, hi in zip(a.tolist(), b.tolist())]
 
 
 # ---------------------------------------------------------------------------
-# distance and measure
+# distances
 
 
 def _candidate_angles(bset: BoundarySet, theta: np.ndarray) -> np.ndarray:
@@ -381,18 +392,3 @@ def kink_angles(bset: BoundarySet, floor: float) -> np.ndarray:
         pts = np.concatenate([pts, -pts]) if bset.mirror else np.append(pts, 0.5 - math.pi)
     pts = np.unique(pts)
     return pts[(np.abs(pts) >= floor) & (np.abs(pts) < math.pi)]
-
-
-def measure_complement(bset: BoundarySet, eps: float) -> float:
-    """Total angular length of the complementary window arcs inside [eps, 1]."""
-    if not (0.0 <= eps < 1.0):
-        raise UsageError("eps must lie in [0, 1)")
-    if bset.kind == "full":
-        return 0.0
-    if bset.kind == "arc":
-        b = min(float(bset.b), 1.0)
-        return max(0.0, 1.0 - max(b, eps))
-    if bset.kind == "cantor":
-        return max(0.0, (1.0 - eps) - (2.0 / 3.0) ** bset.depth + cantor_measure(bset.depth, eps))
-    # countable kinds: E has measure zero
-    return 1.0 - eps

@@ -270,7 +270,7 @@ _TRACE_HEADER = ("theta", "gamma", "residual", "R", "phi")
 
 
 def _trace_rows(weight, bset, thetas, normalize):
-    sol = geo.solve_gamma_array(weight, bset, thetas, normalize_lambda1=normalize)
+    sol = geo.solve_gamma_array(geo.normalized_for_lambda1(weight) if normalize else weight, bset, thetas)
     rows = []
     for theta, gamma, residual in zip(sol.theta.tolist(), sol.gamma.tolist(), sol.residual.tolist()):
         hp = geo.to_halfplane((1.0 - gamma) * cmath.exp(1j * theta))
@@ -419,8 +419,7 @@ def _cmd_criterion_analyze(args) -> int:
             gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
             enum_set = bnd.BoundarySet.cantor(gen_cap, mirror=bset.mirror)
         a, b = bnd.arc_arrays(enum_set, cutoff)
-        # an open arc meets [cutoff, 1] when b > cutoff (as in complementary_arcs)
-        keep = (b > cutoff) & (a < weight.pure_cut)
+        keep = a < weight.pure_cut
         a, b = a[keep], b[keep]
         cls, contrib, _ = crit.arc_terms(weight, a, b, float(eps.min()))
         rows = zip(a, b, (crit.ARC_CLASSES[c] for c in cls), contrib)

@@ -107,7 +107,7 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
     if np.any(h(hi, u, d) <= 0.0):
         raise NumericError(
             "no root with gamma < 1; Lambda is too large at scale 1 "
-            "(set normalize_lambda1=True or restrict to smaller |theta|)"
+            "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
     x = np.empty(u.shape)
     idx = np.arange(u.size)
@@ -137,12 +137,7 @@ def _residual(spec: wts.WeightSpec, x, u, d):
     return gamma, residual
 
 
-def solve_gamma_array(
-    weight: wts.WeightSpec,
-    bset: bnd.BoundarySet,
-    thetas,
-    normalize_lambda1: bool = False,
-) -> GammaSolution:
+def solve_gamma_array(weight: wts.WeightSpec, bset: bnd.BoundarySet, thetas) -> GammaSolution:
     """Solve gamma = theta^2 Lambda(gamma + dist(e^{i theta}, E)) on (0, 1) for each theta.
 
     Worked in u = log(1/|theta|) and x = log gamma, so theta^2 is never
@@ -156,7 +151,6 @@ def solve_gamma_array(
         raise DomainError("theta must lie in [-pi, pi]")
     if np.any(np.abs(theta) < _THETA_FLOOR):
         raise DomainError(f"|theta| below the representable floor {_THETA_FLOOR}")
-    spec = normalized_for_lambda1(weight) if normalize_lambda1 else weight
     flat = theta.ravel()
     gamma, residual, d = np.empty(flat.size), np.empty(flat.size), np.empty(flat.size)
     for k in range(0, flat.size, _BLOCK):
@@ -164,20 +158,15 @@ def solve_gamma_array(
         t = flat[block]
         d[block] = bnd.distance_to_set(bset, np.exp(1j * t))
         u = -np.log(np.abs(t))
-        gamma[block], residual[block] = _residual(spec, _log_gamma(spec, u, d[block]), u, d[block])
+        gamma[block], residual[block] = _residual(weight, _log_gamma(weight, u, d[block]), u, d[block])
     shape = theta.shape
     return GammaSolution(theta=theta, gamma=gamma.reshape(shape), residual=residual.reshape(shape),
                          dist_at_theta=d.reshape(shape))
 
 
-def solve_gamma(
-    weight: wts.WeightSpec,
-    bset: bnd.BoundarySet,
-    theta: float,
-    normalize_lambda1: bool = False,
-) -> GammaSolution:
+def solve_gamma(weight: wts.WeightSpec, bset: bnd.BoundarySet, theta: float) -> GammaSolution:
     """Solve gamma = theta^2 Lambda(gamma + dist(e^{i theta}, E)) on (0, 1)."""
-    sol = solve_gamma_array(weight, bset, float(theta), normalize_lambda1)
+    sol = solve_gamma_array(weight, bset, float(theta))
     return GammaSolution(*(float(f) for f in (sol.theta, sol.gamma, sol.residual, sol.dist_at_theta)))
 
 

@@ -12,6 +12,10 @@ log exponent (alpha, 2p, or 0).  eval_lambda therefore uses the formula on
 decreasing tail Lambda(pure_cut) * pure_cut / t up to t = 2.  The continuation
 is continuous, keeps Lambda strictly decreasing on all of (0, 2], and cannot
 change any divergence verdict (those depend on t -> 0 only).
+
+eval_lambda, effective_w, eval_w, lambda_prime and condition_integrand have
+one path for scalars and arrays: a scalar t is evaluated as a one-element
+array and gives a float.
 """
 
 from __future__ import annotations
@@ -129,54 +133,51 @@ class WeightSpec:
 # evaluation
 
 
-def _log_inv(t: float) -> float:
-    L = math.log(1.0 / t)
-    if L <= 1e-12:
-        raise DomainError(f"log(1/t) vanishes at t={t!r}; outside the usable region")
-    return L
+def _points(t, hi: float) -> np.ndarray:
+    """t as a float array of at least one dimension, every point in (0, hi].
+
+    Every evaluation runs on arrays, so a scalar takes the same operations
+    as an array element (numpy's scalar power rounds differently).
+    """
+    ts = np.array(t, dtype=float, ndmin=1, copy=None)
+    bad = (ts <= 0.0) | (ts > hi)
+    if np.count_nonzero(bad):
+        raise DomainError(f"t={ts[bad][0]!r} outside (0, {hi!r}]")
+    return ts
 
 
-def _pure_lambda(spec: WeightSpec, t: float) -> float:
-    # scale multiplies last so that scale covariance is exact in floats
-    if spec.family == "const_w":
-        return spec.scale * (1.0 / t)
-    return spec.scale * (1.0 / (t * _log_inv(t) ** spec.log_exponent))
+def _result(x: np.ndarray, t):
+    """x in the shape of t: a float for a scalar t."""
+    return float(x[0]) if np.ndim(t) == 0 else x
 
 
-def eval_lambda(spec: WeightSpec, t) -> float:
-    """Evaluate Lambda(t) on (0, 2], tail-continued beyond the pure region."""
-    if isinstance(t, np.ndarray):
-        return _eval_lambda_vec(spec, t)
-    t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    if t > 2.0:
-        raise DomainError(f"t must be <= 2, got {t!r}")
-    cut = spec.pure_cut
-    if t <= cut:
-        return _pure_lambda(spec, t)
-    return spec.scale * (_pure_lambda(spec.with_scale(1.0), cut) * cut / t)
+def _log_inv(t: np.ndarray, cut: float) -> np.ndarray:
+    """log(1/t) for t in (0, cut]; it is least at cut, so one check there covers every t."""
+    if math.log(1.0 / cut) <= 1e-12:
+        raise DomainError(f"log(1/t) vanishes at t={cut!r}; outside the usable region")
+    return np.log(1.0 / t)
 
 
-def _eval_lambda_vec(spec: WeightSpec, t: np.ndarray) -> np.ndarray:
-    if np.count_nonzero(t <= 0.0) or np.count_nonzero(t > 2.0):
-        raise DomainError("t values must lie in (0, 2]")
-    cut = spec.pure_cut
-    a = spec.log_exponent
+def eval_lambda(spec: WeightSpec, t):
+    """Evaluate Lambda(t) on (0, 2], tail-continued beyond the pure region.
+
+    Scalars and arrays share one path; a scalar t gives a float.
+    """
+    ts = _points(t, 2.0)
+    cut, a = spec.pure_cut, spec.log_exponent
     # min(t, cut) is t wherever the pure formula is kept
-    pure = spec.scale / (t * np.log(1.0 / np.minimum(t, cut)) ** a) if a > 0.0 else spec.scale / t
-    return np.where(t <= cut, pure, _pure_lambda(spec, cut) * cut / t)
+    unit = 1.0 / (ts * _log_inv(np.minimum(ts, cut), cut) ** a) if a > 0.0 else 1.0 / ts
+    unit_cut = 1.0 / (cut * math.log(1.0 / cut) ** a)
+    unit = np.where(ts <= cut, unit, unit_cut * cut / ts)
+    # scale multiplies last so that scale covariance is exact in floats
+    return _result(spec.scale * unit, t)
 
 
-def eval_w(spec: WeightSpec, t: float) -> float:
+def eval_w(spec: WeightSpec, t):
     """The generator w(t) on the pure region (0, pure_cut]; unscaled."""
-    t = float(t)
-    cut = spec.pure_cut
-    if not (0.0 < t <= cut):
-        raise DomainError(f"t={t!r} outside the pure region (0, {cut!r}]")
-    if spec.family == "const_w":
-        return 1.0
-    return _log_inv(t) ** spec.w_exponent
+    ts = _points(t, spec.pure_cut)
+    w = _log_inv(ts, spec.pure_cut) ** spec.w_exponent if spec.family != "const_w" else np.ones_like(ts)
+    return _result(w, t)
 
 
 def effective_w(spec: WeightSpec, t):
@@ -184,25 +185,18 @@ def effective_w(spec: WeightSpec, t):
 
     Includes the scale (w_eff = w / sqrt(scale)) and the tail continuation,
     so the arc-classification thresholds stay consistent with the weight
-    actually in force.  Accepts scalars or numpy arrays.
+    actually in force.
     """
-    lam = eval_lambda(spec, t)
-    return 1.0 / np.sqrt(np.asarray(t, dtype=float) * lam) if isinstance(t, np.ndarray) else 1.0 / math.sqrt(t * lam)
+    ts = _points(t, 2.0)
+    return _result(1.0 / np.sqrt(ts * eval_lambda(spec, ts)), t)
 
 
-def lambda_prime(spec: WeightSpec, t: float) -> float:
-    """Closed-form Lambda'(t) on (0, 2]."""
-    t = float(t)
-    if t <= 0.0 or t > 2.0:
-        raise DomainError(f"t must lie in (0, 2], got {t!r}")
-    cut = spec.pure_cut
-    if t > cut:
-        return -_pure_lambda(spec, cut) * cut / t**2
-    a = spec.log_exponent
-    if a <= 0.0:
-        return -spec.scale / t**2
-    L = _log_inv(t)
-    return -spec.scale * (L - a) / (t**2 * L ** (a + 1.0))
+def lambda_prime(spec: WeightSpec, t):
+    """Closed-form Lambda'(t) = -Lambda(t)/t * (1 - a/log(1/t)) on (0, 2]; a = 0 on the tail."""
+    ts = _points(t, 2.0)
+    cut, a = spec.pure_cut, spec.log_exponent
+    log_slope = a / _log_inv(np.minimum(ts, cut), cut) if a > 0.0 else 0.0
+    return _result(-eval_lambda(spec, ts) / ts * (1.0 - np.where(ts <= cut, log_slope, 0.0)), t)
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +251,27 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
     region, and span at least 4 decades.  Lambda' is the closed form
     `lambda_prime`.
     """
-    ts = [float(t) for t in grid]
-    if len(ts) < 8:
+    ts = np.fromiter(grid, dtype=float)
+    if ts.size < 8:
         raise UsageError("grid must contain at least 8 points")
     cut = spec.pure_cut
-    if any(not (0.0 < t <= cut) for t in ts):
+    if not np.all((ts > 0.0) & (ts <= cut)):
         raise UsageError(f"grid points must lie in the pure region (0, {cut!r}]")
-    if any(t2 >= t1 for t1, t2 in zip(ts, ts[1:])):
+    if np.any(ts[1:] >= ts[:-1]):
         raise UsageError("grid must be strictly decreasing")
     if ts[0] / ts[-1] < 1e4:
         raise UsageError("grid must span at least 4 decades")
 
-    lam = [eval_lambda(spec, t) for t in ts]
-    tl = [t * v for t, v in zip(ts, lam)]
-    i_max = max(range(len(ts)), key=lambda i: tl[i])
-
-    ratios = [t * abs(lambda_prime(spec, t)) / v for t, v in zip(ts, lam)]
-    decreasing = all(l2 > l1 for l1, l2 in zip(lam, lam[1:]))
-    vanishing = tl[-1] <= 0.5 * tl[0]
+    lam = eval_lambda(spec, ts)
+    tl = ts * lam
+    i_max = int(np.argmax(tl))
+    ratios = ts * np.abs(lambda_prime(spec, ts)) / lam
     return RegularityReport(
-        max_t_lambda=max(tl),
-        argmax_t_lambda=ts[i_max],
-        max_log_deriv_ratio=max(ratios),
-        lambda_decreasing=decreasing,
-        t_lambda_vanishing=vanishing,
+        max_t_lambda=float(tl[i_max]),
+        argmax_t_lambda=float(ts[i_max]),
+        max_log_deriv_ratio=float(ratios.max()),
+        lambda_decreasing=bool(np.all(lam[1:] > lam[:-1])),
+        t_lambda_vanishing=bool(tl[-1] <= 0.5 * tl[0]),
         n_points=len(ts),
     )
 
@@ -289,7 +280,7 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
 # classical condition integrands
 
 
-def condition_integrand(spec: WeightSpec, kind: str, t: float, beta: float | None = None) -> float:
+def condition_integrand(spec: WeightSpec, kind: str, t, beta: float | None = None):
     """Integrand of the Nikolski, Gevorkyan-Shamoyan, or interpolating C_beta condition.
 
     nikolski: sqrt(Lambda(t)/t);  gs: Lambda(t);  c_beta: Lambda(t)^(1-beta)/t^beta
@@ -298,18 +289,15 @@ def condition_integrand(spec: WeightSpec, kind: str, t: float, beta: float | Non
     """
     if kind not in CONDITION_KINDS:
         raise UsageError(f"unknown condition kind {kind!r}")
-    t = float(t)
-    cut = spec.pure_cut
-    if not (0.0 < t <= cut):
-        raise DomainError(f"t={t!r} outside the pure region (0, {cut!r}]")
-    lam = eval_lambda(spec, t)
+    ts = _points(t, spec.pure_cut)
+    lam = eval_lambda(spec, ts)
     if kind == "nikolski":
-        return math.sqrt(lam / t)
+        return _result(np.sqrt(lam / ts), t)
     if kind == "gs":
-        return lam
+        return _result(lam, t)
     if beta is None or not (0.0 <= beta <= 0.5):
         raise UsageError("c_beta requires beta in [0, 1/2]")
-    return lam ** (1.0 - beta) / t**beta
+    return _result(lam ** (1.0 - beta) / ts**beta, t)
 
 
 def condition_partials(spec: WeightSpec, kind: str, checkpoints, beta: float | None = None) -> np.ndarray:

