@@ -179,19 +179,24 @@ def f_lambda(lam: complex, z: complex) -> complex:
     return cmath.exp(lf)
 
 
-def h_lambda(weight: wts.WeightSpec, bset: bnd.BoundarySet, lam: complex, z: complex) -> float:
+def h_lambda(weight: wts.WeightSpec, bset: bnd.BoundarySet, lam: complex, z):
     """Comparison function H_lambda(z); satisfies
-    |f_lambda(z) S(z)| exp(-Lambda(dist(z,E))) = exp(H_lambda(z))."""
+    |f_lambda(z) S(z)| exp(-Lambda(dist(z,E))) = exp(H_lambda(z)).
+
+    z may be an array of points for the one lambda; a scalar z gives a float.
+    """
     lam = complex(lam)
-    z = complex(z)
-    if abs(z) >= 1.0:
+    zs = np.asarray(z, dtype=complex)
+    if np.count_nonzero(np.abs(zs) >= 1.0):
         raise DomainError("h_lambda needs |z| < 1")
     sh = PrivalovShadow(lam)
     ratio_l = (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
-    p_term = c_lambda(lam) * ratio_l * poisson_arc_integral(z, sh.lo, sh.hi)
-    ratio_z = (1.0 - abs(z) ** 2) / abs(1.0 - z) ** 2
-    lam_term = wts.eval_lambda(weight, min(bnd.distance_to_set(bset, z), 2.0))
-    return p_term - ratio_z - lam_term
+    poisson = np.array([poisson_arc_integral(w, sh.lo, sh.hi) for w in zs.ravel().tolist()])
+    p_term = c_lambda(lam) * ratio_l * poisson.reshape(zs.shape)
+    ratio_z = (1.0 - np.abs(zs) ** 2) / np.abs(1.0 - zs) ** 2
+    lam_term = wts.eval_lambda(weight, np.minimum(bnd.distance_to_set(bset, zs), 2.0))
+    h = p_term - ratio_z - lam_term
+    return float(h) if h.ndim == 0 else h
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +225,30 @@ class GammaRegionSpec:
         return 1000.0 if self.bset.kind == "full" else 100.0
 
 
-def in_gamma_region(spec: GammaRegionSpec, lam: complex) -> bool:
-    """Membership predicate; Lambda's argument is clamped at 2 (totality)."""
-    lam = complex(lam)
-    if abs(lam) >= 1.0:
+def in_gamma_region(spec: GammaRegionSpec, lam):
+    """Membership predicate; Lambda's argument is clamped at 2 (totality).
+
+    lam may be an array; a scalar lam gives a bool.
+    """
+    lams = np.asarray(lam, dtype=complex)
+    if np.count_nonzero(np.abs(lams) >= 1.0):
         raise DomainError("membership needs |lambda| < 1")
-    if lam == 1.0:
-        return False
-    lhs = (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
-    d = bnd.distance_to_set(spec.bset, lam)
-    rhs = spec.a * wts.eval_lambda(spec.weight, min(spec.big_a * d, 2.0))
-    return lhs <= rhs
+    lhs = (1.0 - np.abs(lams) ** 2) / np.abs(1.0 - lams) ** 2
+    d = bnd.distance_to_set(spec.bset, lams)
+    inside = lhs <= spec.a * wts.eval_lambda(spec.weight, np.minimum(spec.big_a * d, 2.0))
+    return bool(inside) if inside.ndim == 0 else inside
 
 
-def case_tag(spec: GammaRegionSpec, lam: complex, z: complex) -> str:
-    """Which case of the sign analysis a (lambda, z) pair falls into."""
-    d_lam = bnd.distance_to_set(spec.bset, lam)
-    d_z = bnd.distance_to_set(spec.bset, z)
-    if spec.big_a * d_lam >= d_z:
-        return "case1"
-    if abs(1.0 - z) >= 6.0 * abs(1.0 - lam):
-        return "case2"
-    return "case3"
+def case_tag(spec: GammaRegionSpec, lam: complex, z):
+    """Which case of the sign analysis a (lambda, z) pair falls into.
+
+    z may be an array of points for the one lambda; a scalar z gives a str.
+    """
+    zs = np.asarray(z, dtype=complex)
+    near = spec.big_a * bnd.distance_to_set(spec.bset, lam) >= bnd.distance_to_set(spec.bset, zs)
+    far = np.abs(1.0 - zs) >= 6.0 * abs(1.0 - complex(lam))
+    tag = np.where(near, "case1", np.where(far, "case2", "case3"))
+    return str(tag) if tag.ndim == 0 else tag
 
 
 # ---------------------------------------------------------------------------

@@ -265,16 +265,10 @@ def cantor_measure(depth: int, x):
 # complementary arcs
 
 
-# 3^g as floats: exact while 3^g < 2^53 (g <= 33)
-_POW3 = np.array([float(3**g) for g in range(MAX_CANTOR_DEPTH + 1)])
-
-
-def _cantor_ends(num: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    """num / 3^gen, each the exact quotient correctly rounded."""
-    ends = num / _POW3[gen]
-    deep = np.flatnonzero(gen > 33)
-    ends[deep] = [n / 3**g for n, g in zip(num[deep].tolist(), gen[deep].tolist())]
-    return ends
+def _cantor_ends(num: np.ndarray, gen: np.ndarray):
+    """(num, num + 1) / 3^gen, each the exact quotient of Python ints correctly rounded."""
+    den = (3**gen).tolist()  # exact in int64
+    return [np.array([n / d for n, d in zip(k.tolist(), den)], dtype=float) for k in (num, num + 1)]
 
 
 def arc_arrays(bset: BoundarySet, cutoff: float):
@@ -293,9 +287,9 @@ def arc_arrays(bset: BoundarySet, cutoff: float):
         a, b = np.array([float(bset.b) if bset.kind == "arc" else 0.0]), np.ones(1)
     elif bset.kind == "cantor":
         num, gen = cantor_gaps(bset.depth, cutoff)
-        a, b = _cantor_ends(num, gen), _cantor_ends(num + 1, gen)
-        # the walk lists gaps by generation; a gap deeper than 33 generations
-        # may have coinciding float ends, and then no float angle lies inside it
+        a, b = _cantor_ends(num, gen)
+        # the walk lists gaps by generation; a deep gap (3^g > 2^53) may have
+        # coinciding float ends, and then no float angle lies inside it
         order = np.argsort(-b, kind="stable")
         order = order[a[order] < b[order]]
         a, b = a[order], b[order]

@@ -326,25 +326,20 @@ def _cmd_verify_lemma(args) -> int:
     n = args.grid
     if n < 2:
         raise UsageError("--grid must be >= 2")
-    lams = []
-    radii = 1.0 - np.geomspace(1e-8, 1e-1, n)
-    angles = np.geomspace(1e-3, math.pi * 0.9, n)
-    for r in radii:
-        for ang in angles:
-            lam = r * cmath.exp(1j * float(ang))
-            if aux.in_gamma_region(spec, lam):
-                lams.append(lam)
+    grid = [r * cmath.exp(1j * float(ang))
+            for r in 1.0 - np.geomspace(1e-8, 1e-1, n)
+            for ang in np.geomspace(1e-3, math.pi * 0.9, n)]
+    lams = [lam for lam, inside in zip(grid, aux.in_gamma_region(spec, grid)) if inside]
     zs = [rr * cmath.exp(1j * float(az))
           for rr in 1.0 - np.geomspace(1e-7, 0.5, n)
           for az in np.linspace(0.0, math.pi, n)]
     rows = []
     sup_h = -math.inf
     for lam in lams:
-        for z in zs:
-            h = aux.h_lambda(weight, bset, lam, z)
-            sup_h = max(sup_h, h)
-            rows.append((lam.real, lam.imag, z.real, z.imag, h,
-                         aux.case_tag(spec, lam, z)))
+        hs = aux.h_lambda(weight, bset, lam, zs).tolist()
+        sup_h = max(sup_h, *hs)
+        rows.extend((lam.real, lam.imag, z.real, z.imag, h, tag)
+                    for z, h, tag in zip(zs, hs, aux.case_tag(spec, lam, zs).tolist()))
     _write_out(csv_text(("lambda_re", "lambda_im", "z_re", "z_im", "H", "case_tag"), rows),
                args.out)
     # stdout stays pure CSV when the grid goes there

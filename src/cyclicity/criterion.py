@@ -270,22 +270,14 @@ def _set_arcs(weight, bset, eps):
     """
     cut = weight.pure_cut
     eps_min = float(eps[-1])
-    empty = np.empty(0)
-    e_hi = 0.0  # interval kinds: E meets the pure region in (0, e_hi]
     if bset.kind == "cantor":
         a, b = _cantor_candidates(weight, bset.depth, eps_min)
-    elif bset.kind == "full":
-        a, b, e_hi = empty, empty, cut
-    elif bset.kind == "arc":
-        b0 = float(bset.b)
-        a, b = (np.array([b0]), np.ones(1)) if b0 < 1.0 else (empty, empty)
-        e_hi = min(b0, cut)
-    elif bset.kind == "point":
-        a, b = np.zeros(1), np.ones(1)
+    elif bset.kind not in ("full", "arc", "point") and eps_min < math.exp(-_U_MAX) * 0.5:
+        raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
     else:
-        if eps_min < math.exp(-_U_MAX) * 0.5:
-            raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
         a, b = bnd.arc_arrays(bset, eps_min * 0.5)
+    # interval kinds: E meets the pure region in (0, e_hi]
+    e_hi = cut if bset.kind == "full" else min(float(bset.b), cut) if bset.kind == "arc" else 0.0
     keep = (a < cut * (1.0 - 1e-15)) & (b >= eps_min)
     a, b = a[keep], np.minimum(b[keep], cut)
     if bset.kind != "cantor":

@@ -248,8 +248,9 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
     """Grid report of t*Lambda(t), t|Lambda'|/Lambda, monotonicity.
 
     The grid must be decreasing, contain at least 8 points inside the pure
-    region, and span at least 4 decades.  Lambda' is the closed form
-    `lambda_prime`.
+    region, and span at least 4 decades.  On the pure region
+    t|Lambda'|/Lambda = |1 - a/log(1/t)|, which needs no Lambda' (that
+    overflows below t ~ 1e-154).
     """
     ts = np.fromiter(grid, dtype=float)
     if ts.size < 8:
@@ -265,7 +266,8 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
     lam = eval_lambda(spec, ts)
     tl = ts * lam
     i_max = int(np.argmax(tl))
-    ratios = ts * np.abs(lambda_prime(spec, ts)) / lam
+    a = spec.log_exponent
+    ratios = np.abs(1.0 - a / _log_inv(ts, cut)) if a > 0.0 else np.ones_like(ts)
     return RegularityReport(
         max_t_lambda=float(tl[i_max]),
         argmax_t_lambda=float(ts[i_max]),

@@ -249,6 +249,27 @@ class TestGammaRegion:
         assert GammaRegionSpec(weight=weight, bset=FULL).big_a == 1000.0
         assert GammaRegionSpec(weight=weight, bset=POINT).big_a == 100.0
 
+    def test_array_calls_match_scalar_calls(self):
+        # one path: each scalar call equals its element of the array call, bit for bit
+        weight = WeightSpec.from_w(0.7, scale=7.0)
+        for bset in (FULL, POINT, BoundarySet.cantor(9), BoundarySet.geometric(mirror=True)):
+            spec = GammaRegionSpec(weight=weight, bset=bset, a=0.5)
+            lams = lambda_grid(40, seed=3)
+            inside = in_gamma_region(spec, lams)
+            assert inside.tolist() == [in_gamma_region(spec, lam) for lam in lams]
+            assert all(type(in_gamma_region(spec, lam)) is bool for lam in lams[:3])
+            zs = lambda_grid(30, seed=4)
+            for lam in lams[:5]:
+                hs, tags = h_lambda(weight, bset, lam, zs), case_tag(spec, lam, zs)
+                assert hs.tolist() == [h_lambda(weight, bset, lam, z) for z in zs]
+                assert tags.tolist() == [case_tag(spec, lam, z) for z in zs]
+                assert type(h_lambda(weight, bset, lam, zs[0])) is float
+                assert type(case_tag(spec, lam, zs[0])) is str
+        with pytest.raises(DomainError):
+            in_gamma_region(spec, [0.5, 1.0])
+        with pytest.raises(DomainError):
+            h_lambda(weight, FULL, 0.5, [0.2, -1.0])
+
 
 class TestKeldyshWitness:
     def test_amplitude_zero_is_one(self):

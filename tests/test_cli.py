@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -157,6 +158,16 @@ class TestCommands:
         payload = json.loads(out)
         assert payload["results"]["lambda_decreasing"] is True
         assert payload["results"]["max_t_lambda"] == pytest.approx(1.0 / math.log(100.0), rel=1e-9)
+
+    def test_weights_check_deep_grid(self, capsys):
+        # Lambda' overflows below t ~ 1e-154; the ratio (L - 1)/L does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "weights", "check", "--weight", W1, "--grid-to", "1e-200")
+        assert code == EXIT_OK
+        L = 200.0 * math.log(10.0)
+        ratio = json.loads(out)["results"]["max_log_deriv_ratio"]
+        assert ratio == pytest.approx((L - 1.0) / L, rel=1e-12)
 
     def test_omega_trace(self, capsys):
         code, out, _ = run(capsys, "omega", "trace", "--weight", W1, "--set", PT,
