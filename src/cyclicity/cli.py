@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -159,7 +160,13 @@ def _profile(args) -> phr.DomainProfile:
     return phr.DomainProfile.from_json(_load_json_arg(args.profile, "--profile"))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    Sharing is safe: parse_args writes into a fresh namespace, never into
+    the parser.
+    """
     p = _Parser(prog="cyclicity", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -461,12 +468,13 @@ _HANDLERS = {
 
 def run_command(argv) -> int:
     """Parse and execute; returns the exit code (never raises toolkit errors)."""
-    parser = build_parser()
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
         handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
         code = handler(args)
+    except SystemExit as exc:  # parse_args, after printing --help or --version
+        return exc.code
     except (UsageError, DomainError, CapacityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -476,7 +484,7 @@ def run_command(argv) -> int:
     except CyclicityError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
-    sys.stderr.write("elapsed %.3fs\n" % (time.time() - t0))
+    sys.stderr.write("elapsed %.3fs\n" % (time.perf_counter() - t0))
     return code
 
 

@@ -6,12 +6,13 @@ boundary radius 1 - gamma(theta), where gamma solves
     gamma = theta^2 * Lambda(gamma + dist(e^{i theta}, E)).
 
 g(gamma) = gamma - theta^2 Lambda(gamma + d) is strictly increasing (Lambda
-is decreasing), so the root is unique; it is bracketed and bisected in
-x = log gamma, with u = log(1/|theta|) in place of theta^2 (the lower
-bracket sits at 1e-300, where g is hopeless to evaluate in linear space).
-The bisection runs on arrays of angles, freezing each as it converges;
-solve_gamma is its one-angle case.  Every solution carries a residual
-certificate.
+is decreasing), so the root is unique; it is bracketed and found by
+Chandrupatla's method (inverse quadratic interpolation safeguarded by
+bisection) in x = log gamma, with u = log(1/|theta|) in place of theta^2
+(the lower bracket sits at 1e-300, where g is hopeless to evaluate in
+linear space).  The root-finder runs on arrays of angles, freezing each as
+it converges; solve_gamma is its one-angle case.  Every solution carries a
+residual certificate.
 
 Integrals of gamma-dependent data over theta use one fixed-node rule:
 composite Gauss-Legendre in v = log(1/|theta|) at 20 and 10 points per
@@ -45,7 +46,7 @@ from .errors import CapacityError, DomainError, NumericError, UsageError
 _GAMMA_FLOOR = 1e-300
 _THETA_FLOOR = 1e-300  # below this theta itself is not representable
 _RESIDUAL_REL = 1e-12
-_MAX_BISECT = 200
+_MAX_STEPS = 200  # root-finder steps; about 10 are needed
 _BLOCK = 4096  # angles solved together; bounds the solver's working memory
 _RULE_ORDER = 20  # Gauss-Legendre points per panel; the error estimate uses half as many
 _ROUNDING = 50.0 * np.finfo(float).eps  # relative rounding allowance of a rule sum
@@ -88,13 +89,61 @@ def normalized_for_lambda1(weight: wts.WeightSpec) -> wts.WeightSpec:
     return weight.with_scale(weight.scale * 0.099 / lam1)
 
 
+def _increasing_root(f, lo, hi, f_lo, f_hi, *args):
+    """Root of an increasing f(x, *args) in each bracket [lo, hi], elementwise (1-d arrays).
+
+    Needs f(lo) < 0 <= f(hi); args are arrays shaped like lo.  Chandrupatla's
+    method (Adv. Eng. Software 28, 1997): each step evaluates f at one point
+    of the bracket, found by inverse quadratic interpolation through the
+    bracket's ends and the end it last dropped where that interpolant is
+    monotone, by bisection elsewhere, and never nearer an end than half the
+    tolerance (over half an ulp of x, so every step moves).  The bracket keeps f < 0
+    at its lower end and f >= 0 at its upper; an element stops when the
+    bracket is at most 1e-14 + 4e-16 |lower end| wide, returns its midpoint,
+    and is frozen.
+    """
+    a, fa, b, fb = lo, f_lo, hi, f_hi  # a is the newest point, b the bracket's other end
+    t = np.full(lo.shape, 0.5)
+    root = np.empty(lo.shape)
+    idx = np.arange(lo.size)
+    for _ in range(_MAX_STEPS):
+        x = a + t * (b - a)
+        fx = f(x, *args)
+        # c is the end just dropped; it lies beyond a, on a's side of the root
+        same = (fx < 0.0) == (fa < 0.0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        width = np.abs(b - a)
+        tol = 1e-14 + 4e-16 * np.abs(np.minimum(a, b))
+        done = width <= tol
+        if np.count_nonzero(done):
+            root[idx[done]] = 0.5 * (a[done] + b[done])
+            keep = ~done
+            if not keep.any():
+                return root
+            idx, a, fa, b, fb, c, fc, width, tol = (
+                v[keep] for v in (idx, a, fa, b, fb, c, fc, width, tol))
+            args = tuple(v[keep] for v in args)
+        # the inverse quadratic through (f, x) at a, b, c is monotone on the
+        # bracket where Chandrupatla's test iqi holds; t is where it meets 0
+        xi, df_ab, df_cb = (a - b) / (c - b), fa - fb, fc - fb
+        phi = df_ab / df_cb
+        iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+        with np.errstate(divide="ignore", invalid="ignore"):  # fc == fa only where iqi is false
+            t = np.where(iqi, fa / df_cb * (fc / df_ab + (1.0 - 1.0 / xi) * fb / (df_cb - df_ab)), 0.5)
+        t_min = 0.5 * tol / width
+        t = np.minimum(np.maximum(t, t_min), 1.0 - t_min)
+    raise NumericError("root-finder did not converge within the step cap")
+
+
 def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x = log gamma of gamma = e^(-2u) Lambda(gamma + d), elementwise (1-d arrays).
 
     h(x) = x + 2u - log Lambda(e^x + d) has the sign of gamma - theta^2
-    Lambda(gamma + d) and is increasing; it is bisected from the bracket
-    [log 1e-300, log(1 - 1e-12)] until the bracket is one part in 1e14 of
-    log-gamma (floored at a few ulps).  Converged elements are frozen.
+    Lambda(gamma + d) and is increasing; _increasing_root finds its root in
+    the bracket [log 1e-300, log(1 - 1e-12)] to a bracket at most
+    1e-14 + 4e-16 |log gamma| wide.  Converged elements are frozen.
     """
 
     def h(x, u, d):
@@ -102,27 +151,15 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
 
     lo = np.full(u.shape, math.log(_GAMMA_FLOOR))
     hi = np.full(u.shape, math.log(1.0 - 1e-12))
-    if np.any(h(lo, u, d) >= 0.0):
+    h_lo, h_hi = h(lo, u, d), h(hi, u, d)
+    if np.any(h_lo >= 0.0):
         raise NumericError("lower bracket failed; weight is not admissible at this theta")
-    if np.any(h(hi, u, d) <= 0.0):
+    if np.any(h_hi <= 0.0):
         raise NumericError(
             "no root with gamma < 1; Lambda is too large at scale 1 "
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
-    x = np.empty(u.shape)
-    idx = np.arange(u.size)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        neg = h(mid, u, d) < 0.0
-        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
-        done = (hi - lo) <= 1e-14 + 4e-16 * np.abs(lo)
-        if np.count_nonzero(done):
-            x[idx[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            idx, lo, hi, u, d = idx[keep], lo[keep], hi[keep], u[keep], d[keep]
-            if idx.size == 0:
-                return x
-    raise NumericError("bisection did not converge within the step cap")
+    return _increasing_root(h, lo, hi, h_lo, h_hi, u, d)
 
 
 def _residual(spec: wts.WeightSpec, x, u, d):
@@ -182,8 +219,9 @@ def to_halfplane(w: complex) -> HalfplaneCoords:
 def solve_profile_y(weight: wts.WeightSpec, x: float) -> float:
     """Boundary height y(x) >= 0 of the half-plane image of the full-circle domain.
 
-    Solves Lambda(u) = x for u (unique by monotonicity), then
-    y = sqrt(4x/u - (x+1)^2).  A root requires Lambda(4x/(x+1)^2) <= x.
+    Solves Lambda(u) = x for u (unique by monotonicity) in s = log u with
+    _increasing_root, then y = sqrt(4x/u - (x+1)^2).  A root requires
+    Lambda(4x/(x+1)^2) <= x.
     """
     x = float(x)
     if x <= 0.0:
@@ -195,17 +233,14 @@ def solve_profile_y(weight: wts.WeightSpec, x: float) -> float:
             f"no boundary point at height x={x!r}: Lambda({u0!r}) = {lam_u0!r} > x; "
             "increase x past the Lambda-infimum over reachable arguments"
         )
-    lo, hi = math.log(_GAMMA_FLOOR), math.log(u0)
-    # Lambda(e^s) - x: decreasing in s
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if wts.eval_lambda(weight, math.exp(mid)) > x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
-    u = math.exp(0.5 * (lo + hi))
+
+    log_x = math.log(x)
+
+    def f(s):  # log x - log Lambda(e^s): increasing and nearly linear in s = log u
+        return log_x - np.log(wts.eval_lambda(weight, np.exp(s)))
+
+    lo, hi = np.array([math.log(_GAMMA_FLOOR)]), np.array([math.log(u0)])
+    u = math.exp(_increasing_root(f, lo, hi, f(lo), log_x - np.log([lam_u0]))[0])
     rel = abs(wts.eval_lambda(weight, u) - x) / x
     if rel > 1e-9:
         raise NumericError(f"profile root residual {rel!r} too large at x={x!r}")

@@ -7,12 +7,14 @@ import warnings
 
 import pytest
 
+from cyclicity import __version__
 from cyclicity.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     RunReport,
+    build_parser,
     canonical_json,
     config_hash,
     emit_report,
@@ -93,6 +95,14 @@ class TestExitCodes:
         assert float(vals["gamma"]) == pytest.approx(1.8968e-3, rel=1e-3)
         assert float(vals["R"]) == pytest.approx(98.34, rel=1e-3)
 
+    def test_version_returns_exit_code(self, capsys):
+        code, out, err = run(capsys, "--version")
+        assert (code, out, err) == (EXIT_OK, __version__ + "\n", "")
+
+    def test_help_returns_exit_code(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == EXIT_OK and out.startswith("usage: cyclicity")
+
     def test_strict_verdict_inconclusive(self, capsys):
         # scanning across the cantor threshold with a tight band hits it
         code, out, _ = run(capsys, "scan", "--theorem", "teo3",
@@ -127,6 +137,42 @@ class TestDeterminism:
         _, out, err = run(capsys, "sigma", "--profile", HP, "--rho", "10")
         assert "elapsed" in err
         assert "elapsed" not in out
+
+
+class TestParserReuse:
+    """One parser serves every run_command call in a process."""
+
+    CALLS = {
+        "csv": ("criterion", "analyze", "--weight", W1, "--set", PT, "--checkpoints", "8",
+                "--format", "csv"),
+        "json": ("criterion", "analyze", "--weight", W1, "--set", PT, "--checkpoints", "8"),
+        "normalized": ("omega", "trace", "--weight", W1, "--set", PT, "--from", "1e-4",
+                       "--to", "1e-2", "--points", "5", "--normalize-lambda1"),
+        "plain": ("omega", "trace", "--weight", W1, "--set", PT, "--from", "1e-4",
+                  "--to", "1e-2", "--points", "5"),
+        "bad": ("gamma", "--weight", W1, "--set", PT, "--theta", "x"),
+    }
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def outputs(self, capsys, names, fresh):
+        got = []
+        for name in names:
+            if fresh:
+                build_parser.cache_clear()
+            code, out, _ = run(capsys, *self.CALLS[name])
+            got.append((code, out))
+        return got
+
+    @pytest.mark.parametrize("names", [("csv", "json"), ("normalized", "plain"),
+                                       ("bad", "plain")])
+    def test_back_to_back_calls_match_single_calls(self, capsys, names):
+        # no option value, and no state of a failed parse, carries over
+        single = self.outputs(capsys, names, fresh=True)
+        assert self.outputs(capsys, names, fresh=False) == single
+        assert single[0][0] == (EXIT_USAGE if names[0] == "bad" else EXIT_OK)
+        assert single[0][1] != single[1][1]
 
 
 class TestCanonicalJson:

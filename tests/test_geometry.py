@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from crosschecks import profile_y_predictor
-from cyclicity import boundary, geometry
+from cyclicity import boundary, geometry, weights
 from cyclicity.boundary import BoundarySet
 from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
 from cyclicity.geometry import (
@@ -98,17 +98,43 @@ class TestSolveGamma:
         assert min(vals) > 0.0
 
     def test_array_matches_scalar(self):
-        # the scalar solver is the array solver on one angle: same bits
+        # the scalar solver is the array solver on one angle: same bits for
+        # every element, so a result does not depend on how angles are batched
         rng = np.random.default_rng(17)
         thetas = np.exp(rng.uniform(np.log(1e-290), np.log(0.1), 40)) * rng.choice([-1.0, 1.0], 40)
         for bset in (FULL, POINT, BoundarySet.geometric(), BoundarySet.beta_points(0.25),
                      BoundarySet.cantor(12)):
             sols = solve_gamma_array(WeightSpec.log_power(2.0), bset, thetas)
             assert sols.gamma.shape == thetas.shape
-            for k in (0, 17, 39):
-                one = solve_gamma(WeightSpec.log_power(2.0), bset, float(thetas[k]))
+            for k, theta in enumerate(thetas.tolist()):
+                one = solve_gamma(WeightSpec.log_power(2.0), bset, theta)
                 assert (one.gamma, one.residual, one.dist_at_theta) == (
                     sols.gamma[k], sols.residual[k], sols.dist_at_theta[k])
+
+    def test_lambda_evaluations_per_angle(self, monkeypatch):
+        # the acceptance-6 grid: about 10 evaluations an angle, with the two
+        # bracket ends and the residual certificate (bisection needs about 58)
+        calls = []
+
+        def counted(spec, t):
+            calls.append(np.size(t))
+            return eval_lambda(spec, t)
+
+        monkeypatch.setattr(weights, "eval_lambda", counted)
+        rng = np.random.default_rng(66)
+        specs = [WeightSpec.log_power(a) for a in (0.5, 1.0, 2.0, 2.5)] + [
+            WeightSpec.from_w(0.5), WeightSpec.from_w(1.0), WeightSpec.const_w()]
+        sets = [FULL, POINT, BoundarySet.geometric(), BoundarySet.beta_points(0.25),
+                BoundarySet.cantor(15)]
+        worst = 0
+        for spec in specs:
+            for bset in sets:
+                for theta in np.exp(rng.uniform(np.log(1e-10), np.log(0.1), 6)).tolist():
+                    calls.clear()
+                    solve_gamma(spec, bset, -theta if rng.uniform() < 0.5 else theta)
+                    assert set(calls) == {1}
+                    worst = max(worst, len(calls))
+        assert worst <= 20
 
     def test_array_errors(self):
         spec = WeightSpec.log_power(1.0)
@@ -199,6 +225,15 @@ class TestProfileSolver:
         pred = profile_y_predictor(spec, 10.0)
         assert pred == pytest.approx(37.83, rel=1e-3)
         assert 0.9 <= y / pred <= 1.1
+
+    @pytest.mark.parametrize("spec", [WeightSpec.log_power(a) for a in (0.5, 1.0, 2.0, 2.5)]
+                             + [WeightSpec.from_w(0.5), WeightSpec.const_w()])
+    def test_root_residual(self, spec):
+        # u is recovered from y = sqrt(4x/u - (x+1)^2)
+        for x in (2.0, 10.0, 100.0, 1e6):
+            y = solve_profile_y(spec, x)
+            u = 4.0 * x / (y * y + (x + 1.0) ** 2)
+            assert abs(eval_lambda(spec, u) - x) / x <= 1e-9
 
     def test_no_root_diagnostic(self):
         with pytest.raises(DomainError):
