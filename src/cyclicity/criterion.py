@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundary as bnd
+from . import geometry as geo
 from . import weights as wts
 from .errors import CapacityError, DomainError, UsageError
 
@@ -191,9 +192,10 @@ def _cantor_candidates(weight, depth, eps_min):
     """Gaps of F_depth that may be non-short, as (a, b) arrays (needs eps_min >= 3^-depth).
 
     (den/b) * w_eff(b) is strictly decreasing in b, so every generation-g
-    gap with b above the root b*(g) of (den/b) w_eff(b) = 2 is short.  One
-    geometric bisection finds b*(g) for every generation at once, and the
-    walk lists the gaps up to b*(g) * 1.001.
+    gap with b above the root b*(g) of (den/b) w_eff(b) = 2 is short.  b* is
+    e^s for the root s of the increasing s + log 2 - log(den w_eff(e^s)) from
+    the first gap to the cut, or the end where it has one sign there; the
+    walk lists the gaps up to b* * 1.001.
     """
     cut = weight.pure_cut
     if eps_min < 3.0**-depth:
@@ -201,14 +203,16 @@ def _cantor_candidates(weight, depth, eps_min):
         raise CapacityError(f"cantor depth {depth} insufficient for eps={eps_min!r}; need depth >= {need}")
     den = np.array([3.0**-g for g in range(depth + 1)])  # Python's 3.0**-g; numpy's power can differ by an ulp
     first = 2.0 * den[1:]  # right end of each generation's first gap
-    lo, hi = first, np.full(depth, cut)
-    for _ in range(120):
-        mid = np.sqrt(lo * hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break  # converged: no later step moves an end
-        up = den[1:] / mid * wts.effective_w(weight, mid) > 2.0
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-    caps = np.where(first < cut, np.minimum(hi * 1.001, cut), 0.0)
+
+    def f(s, den):
+        return s + math.log(2.0) - np.log(den * wts.effective_w(weight, np.exp(s)))
+
+    lo, hi = np.log(np.minimum(first, cut)), np.full(depth, math.log(cut))
+    f_lo, f_hi = f(lo, den[1:]), f(hi, den[1:])
+    s_star = np.where(f_lo >= 0.0, lo, hi)
+    k = np.flatnonzero((f_lo < 0.0) & (f_hi >= 0.0))
+    s_star[k] = geo.increasing_root(f, lo[k], hi[k], f_lo[k], f_hi[k], den[1:][k])
+    caps = np.where(first < cut, np.minimum(np.exp(s_star) * 1.001, cut), 0.0)
     num, gen = bnd.cantor_nonshort_candidates(depth, caps)
     a, b = num * den[gen], (num + 1) * den[gen]
     # arcs are disjoint, so at most one gap straddles the cut; its inner part

@@ -89,7 +89,7 @@ def normalized_for_lambda1(weight: wts.WeightSpec) -> wts.WeightSpec:
     return weight.with_scale(weight.scale * 0.099 / lam1)
 
 
-def _increasing_root(f, lo, hi, f_lo, f_hi, *args):
+def increasing_root(f, lo, hi, f_lo, f_hi, *args):
     """Root of an increasing f(x, *args) in each bracket [lo, hi], elementwise (1-d arrays).
 
     Needs f(lo) < 0 <= f(hi); args are arrays shaped like lo.  Chandrupatla's
@@ -100,13 +100,15 @@ def _increasing_root(f, lo, hi, f_lo, f_hi, *args):
     tolerance (over half an ulp of x, so every step moves).  The bracket keeps f < 0
     at its lower end and f >= 0 at its upper; an element stops when the
     bracket is at most 1e-14 + 4e-16 |lower end| wide, returns its midpoint,
-    and is frozen.
+    and is frozen.  No brackets give an empty array.
     """
     a, fa, b, fb = lo, f_lo, hi, f_hi  # a is the newest point, b the bracket's other end
     t = np.full(lo.shape, 0.5)
     root = np.empty(lo.shape)
     idx = np.arange(lo.size)
     for _ in range(_MAX_STEPS):
+        if not idx.size:
+            return root
         x = a + t * (b - a)
         fx = f(x, *args)
         # c is the end just dropped; it lies beyond a, on a's side of the root
@@ -120,8 +122,6 @@ def _increasing_root(f, lo, hi, f_lo, f_hi, *args):
         if np.count_nonzero(done):
             root[idx[done]] = 0.5 * (a[done] + b[done])
             keep = ~done
-            if not keep.any():
-                return root
             idx, a, fa, b, fb, c, fc, width, tol = (
                 v[keep] for v in (idx, a, fa, b, fb, c, fc, width, tol))
             args = tuple(v[keep] for v in args)
@@ -141,7 +141,7 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
     """x = log gamma of gamma = e^(-2u) Lambda(gamma + d), elementwise (1-d arrays).
 
     h(x) = x + 2u - log Lambda(e^x + d) has the sign of gamma - theta^2
-    Lambda(gamma + d) and is increasing; _increasing_root finds its root in
+    Lambda(gamma + d) and is increasing; increasing_root finds its root in
     the bracket [log 1e-300, log(1 - 1e-12)] to a bracket at most
     1e-14 + 4e-16 |log gamma| wide.  Converged elements are frozen.
     """
@@ -159,7 +159,7 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
             "no root with gamma < 1; Lambda is too large at scale 1 "
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
-    return _increasing_root(h, lo, hi, h_lo, h_hi, u, d)
+    return increasing_root(h, lo, hi, h_lo, h_hi, u, d)
 
 
 def _residual(spec: wts.WeightSpec, x, u, d):
@@ -220,7 +220,7 @@ def solve_profile_y(weight: wts.WeightSpec, x: float) -> float:
     """Boundary height y(x) >= 0 of the half-plane image of the full-circle domain.
 
     Solves Lambda(u) = x for u (unique by monotonicity) in s = log u with
-    _increasing_root, then y = sqrt(4x/u - (x+1)^2).  A root requires
+    increasing_root, then y = sqrt(4x/u - (x+1)^2).  A root requires
     Lambda(4x/(x+1)^2) <= x.
     """
     x = float(x)
@@ -240,7 +240,7 @@ def solve_profile_y(weight: wts.WeightSpec, x: float) -> float:
         return log_x - np.log(wts.eval_lambda(weight, np.exp(s)))
 
     lo, hi = np.array([math.log(_GAMMA_FLOOR)]), np.array([math.log(u0)])
-    u = math.exp(_increasing_root(f, lo, hi, f(lo), log_x - np.log([lam_u0]))[0])
+    u = math.exp(increasing_root(f, lo, hi, f(lo), log_x - np.log([lam_u0]))[0])
     rel = abs(wts.eval_lambda(weight, u) - x) / x
     if rel > 1e-9:
         raise NumericError(f"profile root residual {rel!r} too large at x={x!r}")
@@ -287,13 +287,15 @@ def rule_sum(f, fine, coarse) -> Quadrature:
 
 def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
                    kinks: np.ndarray, floor: float) -> np.ndarray:
-    """Angles floor <= |theta| <= pi where gamma + dist reaches the pure cut, where Lambda' jumps.
+    """v = log(1/|theta|) where gamma + dist reaches the pure cut (Lambda' jumps), floor <= |theta| <= pi.
 
-    There gamma = theta^2 Lambda(cut), so they are the roots of
+    There gamma = theta^2 Lambda(cut), so these are the roots of
     phi(theta) = dist + theta^2 Lambda(cut) - cut; between consecutive
-    kinks of dist phi is monotone, and every bracket with a sign change is
-    bisected.  dist < |theta| (1 is in E), so phi < 0 below the root t0 of
-    theta + theta^2 Lambda(cut) = cut, and only the kinks above t0 bracket.
+    kinks of dist phi is monotone, and increasing_root solves each bracket
+    with a sign change in v (in theta its absolute tolerance is coarse beside
+    a small cut), oriented by the sign of phi at its lower end.  dist < |theta|
+    (1 is in E), so phi < 0 below the root t0 of theta + theta^2 Lambda(cut)
+    = cut, and only the kinks above t0 bracket.
     """
     cut, lam_cut = spec.pure_cut, float(wts.eval_lambda(spec, spec.pure_cut))
 
@@ -303,13 +305,10 @@ def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     t0 = min(math.pi, max(floor, 2.0 * cut / (1.0 + math.sqrt(1.0 + 4.0 * lam_cut * cut))))
     ends = np.unique(np.concatenate(([t0], kinks[kinks > t0], [math.pi])))
     f = phi(ends)
-    bracket = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
-    lo, hi, f_lo = ends[bracket], ends[bracket + 1], f[bracket]
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        same = (phi(mid) < 0.0) == (f_lo < 0.0)
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    k = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
+    orient = np.where(f[k + 1] < 0.0, 1.0, -1.0)  # ends[k + 1] is the lower end in v
+    return increasing_root(lambda v, o: o * phi(np.exp(-v)), -np.log(ends[k + 1]),
+                           -np.log(ends[k]), orient * f[k + 1], orient * f[k], orient)
 
 
 def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
@@ -331,7 +330,7 @@ def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     v_kinks = -np.log(kinks)
     v_kinks = v_kinks[np.unique(np.floor(v_kinks / _KINK_SPACING), return_index=True)[1]]
     crossings = _cut_crossings(weight, bset, sign, kinks, math.exp(-v_hi))
-    inner = np.concatenate([v_kinks, -np.log(crossings), np.asarray(breaks, dtype=float)])
+    inner = np.concatenate([v_kinks, crossings, np.asarray(breaks, dtype=float)])
     uniform = np.linspace(v_lo, v_hi, max(1, math.ceil((v_hi - v_lo) / _PANEL_WIDTH)) + 1)
     return np.concatenate([uniform, inner[(v_lo < inner) & (inner < v_hi)]])
 

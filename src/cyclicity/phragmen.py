@@ -142,9 +142,8 @@ class DomainProfile:
 def arc_length_s(profile: DomainProfile, r: float) -> float:
     """Length s(r) of the cross-section arc of |z| = r inside the domain.
 
-    Cartesian: with x(r) solving x^2 + phi(x)^2 = r^2 (the left side is
-    increasing), s(r) = r (pi - 2 arctan(x / phi(x))).  Sector:
-    s(r) = r (pi - 2 phi(r)).
+    Cartesian: with x(r) solving x^2 + phi(x)^2 = r^2 in closed form,
+    s(r) = 2r arctan(phi(x)/x).  Sector: s(r) = r (pi - 2 phi(r)).
     """
     r = float(r)
     if r <= 0.0:
@@ -153,25 +152,19 @@ def arc_length_s(profile: DomainProfile, r: float) -> float:
         if r <= profile.r_min():
             raise DomainError(f"r={r!r} below the profile validity radius")
         return r * (math.pi - 2.0 * profile.phi_at(r))
-    if r <= profile.phi_at(0.0):
+    c = profile.phi_at(0.0)
+    if r <= c:
         raise DomainError(f"circle r={r!r} does not cross the domain")
-    lo, hi = 0.0, r
-    f_hi = hi * hi + profile.phi_at(hi) ** 2 - r * r
-    if f_hi < 0.0:
-        raise NumericError("bracketing failed for the cross-section root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * mid + profile.phi_at(mid) ** 2 < r * r:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * r:
-            break
-    x = 0.5 * (lo + hi)
+    if profile.phi == "x":
+        x = r / math.sqrt(2.0)
+    elif profile.phi == "x2":
+        x = r * math.sqrt(2.0 / (1.0 + math.hypot(1.0, 2.0 * r)))
+    else:
+        x = math.sqrt(r - c) * math.sqrt(r + c)
     ph = profile.phi_at(x)
     if ph <= 0.0:
         return math.pi * r  # degenerate: boundary pinches to the axis
-    return r * (math.pi - 2.0 * math.atan(x / ph))
+    return 2.0 * r * math.atan(ph / x)
 
 
 def sigma(profile: DomainProfile, rho: float) -> float:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from cyclicity import boundary, weights
 from cyclicity.auxfun import PrivalovShadow, poisson_arc_integral
 from cyclicity.errors import UsageError
 from cyclicity.geometry import solve_profile_y
@@ -55,3 +56,26 @@ def pl_divergence_partials(profile: DomainProfile, checkpoints) -> np.ndarray:
         prev = p
         out.append(acc)
     return np.asarray(out)
+
+
+def cut_crossings_bisection(spec, bset, sign: float, kinks, floor: float) -> np.ndarray:
+    """The angles theta of geometry._cut_crossings by 64 bisection steps in theta.
+
+    Each bracket between kinks where phi(theta) = dist + theta^2 Lambda(cut)
+    - cut changes sign is halved 64 times, far below float resolution.
+    """
+    cut, lam_cut = spec.pure_cut, float(weights.eval_lambda(spec, spec.pure_cut))
+
+    def phi(t):
+        return boundary.distance_to_set(bset, np.exp(1j * sign * t)) + t * t * lam_cut - cut
+
+    t0 = min(math.pi, max(floor, 2.0 * cut / (1.0 + math.sqrt(1.0 + 4.0 * lam_cut * cut))))
+    ends = np.unique(np.concatenate(([t0], kinks[kinks > t0], [math.pi])))
+    f = phi(ends)
+    bracket = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
+    lo, hi, f_lo = ends[bracket], ends[bracket + 1], f[bracket]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        same = (phi(mid) < 0.0) == (f_lo < 0.0)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi)

@@ -81,6 +81,13 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC and out == ""
         assert err.startswith("numeric/io error: sigma quadrature failed") and "subdivisions" in err
 
+    @pytest.mark.parametrize("profile", ['{"variant":"cartesian","phi":"x2"}', STRIP])
+    def test_sigma_far_cartesian_is_numeric(self, capsys, profile):
+        # x^2 runs quad out of subdivisions and the half strip overflows; neither
+        # may end in a traceback from the cross-section length
+        code, out, err = run(capsys, "sigma", "--profile", profile, "--rho", "1e100")
+        assert code == EXIT_NUMERIC and out == "" and err.startswith("numeric/io error: sigma")
+
     def test_numeric_failure_exit(self, capsys):
         # theta = pi without the normalization flag has no root below 1
         code, _, err = run(capsys, "gamma", "--weight", W1, "--set", PT, "--theta", "3.14159")

@@ -146,8 +146,14 @@ def _brute_cantor_sums(weight, depth, eps_values):
 
 
 class TestCantorEngineExact:
-    def test_against_brute_force(self):
-        weight = WeightSpec.log_power(1.3)
+    # each generation's cap b* is an interior root or, where the sign does
+    # not change on its bracket, an end: 1.3 at scale 1 has interior roots and
+    # all-short generations, 2.5 at scale 0.1 one generation with b* = cut,
+    # 1.3 at scale 10 only all-short generations, and 3 at scale 0.01 a
+    # generation with b* = cut and non-short gaps past its first
+    @pytest.mark.parametrize("alpha, scale", [(1.3, 1.0), (2.5, 0.1), (1.3, 10.0), (3.0, 0.01)])
+    def test_against_brute_force(self, alpha, scale):
+        weight = WeightSpec.log_power(alpha, scale=scale)
         depth = 14
         eps = np.array([3.0**-5, 3.0**-9, 3.0**-14])
         rep = criterion_partials(weight, BoundarySet.cantor(depth), eps)

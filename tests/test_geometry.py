@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crosschecks import profile_y_predictor
+from crosschecks import cut_crossings_bisection, profile_y_predictor
 from cyclicity import boundary, geometry, weights
 from cyclicity.boundary import BoundarySet
 from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
@@ -160,6 +160,40 @@ class TestSolveGamma:
         sol = solve_gamma(norm, FULL, math.pi)
         assert 0.0 < sol.gamma < 1.0
         assert eval_lambda(norm, 1.0) < 0.1
+
+
+class TestIncreasingRoot:
+    def test_empty_brackets(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return x
+
+        e = np.empty(0)
+        root = geometry.increasing_root(f, e, e, e, e)
+        assert root.shape == (0,) and calls == []
+
+
+class TestCutCrossings:
+    # solved in v = log(1/theta), the crossings keep their relative precision
+    # however small the pure cut (e^-25 at alpha = 25); a solve in theta with
+    # the same absolute tolerance is off by 6e-5 there
+    @pytest.mark.parametrize("alpha", [3.0, 10.0, 25.0])
+    @pytest.mark.parametrize("bset", [BoundarySet.geometric(), BoundarySet.beta_points(0.25)],
+                             ids=["geometric", "beta0.25"])
+    def test_against_bisection(self, alpha, bset):
+        spec = WeightSpec.log_power(alpha)
+        floor = 1e-3 * spec.pure_cut
+        all_kinks = boundary.kink_angles(bset, floor)
+        found = 0
+        for sign in (1.0, -1.0):
+            kinks = np.abs(all_kinks[np.sign(all_kinks) == sign])
+            expect = cut_crossings_bisection(spec, bset, sign, kinks, floor)
+            v = geometry._cut_crossings(spec, bset, sign, kinks, floor)
+            np.testing.assert_allclose(np.exp(-v), expect, rtol=1e-13, atol=0.0)
+            found += expect.size
+        assert found > 0
 
 
 class TestHalfplane:

@@ -39,6 +39,21 @@ class TestArcLength:
         assert arc_length_s(STRIP, 10.0) == pytest.approx(expect, rel=1e-10)
         assert expect == pytest.approx(2.0033, rel=1e-4)
 
+    def test_far_out(self):
+        # atan(phi/x) keeps its precision where the arc is short (pi - 2 atan(x/phi)
+        # cancels to 0 at r = 1e16), and the closed forms form no phi(r)^2
+        assert arc_length_s(STRIP, 1e16) == 2.0
+        assert arc_length_s(STRIP, 1e200) == 2.0
+        assert arc_length_s(X2, 1e100) == pytest.approx(math.pi * 1e100, rel=1e-12)
+
+    def test_x2_mpmath_oracle(self):
+        # x^2 + x^4 = r^2 solved at 30 digits
+        with mpmath.workdps(30):
+            for r in (1e-3, 0.5, 3.0, 1e4, 1e60):
+                x = mpmath.sqrt((mpmath.sqrt(1 + 4 * mpmath.mpf(r) ** 2) - 1) / 2)
+                expect = float(2 * r * mpmath.atan(x))
+                assert arc_length_s(X2, r) == pytest.approx(expect, rel=1e-14)
+
     def test_validity(self):
         with pytest.raises(DomainError):
             arc_length_s(STRIP, 0.5)  # circle misses the strip cross-section
