@@ -7,17 +7,18 @@ Two unbounded domain shapes are supported:
              deficiency phi(R) in [0, pi/2)
 
 The cross-section length s(r) of the circle |z| = r inside G feeds the
-comparison quantity sigma(rho) = exp(pi * int_1^rho dr / s(r)); the harmonic
-measure of the circular cross-section at |z| = rho, seen from an interior
-point, is estimated independently by walk-on-spheres so the exponential decay
-rate exp(-pi int dr/s) can be validated against simulation.
+comparison quantity sigma(rho) = exp(pi * int_1^rho dr / s(r)), taken in
+v = log r by geometry's Gauss-Legendre rule with its error estimate;
+walk-on-spheres estimates the harmonic measure of the circular cross-section
+at |z| = rho independently, to validate the decay rate exp(-pi int dr/s).
 
 Walk-on-spheres steps move by g/|g| for a standard normal pair g (an exactly
 uniform angle, no trigonometry) over inscribed-disc radii that are exact for
-half planes, constant-opening sectors, the wedge |y| <= x and the half strip,
-and lower bounds otherwise: the distance to the tangent line at (x, x^2) for
-the profile x^2, a trig-based static-sector bound for invlog.  A lower bound
-keeps the walk law exact, it only costs steps.
+half planes, constant-opening sectors, the wedge |y| <= x and the half strips
+|y| <= c (const1 is const at level 1), and lower bounds otherwise: the
+distance to the tangent line at (x, x^2) for the profile x^2, a trig-based
+static-sector bound for invlog.  A lower bound keeps the walk law exact, it
+only costs steps.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
+from . import geometry as geo
 from .errors import DomainError, NumericError, UsageError
 
 VARIANTS = ("cartesian", "sector")
@@ -36,6 +37,8 @@ PHI_NAMES = ("x", "x2", "const1", "const", "invlog")
 _WOS_TOL_FACTOR = 1e-4
 _WOS_MAX_STEPS = 100_000
 _BLOCK = 4096
+_PANEL_WIDTH = 8.0  # widest uniform panel of the sigma rule, in v = log r
+_GRADES = 40  # sigma panels halving toward the lower end; the last is 2^-40 of the first
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,8 @@ class DomainProfile:
         if self.phi == "const":
             if self.value is None or self.value < 0.0:
                 raise DomainError("phi 'const' needs a nonnegative value")
+            if self.variant == "cartesian" and self.value == 0.0:
+                raise DomainError("cartesian phi 'const' needs a value > 0 (level 0 is a ray)")
             if self.variant == "sector" and self.value >= math.pi / 2:
                 raise DomainError("sector opening deficiency must be < pi/2")
         elif self.value is not None:
@@ -63,19 +68,18 @@ class DomainProfile:
 
     # -- profile function ----------------------------------------------------
 
-    def phi_at(self, v: float) -> float:
+    def phi_at(self, v):
+        """phi at a point or an array of points; const1 is const at level 1."""
         if self.phi == "x":
             return v
         if self.phi == "x2":
             return v * v
-        if self.phi == "const1":
-            return 1.0
-        if self.phi == "const":
-            return float(self.value)
+        if self.phi in ("const1", "const"):
+            return 1.0 if self.value is None else float(self.value)
         # opening deficiency 1/log R, valid where it is < pi/2
-        if v <= self.r_min():
+        if np.any(np.asarray(v) <= self.r_min()):
             raise DomainError(f"invlog profile needs R > {self.r_min()!r}")
-        return 1.0 / math.log(v)
+        return 1.0 / np.log(v)
 
     def phi_prime(self, v: float) -> float:
         if self.phi == "x":
@@ -122,65 +126,60 @@ class DomainProfile:
             raise UsageError("profile params may only carry 'value'")
         return DomainProfile(obj.get("variant"), obj.get("phi"), value=params.get("value"))
 
-    @staticmethod
-    def half_plane() -> "DomainProfile":
-        return DomainProfile("sector", "const", value=0.0)
-
-    @staticmethod
-    def wedge() -> "DomainProfile":
-        return DomainProfile("cartesian", "x")
-
-    @staticmethod
-    def half_strip() -> "DomainProfile":
-        return DomainProfile("cartesian", "const1")
-
 
 # ---------------------------------------------------------------------------
 # cross sections and growth integrals
 
 
-def arc_length_s(profile: DomainProfile, r: float) -> float:
+def arc_length_s(profile: DomainProfile, r):
     """Length s(r) of the cross-section arc of |z| = r inside the domain.
 
     Cartesian: with x(r) solving x^2 + phi(x)^2 = r^2 in closed form,
-    s(r) = 2r arctan(phi(x)/x).  Sector: s(r) = r (pi - 2 phi(r)).
+    s(r) = 2r arctan(phi(x)/x) (pi c at a half strip's corner r = c).
+    Sector: s(r) = r (pi - 2 phi(r)).  One path: a scalar r gives a float.
     """
-    r = float(r)
-    if r <= 0.0:
-        raise DomainError("r must be positive")
+    rs = np.array(r, dtype=float, ndmin=1, copy=None)
+    c = 0.0 if profile.variant == "sector" else profile.phi_at(0.0)
+    bad = (rs <= 0.0) | (rs < c)
+    if np.count_nonzero(bad):
+        raise DomainError(f"circle r={float(rs[bad][0])!r} does not cross the domain")
     if profile.variant == "sector":
-        if r <= profile.r_min():
-            raise DomainError(f"r={r!r} below the profile validity radius")
-        return r * (math.pi - 2.0 * profile.phi_at(r))
-    c = profile.phi_at(0.0)
-    if r <= c:
-        raise DomainError(f"circle r={r!r} does not cross the domain")
-    if profile.phi == "x":
-        x = r / math.sqrt(2.0)
-    elif profile.phi == "x2":
-        x = r * math.sqrt(2.0 / (1.0 + math.hypot(1.0, 2.0 * r)))
+        s = rs * (math.pi - 2.0 * profile.phi_at(rs))  # phi_at refuses r <= r_min
     else:
-        x = math.sqrt(r - c) * math.sqrt(r + c)
-    ph = profile.phi_at(x)
-    if ph <= 0.0:
-        return math.pi * r  # degenerate: boundary pinches to the axis
-    return 2.0 * r * math.atan(ph / x)
+        if profile.phi == "x":
+            x = rs / math.sqrt(2.0)
+        elif profile.phi == "x2":
+            x = rs * np.sqrt(2.0 / (1.0 + np.hypot(1.0, 2.0 * rs)))
+        else:
+            x = np.sqrt(rs - c) * np.sqrt(rs + c)
+        s = 2.0 * rs * np.arctan2(profile.phi_at(x), x)
+    return float(s[0]) if np.ndim(r) == 0 else s
 
 
 def sigma(profile: DomainProfile, rho: float) -> float:
-    """Comparison quantity exp(pi int_1^rho dr / s(r)); sigma(1) = 1; rho^2 must be finite."""
+    """Comparison quantity exp(pi int_lo^rho dr / s(r)); rho^2 must be finite.
+
+    lo = max(1, r_min (1 + 1e-9)).  pi int r/s dv in v = log r by
+    geometry.log_rule, on uniform panels plus panels graded by powers of 2
+    toward lo (the half strip's square-root corner at r = c, the invlog pole
+    just below lo).  NumericError if the rule's error estimate exceeds 1e-6
+    of the integral or sigma overflows.
+    """
     rho = float(rho)
     if not math.isfinite(rho * rho):
         raise DomainError(f"rho must be finite with a finite square, got {rho!r}")
     lo = max(1.0, profile.r_min() * (1.0 + 1e-9))
     if rho < lo:
         raise DomainError(f"rho must be >= {lo!r}")
-    if rho == lo:
-        return 1.0
-    val, _err, _info, *message = quad(lambda r: math.pi / arc_length_s(profile, r), lo, rho,
-                                      epsrel=1e-6, epsabs=1e-12, limit=300, full_output=1)
-    if message:  # quad appends a message only when it reports a problem
-        raise NumericError(f"sigma quadrature failed: {message[0].splitlines()[0]}")
+    v_lo, v_hi = math.log(lo), math.log(rho)
+    uniform = np.linspace(v_lo, v_hi, max(1, math.ceil((v_hi - v_lo) / _PANEL_WIDTH)) + 1)
+    graded = v_lo + (uniform[1] - v_lo) * 0.5 ** np.arange(1, _GRADES + 1)
+    v, fine, coarse = geo.log_rule(np.concatenate([uniform, graded]))
+    r = np.exp(v)
+    val, err = (float(x) for x in geo.rule_sum(math.pi * r / arc_length_s(profile, r), fine, coarse))
+    if not err <= 1e-6 * val:
+        raise NumericError(f"sigma quadrature error estimate {err!r} exceeds 1e-6 of "
+                           f"pi int dr/s = {val!r} at rho = {rho!r}")
     try:
         return math.exp(val)
     except OverflowError:
@@ -210,9 +209,12 @@ def pl_divergence_integrand(profile: DomainProfile, point: float) -> float:
 
 def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Lower bound for the distance to the lateral boundary (vectorized)."""
+    if profile.phi in ("const1", "const"):
+        c = profile.phi_at(0.0)
+        if profile.variant == "sector":  # r sin(beta - theta), exact as beta = pi/2 - c <= pi/2
+            return x * math.cos(c) - np.abs(y) * math.sin(c)
+        return np.minimum(x, c - np.abs(y))
     if profile.variant == "sector":
-        if profile.phi == "const":  # r sin(beta - theta), exact as beta = pi/2 - phi <= pi/2
-            return x * math.cos(profile.value) - np.abs(y) * math.sin(profile.value)
         r = np.hypot(x, y)
         theta = np.abs(np.arctan2(y, x))
         # invlog: opening widens with R; inside the annulus R > r/2 the domain
@@ -222,8 +224,6 @@ def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray) -> 
         beta_lo = math.pi / 2 - 1.0 / np.log(np.maximum(lower, 1.0 + 1e-9))
         ang = r * np.sin(np.clip(beta_lo - theta, 0.0, math.pi / 2))
         return np.minimum(ang, np.maximum(r - lower, 0.0))
-    if profile.phi == "const1":
-        return np.minimum(x, 1.0 - np.abs(y))
     if profile.phi == "x":
         # the wedge |y| <= x: distance to the nearer of the lines y = +-x
         return np.maximum(x - np.abs(y), 0.0) * math.sqrt(0.5)

@@ -4,6 +4,7 @@ asymptotic predictors set against the toolkit's closed forms and solvers."""
 import cmath
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -79,3 +80,38 @@ def cut_crossings_bisection(spec, bset, sign: float, kinks, floor: float) -> np.
         same = (phi(mid) < 0.0) == (f_lo < 0.0)
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:
+    """log sigma(rho) = pi int_lo^rho dr/s(r) at 30 digits, lo as in phragmen.sigma.
+
+    s comes from the arc's own geometry rather than the toolkit's crossing
+    formulas: 2r asin(c/r) on the half strip |y| <= c, 2r atan(x) with
+    x^2 + x^4 = r^2 on x^2; the wedge, the constant sectors and invlog
+    (int v/(pi v - 2) dv) integrate in closed form.
+    """
+    with mpmath.workdps(30):
+        v_lo = mpmath.log(mpmath.mpf(max(1.0, profile.r_min() * (1.0 + 1e-9))))
+        v_hi = mpmath.log(mpmath.mpf(rho))
+        if profile.phi == "invlog":
+            def g(v):
+                return v + 2 / mpmath.pi * mpmath.log(mpmath.pi * v - 2)
+            return float(g(v_hi) - g(v_lo))
+        if profile.variant == "sector":
+            return float(mpmath.pi / (mpmath.pi - 2 * mpmath.mpf(profile.phi_at(0.0))) * (v_hi - v_lo))
+        if profile.phi == "x":
+            return float(2 * (v_hi - v_lo))
+        if profile.phi == "x2":
+            def s(r):
+                return 2 * r * mpmath.atan(mpmath.sqrt((mpmath.sqrt(1 + 4 * r * r) - 1) / 2))
+        else:
+            c = mpmath.mpf(profile.phi_at(0.0))
+
+            def s(r):
+                return 2 * r * mpmath.asin(c / r)
+        # tanh-sinh takes the strip's square-root corner at the lower end;
+        # pieces of width at most 2 in v keep e^v resolved
+        pieces = mpmath.linspace(v_lo, v_hi, int(mpmath.ceil((v_hi - v_lo) / 2)) + 1)
+        val, err = mpmath.quad(lambda v: mpmath.exp(v) / s(mpmath.exp(v)), pieces, error=True)
+        assert err < mpmath.mpf(10) ** -25 * val, (profile, rho, err)
+        return float(mpmath.pi * val)

@@ -147,8 +147,8 @@ def test_acceptance_4_auxiliary_identities():
 
 def test_acceptance_5_phragmen_lindelof():
     started = time.monotonic()
-    hp = DomainProfile.half_plane()
-    wedge = DomainProfile.wedge()
+    hp = DomainProfile("sector", "const", value=0.0)
+    wedge = DomainProfile("cartesian", "x")
     for rho in (10.0, 100.0):
         assert sigma(hp, rho) == pytest.approx(rho, rel=1e-3)
         assert sigma(wedge, rho) == pytest.approx(rho * rho, rel=5e-3)

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -74,19 +78,37 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC and out == ""
         assert err.startswith("numeric/io error: sigma overflows")
 
-    def test_sigma_failed_quadrature_is_numeric(self, capsys):
-        # the half plane has sigma(rho) = rho exactly; quad runs out of
-        # subdivisions at rho = 1e100 and must not report a value
-        code, out, err = run(capsys, "sigma", "--profile", HP, "--rho", "1e100")
-        assert code == EXIT_NUMERIC and out == ""
-        assert err.startswith("numeric/io error: sigma quadrature failed") and "subdivisions" in err
-
-    @pytest.mark.parametrize("profile", ['{"variant":"cartesian","phi":"x2"}', STRIP])
-    def test_sigma_far_cartesian_is_numeric(self, capsys, profile):
-        # x^2 runs quad out of subdivisions and the half strip overflows; neither
-        # may end in a traceback from the cross-section length
+    @pytest.mark.parametrize("profile, log_sigma", [
+        (HP, 100.0 * math.log(10.0)),  # sigma(rho) = rho exactly
+        ('{"variant":"cartesian","phi":"x2"}', 232.12943783647927),  # crosschecks.log_sigma_mpmath
+    ], ids=["half-plane", "x2"])
+    def test_sigma_far_out(self, capsys, profile, log_sigma):
+        # 230 units of v = log r: uniform panels carry the rule as far as rho^2 is finite
         code, out, err = run(capsys, "sigma", "--profile", profile, "--rho", "1e100")
-        assert code == EXIT_NUMERIC and out == "" and err.startswith("numeric/io error: sigma")
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["sigma"] == pytest.approx(math.exp(log_sigma), rel=1e-11)
+
+    @pytest.mark.parametrize("profile", [STRIP])
+    def test_sigma_far_cartesian_is_numeric(self, capsys, profile):
+        # pi int dr/s is about (pi/2) 1e100 on the half strip; no traceback from
+        # the cross-section length
+        code, out, err = run(capsys, "sigma", "--profile", profile, "--rho", "1e100")
+        assert code == EXIT_NUMERIC and out == "" and err.startswith("numeric/io error: sigma overflows")
+
+    def test_sigma_on_a_ray_is_usage(self, capsys):
+        # a cartesian level 0 is a ray with no interior, not a half plane with sigma = rho
+        ray = '{"variant":"cartesian","phi":"const","params":{"value":0}}'
+        code, out, err = run(capsys, "sigma", "--profile", ray, "--rho", "10")
+        assert code == EXIT_USAGE and out == "" and "> 0" in err
+
+    def test_runtime_imports_no_scipy(self):
+        # the toolkit runs on numpy alone; scipy serves the tests' cross-checks
+        probe = "import sys, cyclicity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                              check=True, timeout=60)
+        assert done.stdout == "[]\n"
 
     def test_numeric_failure_exit(self, capsys):
         # theta = pi without the normalization flag has no root below 1

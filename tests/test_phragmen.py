@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cyclicity import phragmen
-from cyclicity.errors import DomainError, UsageError
+from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.phragmen import (
     DomainProfile,
     HarmonicMeasureEstimate,
@@ -18,12 +18,20 @@ from cyclicity.phragmen import (
     sigma,
 )
 
-from crosschecks import pl_divergence_partials
+from crosschecks import log_sigma_mpmath, pl_divergence_partials
 
-HP = DomainProfile.half_plane()
-WEDGE = DomainProfile.wedge()
-STRIP = DomainProfile.half_strip()
+HP = DomainProfile("sector", "const", value=0.0)
+WEDGE = DomainProfile("cartesian", "x")
+STRIP = DomainProfile("cartesian", "const1")
 X2 = DomainProfile("cartesian", "x2")
+# every (variant, phi) pair, constant profiles at two levels each
+ALL_PROFILES = [WEDGE, X2, STRIP, DomainProfile("cartesian", "const", value=0.5),
+                DomainProfile("sector", "const1"), HP, DomainProfile("sector", "const", value=0.7),
+                DomainProfile("sector", "invlog")]
+
+
+def _profile_id(p):
+    return f"{p.variant}-{p.phi}-{p.value}"
 
 
 class TestArcLength:
@@ -59,6 +67,21 @@ class TestArcLength:
             arc_length_s(STRIP, 0.5)  # circle misses the strip cross-section
         with pytest.raises(DomainError):
             arc_length_s(HP, -1.0)
+        with pytest.raises(DomainError):
+            arc_length_s(DomainProfile("sector", "invlog"), np.array([3.0, 1.5]))
+
+    def test_strip_corner(self):
+        # at r = c the circle's right half lies in the strip: s = pi c, no division by x = 0
+        assert arc_length_s(STRIP, 1.0) == math.pi
+        assert arc_length_s(DomainProfile("cartesian", "const", value=0.5), 0.5) == 0.5 * math.pi
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=_profile_id)
+    def test_array_is_scalar(self, profile):
+        r = np.geomspace(2.0, 1e6, 25)
+        s = arc_length_s(profile, r)
+        assert s.shape == r.shape
+        assert [arc_length_s(profile, x) for x in r] == s.tolist()
+        assert type(arc_length_s(profile, 2.0)) is float
 
 
 class TestSigma:
@@ -86,6 +109,21 @@ class TestSigma:
         # log sigma - (pi/2) rho settles to a constant
         offs = [math.log(sigma(STRIP, rho)) - math.pi / 2.0 * rho for rho in (10.0, 20.0, 40.0)]
         assert max(offs) - min(offs) < 0.05
+
+    @pytest.mark.parametrize("rho", [2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=_profile_id)
+    def test_mpmath_oracle(self, profile, rho):
+        # invlog starts 1e-9 above its pole, where pi - 2/log r cancels
+        # about 9 of the digits of log r
+        rel = 1e-8 if profile.phi == "invlog" else 1e-12
+        assert math.log(sigma(profile, rho)) == pytest.approx(log_sigma_mpmath(profile, rho), rel=rel)
+
+    def test_inaccurate_rule_is_refused(self, monkeypatch):
+        # s jumps at r = 3, inside a panel: the rule's two orders disagree
+        monkeypatch.setattr(phragmen, "arc_length_s",
+                            lambda profile, r: np.where(r < 3.0, 1.0, 2.0) * math.pi * r)
+        with pytest.raises(NumericError, match="error estimate"):
+            sigma(HP, 100.0)
 
 
 class TestIntegrand:
@@ -187,6 +225,13 @@ class TestMonteCarlo:
         assert est.mean == 0.0181
         assert est.capped_paths == 5248
 
+    @pytest.mark.parametrize("variant, z0, rho", [("cartesian", 0.5, 4.0), ("sector", 2.0, 8.0)])
+    def test_const1_is_const_at_level_1(self, variant, z0, rho):
+        # both spellings of one domain take the same steps
+        a, b = (harmonic_measure_mc(DomainProfile(variant, *phi), z0, rho, 20_000, seed=1)
+                for phi in (("const1",), ("const", 1.0)))
+        assert (a.mean, a.standard_error, a.capped_paths) == (b.mean, b.standard_error, b.capped_paths)
+
     def test_usage_errors(self):
         with pytest.raises(UsageError):
             harmonic_measure_mc(HP, 1.0 + 0.0j, 8.0, 100, seed=1)
@@ -226,6 +271,8 @@ class TestProfileConfig:
             DomainProfile("cartesian", "invlog")
         with pytest.raises(DomainError):
             DomainProfile("sector", "const", value=2.0)
+        with pytest.raises(DomainError, match="> 0"):
+            DomainProfile("cartesian", "const", value=0.0)  # a ray, no interior
         with pytest.raises(UsageError):
             DomainProfile.from_json({"variant": "sector", "phi": "const", "junk": 1})
 
