@@ -12,8 +12,9 @@ kernel,
 
     int (e^{it}+z)/(e^{it}-z) dt  =  [-t - 2i Log(e^{it}-z)],
 
-tracked along a continuous branch by adaptive subdivision (the test suite
-checks it against adaptive quadrature).
+on arrays of z off the arc, inside or outside the circle, over arcs up to
+2 pi long; the branch of Log is fixed by the sign of the Poisson integral
+(the test suite checks it against 30-digit mpmath and adaptive quadrature).
 
 The comparison function
 
@@ -96,50 +97,40 @@ class PrivalovShadow:
     def hi(self) -> float:
         return self.center + self.half_length
 
-    def distance_from(self, z: complex) -> float:
-        theta = cmath.phase(z) if z != 0 else 0.0
-        if self.lo <= theta <= self.hi:
-            return abs(abs(z) - 1.0)
-        d_lo = abs(z - cmath.exp(1j * self.lo))
-        d_hi = abs(z - cmath.exp(1j * self.hi))
-        return min(d_lo, d_hi)
+    def distance_from(self, z):
+        """Distance from z to the arc; z may be an array, and a scalar gives a float."""
+        zs = np.asarray(z, dtype=complex)
+        inside = np.mod(np.angle(zs) - self.lo, 2.0 * math.pi) <= self.hi - self.lo
+        ends = np.minimum(np.abs(zs - cmath.exp(1j * self.lo)), np.abs(zs - cmath.exp(1j * self.hi)))
+        d = np.where(inside, np.abs(np.abs(zs) - 1.0), ends)
+        return float(d) if d.ndim == 0 else d
 
 
-def herglotz_arc_integral(z: complex, lo: float, hi: float) -> complex:
-    """Closed-form integral of (e^{it}+z)/(e^{it}-z) dt over [lo, hi].
+def herglotz_arc_integral(z, lo: float, hi: float):
+    """Integral of (e^{it}+z)/(e^{it}-z) dt over [lo, hi], 0 < hi - lo <= 2 pi, in closed form.
 
-    The antiderivative branch is kept continuous by splitting the arc until
-    each piece turns the argument of e^{it}-z by less than pi/2.
+    z is any point off the closed arc, inside or outside the circle; an array
+    of z gives an array, a scalar a complex.  With the antiderivative
+    -t - 2i Log(e^{it}-z) the imaginary part telescopes to -2 log|ratio|,
+    ratio = (e^{i hi}-z)/(e^{i lo}-z).  d/dt arg(e^{it}-z) = (1+P)/2 for the
+    Poisson kernel P, whose arc integral lies in (0, 2 pi) for |z| < 1 and in
+    (-2 pi, 0) for |z| > 1, so the rise of the argument lies within pi/2 of
+    m = (hi-lo)/2 + sign(1-|z|) pi/2; it is the value of arg(ratio) + 2 pi k
+    nearest m.
     """
-    if hi <= lo:
-        raise UsageError("need lo < hi")
-    d_arg = 0.0
-    d_logmod = 0.0
-    stack = [(lo, hi)]
-    guard = 0
-    while stack:
-        a, b = stack.pop()
-        ea = cmath.exp(1j * a) - z
-        eb = cmath.exp(1j * b) - z
-        if ea == 0 or eb == 0:
-            raise DomainError("z lies on the arc")
-        ratio = eb / ea
-        if abs(cmath.phase(ratio)) > math.pi / 2 and b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            stack.append((a, mid))
-            stack.append((mid, b))
-            guard += 1
-            if guard > 10_000:
-                raise NumericError("branch subdivision failed to terminate")
-            continue
-        d_arg += cmath.phase(ratio)
-        d_logmod += math.log(abs(ratio))
-    return complex(2.0 * d_arg - (hi - lo), -2.0 * d_logmod)
-
-
-def poisson_arc_integral(z: complex, lo: float, hi: float) -> float:
-    """Integral of the (unnormalized) Poisson kernel (1-|z|^2)/|e^{it}-z|^2 over [lo, hi]."""
-    return herglotz_arc_integral(z, lo, hi).real
+    if not 0.0 < hi - lo <= 2.0 * math.pi:
+        raise UsageError("need 0 < hi - lo <= 2 pi")
+    zs = np.asarray(z, dtype=complex)
+    ea, eb = cmath.exp(1j * lo) - zs, cmath.exp(1j * hi) - zs
+    on_arc = (np.abs(zs) == 1.0) & (np.mod(np.angle(zs) - lo, 2.0 * math.pi) <= hi - lo)
+    if np.count_nonzero((ea == 0.0) | (eb == 0.0) | on_arc):
+        raise DomainError("z lies on the arc")
+    ratio = eb / ea
+    arg = np.angle(ratio)
+    m = 0.5 * (hi - lo) + np.sign(1.0 - np.abs(zs)) * (0.5 * math.pi)
+    rise = arg + 2.0 * math.pi * np.round((m - arg) / (2.0 * math.pi))
+    out = (2.0 * rise - (hi - lo)) - 2j * np.log(np.abs(ratio))
+    return complex(out) if out.ndim == 0 else out
 
 
 def c_lambda(lam: complex) -> float:
@@ -156,19 +147,22 @@ def c_lambda(lam: complex) -> float:
     return 1.0 / inv
 
 
-def log_f_lambda(lam: complex, z: complex) -> complex:
-    """log f_lambda(z): Herglotz integral over the shadow, scaled by c_lambda."""
+def log_f_lambda(lam: complex, z):
+    """log f_lambda(z): Herglotz integral over the shadow, scaled by c_lambda.
+
+    z may be an array of points for the one lambda; a scalar z gives a complex.
+    """
     lam = complex(lam)
-    z = complex(z)
-    if abs(z) >= 1.0:
+    zs = np.asarray(z, dtype=complex)
+    if np.count_nonzero(np.abs(zs) >= 1.0):
         raise DomainError("f_lambda needs |z| < 1")
     if lam == 1.0:
         raise DomainError("lambda = 1 is not allowed")
     sh = PrivalovShadow(lam)
-    if sh.distance_from(z) < 1e-12:
+    if np.count_nonzero(sh.distance_from(zs) < 1e-12):
         raise NumericError("z is within 1e-12 of the shadow arc")
     ratio = (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
-    return c_lambda(lam) * ratio * herglotz_arc_integral(z, sh.lo, sh.hi)
+    return c_lambda(lam) * ratio * herglotz_arc_integral(zs, sh.lo, sh.hi)
 
 
 def f_lambda(lam: complex, z: complex) -> complex:
@@ -185,14 +179,8 @@ def h_lambda(weight: wts.WeightSpec, bset: bnd.BoundarySet, lam: complex, z):
 
     z may be an array of points for the one lambda; a scalar z gives a float.
     """
-    lam = complex(lam)
     zs = np.asarray(z, dtype=complex)
-    if np.count_nonzero(np.abs(zs) >= 1.0):
-        raise DomainError("h_lambda needs |z| < 1")
-    sh = PrivalovShadow(lam)
-    ratio_l = (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
-    poisson = np.array([poisson_arc_integral(w, sh.lo, sh.hi) for w in zs.ravel().tolist()])
-    p_term = c_lambda(lam) * ratio_l * poisson.reshape(zs.shape)
+    p_term = log_f_lambda(lam, zs).real  # refuses |z| >= 1
     ratio_z = (1.0 - np.abs(zs) ** 2) / np.abs(1.0 - zs) ** 2
     lam_term = wts.eval_lambda(weight, np.minimum(bnd.distance_to_set(bset, zs), 2.0))
     h = p_term - ratio_z - lam_term

@@ -137,21 +137,21 @@ def increasing_root(f, lo, hi, f_lo, f_hi, *args):
     raise NumericError("root-finder did not converge within the step cap")
 
 
+def _gamma_equation(spec: wts.WeightSpec, x, u, d):
+    """h(x) = x + 2u - log Lambda(e^x + d): the sign of gamma - theta^2 Lambda(gamma + d), gamma = e^x."""
+    return x + 2.0 * u - np.log(wts.eval_lambda(spec, np.minimum(np.exp(x) + d, 2.0)))
+
+
 def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x = log gamma of gamma = e^(-2u) Lambda(gamma + d), elementwise (1-d arrays).
 
-    h(x) = x + 2u - log Lambda(e^x + d) has the sign of gamma - theta^2
-    Lambda(gamma + d) and is increasing; increasing_root finds its root in
+    _gamma_equation is increasing in x; increasing_root finds its root in
     the bracket [log 1e-300, log(1 - 1e-12)] to a bracket at most
     1e-14 + 4e-16 |log gamma| wide.  Converged elements are frozen.
     """
-
-    def h(x, u, d):
-        return x + 2.0 * u - np.log(wts.eval_lambda(spec, np.minimum(np.exp(x) + d, 2.0)))
-
     lo = np.full(u.shape, math.log(_GAMMA_FLOOR))
     hi = np.full(u.shape, math.log(1.0 - 1e-12))
-    h_lo, h_hi = h(lo, u, d), h(hi, u, d)
+    h_lo, h_hi = _gamma_equation(spec, lo, u, d), _gamma_equation(spec, hi, u, d)
     if np.any(h_lo >= 0.0):
         raise NumericError("lower bracket failed; weight is not admissible at this theta")
     if np.any(h_hi <= 0.0):
@@ -159,14 +159,13 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
             "no root with gamma < 1; Lambda is too large at scale 1 "
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
-    return increasing_root(h, lo, hi, h_lo, h_hi, u, d)
+    return increasing_root(functools.partial(_gamma_equation, spec), lo, hi, h_lo, h_hi, u, d)
 
 
 def _residual(spec: wts.WeightSpec, x, u, d):
-    """|gamma - theta^2 Lambda(gamma + d)| = gamma |1 - exp(-h(x))|, underflow-safe."""
+    """|gamma - theta^2 Lambda(gamma + d)| = gamma |1 - exp(-_gamma_equation)|, underflow-safe."""
     gamma = np.exp(x)
-    h = x + 2.0 * u - np.log(wts.eval_lambda(spec, np.minimum(gamma + d, 2.0)))
-    residual = gamma * np.abs(1.0 - np.exp(-h))
+    residual = gamma * np.abs(1.0 - np.exp(-_gamma_equation(spec, x, u, d)))
     bad = residual > _RESIDUAL_REL * np.maximum(gamma, _GAMMA_FLOOR)
     if np.any(bad):
         i = np.flatnonzero(bad)[0]

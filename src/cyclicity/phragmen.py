@@ -135,14 +135,13 @@ def arc_length_s(profile: DomainProfile, r):
     """Length s(r) of the cross-section arc of |z| = r inside the domain.
 
     Cartesian: with x(r) solving x^2 + phi(x)^2 = r^2 in closed form,
-    s(r) = 2r arctan(phi(x)/x) (pi c at a half strip's corner r = c).
+    s(r) = 2r arctan(phi(x)/x); on a half strip |y| <= c, x = 0 for r <= c,
+    where the circle's right half lies in the strip and s = pi r.
     Sector: s(r) = r (pi - 2 phi(r)).  One path: a scalar r gives a float.
     """
     rs = np.array(r, dtype=float, ndmin=1, copy=None)
-    c = 0.0 if profile.variant == "sector" else profile.phi_at(0.0)
-    bad = (rs <= 0.0) | (rs < c)
-    if np.count_nonzero(bad):
-        raise DomainError(f"circle r={float(rs[bad][0])!r} does not cross the domain")
+    if np.count_nonzero(rs <= 0.0):
+        raise DomainError(f"circle r={float(rs[rs <= 0.0][0])!r} does not cross the domain")
     if profile.variant == "sector":
         s = rs * (math.pi - 2.0 * profile.phi_at(rs))  # phi_at refuses r <= r_min
     else:
@@ -151,7 +150,8 @@ def arc_length_s(profile: DomainProfile, r):
         elif profile.phi == "x2":
             x = rs * np.sqrt(2.0 / (1.0 + np.hypot(1.0, 2.0 * rs)))
         else:
-            x = np.sqrt(rs - c) * np.sqrt(rs + c)
+            c = profile.phi_at(0.0)
+            x = np.sqrt(np.maximum(rs - c, 0.0)) * np.sqrt(rs + c)
         s = 2.0 * rs * np.arctan2(profile.phi_at(x), x)
     return float(s[0]) if np.ndim(r) == 0 else s
 
@@ -161,9 +161,11 @@ def sigma(profile: DomainProfile, rho: float) -> float:
 
     lo = max(1, r_min (1 + 1e-9)).  pi int r/s dv in v = log r by
     geometry.log_rule, on uniform panels plus panels graded by powers of 2
-    toward lo (the half strip's square-root corner at r = c, the invlog pole
-    just below lo).  NumericError if the rule's error estimate exceeds 1e-6
-    of the integral or sigma overflows.
+    toward v0 = log of the half strip's corner r = c clamped to [lo, rho],
+    or toward lo on the other profiles (the strip's square-root corner, the
+    invlog pole just below lo); below the corner s = pi r, and one panel
+    from lo to v0 integrates the constant exactly.  NumericError if the
+    rule's error estimate exceeds 1e-6 of the integral or sigma overflows.
     """
     rho = float(rho)
     if not math.isfinite(rho * rho):
@@ -171,10 +173,11 @@ def sigma(profile: DomainProfile, rho: float) -> float:
     lo = max(1.0, profile.r_min() * (1.0 + 1e-9))
     if rho < lo:
         raise DomainError(f"rho must be >= {lo!r}")
-    v_lo, v_hi = math.log(lo), math.log(rho)
-    uniform = np.linspace(v_lo, v_hi, max(1, math.ceil((v_hi - v_lo) / _PANEL_WIDTH)) + 1)
-    graded = v_lo + (uniform[1] - v_lo) * 0.5 ** np.arange(1, _GRADES + 1)
-    v, fine, coarse = geo.log_rule(np.concatenate([uniform, graded]))
+    corner = profile.phi_at(0.0) if profile.variant == "cartesian" else lo
+    v_lo, v0, v_hi = math.log(lo), math.log(min(max(corner, lo), rho)), math.log(rho)
+    uniform = np.linspace(v0, v_hi, max(1, math.ceil((v_hi - v0) / _PANEL_WIDTH)) + 1)
+    graded = v0 + (uniform[1] - v0) * 0.5 ** np.arange(1, _GRADES + 1)
+    v, fine, coarse = geo.log_rule(np.concatenate([[v_lo], uniform, graded]))
     r = np.exp(v)
     val, err = (float(x) for x in geo.rule_sum(math.pi * r / arc_length_s(profile, r), fine, coarse))
     if not err <= 1e-6 * val:

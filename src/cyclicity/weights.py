@@ -13,9 +13,9 @@ decreasing tail Lambda(pure_cut) * pure_cut / t up to t = 2.  The continuation
 is continuous, keeps Lambda strictly decreasing on all of (0, 2], and cannot
 change any divergence verdict (those depend on t -> 0 only).
 
-eval_lambda, effective_w, eval_w, lambda_prime and condition_integrand have
-one path for scalars and arrays: a scalar t is evaluated as a one-element
-array and gives a float.
+eval_lambda, effective_w, eval_w and condition_integrand have one path for
+scalars and arrays: a scalar t is evaluated as a one-element array and
+gives a float.
 """
 
 from __future__ import annotations
@@ -189,14 +189,6 @@ def effective_w(spec: WeightSpec, t):
     """
     ts = _points(t, 2.0)
     return _result(1.0 / np.sqrt(ts * eval_lambda(spec, ts)), t)
-
-
-def lambda_prime(spec: WeightSpec, t):
-    """Closed-form Lambda'(t) = -Lambda(t)/t * (1 - a/log(1/t)) on (0, 2]; a = 0 on the tail."""
-    ts = _points(t, 2.0)
-    cut, a = spec.pure_cut, spec.log_exponent
-    log_slope = a / _log_inv(np.minimum(ts, cut), cut) if a > 0.0 else 0.0
-    return _result(-eval_lambda(spec, ts) / ts * (1.0 - np.where(ts <= cut, log_slope, 0.0)), t)
 
 
 # ---------------------------------------------------------------------------

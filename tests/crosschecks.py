@@ -9,7 +9,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from cyclicity import boundary, weights
-from cyclicity.auxfun import PrivalovShadow, poisson_arc_integral
+from cyclicity.auxfun import PrivalovShadow, herglotz_arc_integral
 from cyclicity.errors import UsageError
 from cyclicity.geometry import solve_profile_y
 from cyclicity.phragmen import DomainProfile, pl_divergence_integrand
@@ -27,10 +27,26 @@ def herglotz_arc_integral_quad(z: complex, lo: float, hi: float) -> complex:
     return complex(re, im)
 
 
+def herglotz_arc_integral_mpmath(z: complex, lo: float, hi: float) -> complex:
+    """The Herglotz arc integral at 30 digits from principal logs on short pieces.
+
+    The antiderivative -t - 2i Log(e^{it}-z) is summed over n equal pieces,
+    n chosen so that arg(e^{it}-z) turns by at most pi/2 on each: its rate
+    (1+P)/2 is bounded by (1 + (1+|z|)/||z|-1|)/2.  Needs |z| != 1.
+    """
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        rate = (1 + (1 + abs(z)) / abs(1 - abs(z))) / 2
+        n = int(mpmath.ceil((hi - lo) * rate / (mpmath.pi / 2)))
+        e = [mpmath.expj(t) - z for t in mpmath.linspace(mpmath.mpf(lo), mpmath.mpf(hi), n + 1)]
+        logs = mpmath.fsum(mpmath.log(b / a) for a, b in zip(e, e[1:]))
+        return complex(-(mpmath.mpf(hi) - mpmath.mpf(lo)) - 2j * logs)
+
+
 def c_lambda_inv_quad(lam: complex) -> float:
     """1/c_lambda as the Poisson integral over the shadow at lambda."""
     sh = PrivalovShadow(lam)
-    return poisson_arc_integral(lam, sh.lo, sh.hi)
+    return herglotz_arc_integral(lam, sh.lo, sh.hi).real
 
 
 def profile_y_predictor(weight, x: float) -> float:
@@ -86,9 +102,10 @@ def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:
     """log sigma(rho) = pi int_lo^rho dr/s(r) at 30 digits, lo as in phragmen.sigma.
 
     s comes from the arc's own geometry rather than the toolkit's crossing
-    formulas: 2r asin(c/r) on the half strip |y| <= c, 2r atan(x) with
-    x^2 + x^4 = r^2 on x^2; the wedge, the constant sectors and invlog
-    (int v/(pi v - 2) dv) integrate in closed form.
+    formulas: on the half strip |y| <= c, pi r for r <= c (the right half
+    circle lies in the strip, so pi dr/s = dv) and 2r asin(c/r) beyond;
+    2r atan(x) with x^2 + x^4 = r^2 on x^2; the wedge, the constant sectors
+    and invlog (int v/(pi v - 2) dv) integrate in closed form.
     """
     with mpmath.workdps(30):
         v_lo = mpmath.log(mpmath.mpf(max(1.0, profile.r_min() * (1.0 + 1e-9))))
@@ -101,6 +118,7 @@ def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:
             return float(mpmath.pi / (mpmath.pi - 2 * mpmath.mpf(profile.phi_at(0.0))) * (v_hi - v_lo))
         if profile.phi == "x":
             return float(2 * (v_hi - v_lo))
+        below = 0
         if profile.phi == "x2":
             def s(r):
                 return 2 * r * mpmath.atan(mpmath.sqrt((mpmath.sqrt(1 + 4 * r * r) - 1) / 2))
@@ -109,9 +127,13 @@ def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:
 
             def s(r):
                 return 2 * r * mpmath.asin(c / r)
+            v_c = min(max(mpmath.log(c), v_lo), v_hi)
+            below, v_lo = v_c - v_lo, v_c
+            if v_lo == v_hi:
+                return float(below)
         # tanh-sinh takes the strip's square-root corner at the lower end;
         # pieces of width at most 2 in v keep e^v resolved
         pieces = mpmath.linspace(v_lo, v_hi, int(mpmath.ceil((v_hi - v_lo) / 2)) + 1)
         val, err = mpmath.quad(lambda v: mpmath.exp(v) / s(mpmath.exp(v)), pieces, error=True)
         assert err < mpmath.mpf(10) ** -25 * val, (profile, rho, err)
-        return float(mpmath.pi * val)
+        return float(below + mpmath.pi * val)

@@ -4,8 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_quad
+from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_mpmath, herglotz_arc_integral_quad
 from cyclicity import auxfun, geometry
 from cyclicity.auxfun import (
     GammaRegionSpec,
@@ -24,7 +26,7 @@ from cyclicity.auxfun import (
     witness_amplitude_search,
 )
 from cyclicity.boundary import BoundarySet, distance_to_set
-from cyclicity.errors import DomainError, NumericError
+from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.geometry import normalized_for_lambda1, solve_gamma
 from cyclicity.weights import WeightSpec, eval_lambda
 
@@ -118,11 +120,59 @@ class TestHerglotz:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_near_arc_branch_tracking(self):
         # the quadrature route struggles near the peaked kernel; the closed
-        # form with branch subdivision is the reference
+        # form is the reference
         z = 0.9995 * cmath.exp(0.25j)
         a = herglotz_arc_integral(z, 0.0, 0.5)
         b = herglotz_arc_integral_quad(z, 0.0, 0.5)
         assert abs(a - b) < 1e-7 * abs(a)
+
+    def test_mpmath_oracle(self):
+        # |z| on both sides of the circle and arcs up to 2 pi, where the
+        # argument of e^{it} - z turns by more than pi
+        rng = np.random.default_rng(13)
+        for _ in range(400):
+            r = rng.uniform(0.0, 0.995) if rng.random() < 0.5 else rng.uniform(1.005, 3.0)
+            z = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            lo = rng.uniform(-4.0, 4.0)
+            hi = lo + rng.uniform(1e-3, 2.0 * math.pi)
+            ref = herglotz_arc_integral_mpmath(z, lo, hi)
+            assert abs(herglotz_arc_integral(z, lo, hi) - ref) <= 1e-13 * max(1.0, abs(ref)), (z, lo, hi)
+
+    @given(st.floats(-4.0, 4.0), st.floats(0.01, 2.0 * math.pi), st.floats(0.05, 0.95),
+           st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 3.0)), st.floats(-math.pi, math.pi))
+    @settings(max_examples=200, deadline=None)
+    def test_additive_over_a_split(self, lo, length, split, r, phase):
+        z, hi, mid = r * cmath.exp(1j * phase), lo + length, lo + split * length
+        whole = herglotz_arc_integral(z, lo, hi)
+        parts = herglotz_arc_integral(z, lo, mid) + herglotz_arc_integral(z, mid, hi)
+        assert abs(parts - whole) <= 1e-12 * max(1.0, abs(whole))
+
+    def test_real_part_sign(self):
+        # the real part is the Poisson integral: in (0, 2 pi) inside the
+        # circle, in (-2 pi, 0) outside; arrays give the scalar calls' values
+        rng = np.random.default_rng(14)
+        inside = 0.999 * np.sqrt(rng.uniform(size=300)) * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+        outside = 1.0 / inside.conj()
+        for lo, hi in ((0.0, 0.1), (-1.0, 2.0), (1.0, 1.0 + 2.0 * math.pi - 0.1)):
+            re_in, re_out = (herglotz_arc_integral(zs, lo, hi).real for zs in (inside, outside))
+            assert np.all((0.0 < re_in) & (re_in < 2.0 * math.pi))
+            assert np.all((-2.0 * math.pi < re_out) & (re_out < 0.0))
+            assert re_in[:5].tolist() == [herglotz_arc_integral(z, lo, hi).real for z in inside[:5].tolist()]
+        # the full circle gives the whole Poisson mass
+        assert herglotz_arc_integral(0.3 + 0.4j, -1.0, -1.0 + 2.0 * math.pi).real == pytest.approx(2.0 * math.pi)
+        assert type(herglotz_arc_integral(0.3, 0.0, 1.0)) is complex
+
+    def test_refusals(self):
+        for end in (0.3, 1.0):
+            with pytest.raises(DomainError, match="on the arc"):
+                herglotz_arc_integral([0.5, cmath.exp(1j * end)], 0.3, 1.0)
+        with pytest.raises(DomainError, match="on the arc"):
+            herglotz_arc_integral(1.0, -0.5, 0.5)  # inside the arc, where the integral diverges
+        assert herglotz_arc_integral(-1.0, -0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(UsageError):
+            herglotz_arc_integral(0.2, 0.0, 2.0 * math.pi + 0.01)
+        with pytest.raises(UsageError):
+            herglotz_arc_integral(0.2, 1.0, 1.0)
 
 
 class TestFLambda:
@@ -153,6 +203,21 @@ class TestFLambda:
         z = cmath.exp(1j * sh.center) * (1.0 - 1e-14)
         with pytest.raises(NumericError):
             f_lambda(lam, z)
+
+    def test_near_shadow_rejected_across_the_cut(self):
+        # the shadow of lambda = -0.9 spans angle pi; angles come in (-pi, pi]
+        sh = PrivalovShadow(-0.9)
+        z = 0.99 * cmath.exp(1j * (0.01 - math.pi))
+        assert sh.distance_from(z) == pytest.approx(0.01, rel=1e-12)
+        with pytest.raises(NumericError):
+            log_f_lambda(-0.9, [0.2, (1.0 - 1e-13) * cmath.exp(1j * (0.01 - math.pi))])
+
+    def test_array_calls_match_scalar_calls(self):
+        zs = lambda_grid(30, seed=5)
+        for lam in lambda_grid(10, seed=6):
+            logs = log_f_lambda(lam, zs)
+            assert logs.tolist() == [log_f_lambda(lam, z) for z in zs]
+            assert type(log_f_lambda(lam, zs[0])) is complex
 
 
 class TestHLambda:

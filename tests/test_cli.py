@@ -88,6 +88,14 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert json.loads(out)["results"]["sigma"] == pytest.approx(math.exp(log_sigma), rel=1e-11)
 
+    def test_sigma_wide_half_strip(self, capsys):
+        # the circles r < c = 2 cross the strip |y| <= 2 in their right half
+        strip2 = '{"variant":"cartesian","phi":"const","params":{"value":2}}'
+        code, out, err = run(capsys, "sigma", "--profile", strip2, "--rho", "10")
+        assert code == EXIT_OK
+        log_sigma = 6.724372496684208  # crosschecks.log_sigma_mpmath
+        assert json.loads(out)["results"]["sigma"] == pytest.approx(math.exp(log_sigma), rel=1e-11)
+
     @pytest.mark.parametrize("profile", [STRIP])
     def test_sigma_far_cartesian_is_numeric(self, capsys, profile):
         # pi int dr/s is about (pi/2) 1e100 on the half strip; no traceback from

@@ -24,8 +24,10 @@ HP = DomainProfile("sector", "const", value=0.0)
 WEDGE = DomainProfile("cartesian", "x")
 STRIP = DomainProfile("cartesian", "const1")
 X2 = DomainProfile("cartesian", "x2")
-# every (variant, phi) pair, constant profiles at two levels each
+# every (variant, phi) pair, constant profiles at two levels or more; the
+# strips at levels 2 and 5 have their corner r = c inside the sigma interval
 ALL_PROFILES = [WEDGE, X2, STRIP, DomainProfile("cartesian", "const", value=0.5),
+                DomainProfile("cartesian", "const", value=2.0), DomainProfile("cartesian", "const", value=5.0),
                 DomainProfile("sector", "const1"), HP, DomainProfile("sector", "const", value=0.7),
                 DomainProfile("sector", "invlog")]
 
@@ -63,8 +65,8 @@ class TestArcLength:
                 assert arc_length_s(X2, r) == pytest.approx(expect, rel=1e-14)
 
     def test_validity(self):
-        with pytest.raises(DomainError):
-            arc_length_s(STRIP, 0.5)  # circle misses the strip cross-section
+        # inside the strip's corner the circle's right half lies in the strip
+        assert arc_length_s(STRIP, 0.5) == 0.5 * math.pi
         with pytest.raises(DomainError):
             arc_length_s(HP, -1.0)
         with pytest.raises(DomainError):
@@ -115,7 +117,7 @@ class TestSigma:
     def test_mpmath_oracle(self, profile, rho):
         # invlog starts 1e-9 above its pole, where pi - 2/log r cancels
         # about 9 of the digits of log r
-        rel = 1e-8 if profile.phi == "invlog" else 1e-12
+        rel = 1e-8 if profile.phi == "invlog" else 1e-14
         assert math.log(sigma(profile, rho)) == pytest.approx(log_sigma_mpmath(profile, rho), rel=rel)
 
     def test_inaccurate_rule_is_refused(self, monkeypatch):

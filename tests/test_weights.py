@@ -16,7 +16,6 @@ from cyclicity.weights import (
     eval_w,
     effective_w,
     inv_tw_integral,
-    lambda_prime,
 )
 
 E = math.e
@@ -55,7 +54,7 @@ class TestEvalLambda:
             eval_lambda(spec, 2.5)
         # log(1/t) vanishes at the pure cut: the tail constant is undefined
         flat = WeightSpec.log_power(1e-13, t_cut=1.0 - 1e-13)
-        for fn in (eval_lambda, lambda_prime, effective_w):
+        for fn in (eval_lambda, effective_w):
             with pytest.raises(DomainError):
                 fn(flat, 1.5)
         with pytest.raises(DomainError):
@@ -154,7 +153,7 @@ class TestEvalW:
         spec = WeightSpec.from_w(0.7, scale=3.0)
         ts = np.array([1e-100, 1e-5, 0.1, spec.pure_cut])
         c_beta = lambda s, t: condition_integrand(s, "c_beta", t, beta=0.25)  # noqa: E731
-        for fn in (eval_w, lambda_prime, c_beta):
+        for fn in (eval_w, c_beta):
             vals = fn(spec, ts)
             assert vals.shape == ts.shape
             for t, v in zip(ts.tolist(), vals):
@@ -163,21 +162,19 @@ class TestEvalW:
         assert type(eval_w(WeightSpec.const_w(), 0.01)) is float
 
 
-class TestLambdaPrime:
-    def test_against_finite_difference(self):
-        for spec in (WeightSpec.log_power(1.0), WeightSpec.from_w(0.8), WeightSpec.const_w()):
-            for t in (1e-6, 1e-3, 0.05, 0.5):
-                h = 1e-6 * t
-                fd = (eval_lambda(spec, t + h) - eval_lambda(spec, t - h)) / (2 * h)
-                assert lambda_prime(spec, t) == pytest.approx(fd, rel=1e-7)
-
-    def test_log_power_ratio_identity(self):
-        # t |Lambda'| / Lambda = (L - 1)/L for alpha = 1
-        spec = WeightSpec.log_power(1.0)
-        for t in (1e-2, 1e-5):
-            L = math.log(1.0 / t)
-            ratio = t * abs(lambda_prime(spec, t)) / eval_lambda(spec, t)
-            assert ratio == pytest.approx((L - 1.0) / L, rel=1e-12)
+class TestLogDerivativeRatio:
+    @pytest.mark.parametrize("spec", [WeightSpec.log_power(1.0), WeightSpec.from_w(0.8, scale=3.0),
+                                      WeightSpec.log_power(2.5), WeightSpec.const_w()])
+    def test_against_central_differences(self, spec):
+        # check_regularity's closed form |1 - a/log(1/t)| is t|Lambda'|/Lambda;
+        # it grows as t falls, so a grid cut off at t reports it at t
+        grid = np.geomspace(spec.pure_cut * 0.9, 1e-12, 40)
+        for k in range(31, 40):
+            t = grid[k]
+            h = 1e-6 * t
+            fd = (eval_lambda(spec, t + h) - eval_lambda(spec, t - h)) / (2 * h)
+            rep = check_regularity(spec, grid[:k + 1])
+            assert rep.max_log_deriv_ratio == pytest.approx(t * abs(fd) / eval_lambda(spec, t), rel=1e-7)
 
 
 class TestCheckRegularity:
