@@ -52,10 +52,13 @@ EXIT_INCONCLUSIVE = 3
 # canonical serialization
 
 
+_float_token = "%.12g".__mod__  # the one float format of every report
+
+
 def format_float(x: float) -> str:
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
         return '"%s"' % repr(x)
-    return "%.12g" % x
+    return _float_token(x)
 
 
 def canonical_json(obj) -> str:
@@ -64,6 +67,8 @@ def canonical_json(obj) -> str:
         items = sorted(obj.items())
         inner = ",".join(f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in items)
         return "{" + inner + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim == 1 and np.isfinite(obj).all():
+        return "[" + ",".join(map(_float_token, obj.tolist())) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
@@ -78,13 +83,9 @@ def canonical_json(obj) -> str:
 
 
 def csv_text(header, rows) -> str:
-    def cell(v):
-        if isinstance(v, (np.floating, float)):
-            return "%.12g" % float(v)
-        return str(v)
-
+    floats = (np.floating, float)
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(",".join([_float_token(v) if isinstance(v, floats) else str(v) for v in row]) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -380,14 +381,14 @@ def _cmd_criterion_analyze(args) -> int:
     verdict = report.verdict()
     alt = report.alt_verdict()
     results = {
-        "checkpoints": list(report.checkpoints),
-        "e_and_short": list(report.e_and_short),
-        "intermediate_sum": list(report.intermediate_sum),
-        "long_sum": list(report.long_sum),
-        "total": list(report.total),
-        "alt_e_integral": list(report.alt_e_integral),
-        "alt_gs_integral": list(report.alt_gs_integral),
-        "alt_arc_sum": list(report.alt_arc_sum),
+        "checkpoints": report.checkpoints,
+        "e_and_short": report.e_and_short,
+        "intermediate_sum": report.intermediate_sum,
+        "long_sum": report.long_sum,
+        "total": report.total,
+        "alt_e_integral": report.alt_e_integral,
+        "alt_gs_integral": report.alt_gs_integral,
+        "alt_arc_sum": report.alt_arc_sum,
         "verdict": verdict.verdict,
         "model": verdict.model,
         "fitted_exponent": verdict.exponent,
@@ -424,7 +425,7 @@ def _cmd_criterion_analyze(args) -> int:
         keep = a < weight.pure_cut
         a, b = a[keep], b[keep]
         cls, contrib, _ = crit.arc_terms(weight, a, b, float(eps.min()))
-        rows = zip(a, b, (crit.ARC_CLASSES[c] for c in cls), contrib)
+        rows = zip(a.tolist(), b.tolist(), (crit.ARC_CLASSES[c] for c in cls.tolist()), contrib.tolist())
         _write_out(csv_text(("a", "b", "class", "contribution"), rows), args.arcs_out)
     if args.strict_verdict and verdict.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE

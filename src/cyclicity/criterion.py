@@ -27,9 +27,9 @@ of log[1 + (1 - a/b) w(b)] / w(b)^2; both forms must yield the same verdict.
 Partial sums are decided by fitting their growth in u = log(1/eps): bounded,
 logarithmic (c + b log u), or a power c + b u^q, with q estimated from the
 increments (this removes the unknown constant) together with a log-log
-correction regressor that absorbs (log u)^m factors.  Divergence is
-undecidable from finitely many values, so the estimator follows a declared
-policy:
+correction regressor that absorbs (log u)^m factors; every fit is a
+least-squares line in closed form.  Divergence is undecidable from finitely
+many values, so the estimator follows a declared policy:
 
 * it is scale-free: multiplying the sums by any c > 0 leaves the verdict
   unchanged (the tail counts as bounded when its last third grows by at
@@ -89,15 +89,21 @@ def arc_terms(weight: wts.WeightSpec, a, b, lower):
     pure cut, arcs straddling the cut are scored by their inner part
     (a, pure_cut), and the integrals run over [max(a, lower), b].  The third
     output is log[1 + (1 - a/b) w(b)] / w(b)^2, the three-quantity form's term.
+    The intermediate term fills every arc; each integral is evaluated on its
+    own class only.
     """
     b = np.minimum(b, weight.pure_cut)
-    w_b = wts.effective_w(weight, b)
+    w_b = np.asarray(wts.effective_w(weight, b))
     cls = _arc_class(a, b, w_b)
     ratio = 1.0 - a / b
     lo = np.maximum(a, lower)
-    inter = np.log(ratio * w_b) / w_b**2
-    long_ = wts.inv_tw_integral(weight, 2.0, lo, b) + np.maximum(np.log(w_b), 0.0) / w_b**2
-    value = np.where(cls == 0, wts.inv_tw_integral(weight, 1.0, lo, b), np.where(cls == 1, inter, long_))
+    value = np.asarray(np.log(ratio * w_b) / w_b**2)
+    short, long_ = cls == 0, cls == 2
+    if short.any():
+        value[short] = wts.inv_tw_integral(weight, 1.0, lo[short], b[short])
+    if long_.any():
+        w_l = w_b[long_]
+        value[long_] = wts.inv_tw_integral(weight, 2.0, lo[long_], b[long_]) + np.maximum(np.log(w_l), 0.0) / w_l**2
     return cls, value, np.log1p(ratio * w_b) / w_b**2
 
 
@@ -173,15 +179,27 @@ def _checkpoint_sums(eps, a, b, terms):
     are computed once, in blocks of at most _BLOCK arcs, and summed segment
     by segment between checkpoints; the straddling arcs are then added with
     lower = e.  Returns (columns x checkpoints).
+
+    One np.add.reduceat sums the non-empty segments of a block, which tile
+    it.  reduceat adds a segment's first term to the pairwise sum of the
+    rest, np.sum zero to the pairwise sum of all: a zero column ahead of
+    each segment makes the two agree bit for bit.
     """
     n_in = np.searchsorted(-b, -eps, side="right")  # arcs with b >= e
     n_whole = np.searchsorted(-a, -eps, side="right")  # arcs with a >= e
     bounds = np.concatenate(([0], n_whole))
     segments = 0.0
     for lo in range(0, max(bounds[-1], 1), _BLOCK):  # one empty block if no arc is whole
-        block = terms(slice(lo, min(lo + _BLOCK, bounds[-1])), eps[-1])
-        cuts = np.clip(bounds - lo, 0, block.shape[1])
-        segments = segments + np.array([np.sum(block[:, i:j], axis=1) for i, j in zip(cuts[:-1], cuts[1:])]).T
+        n = min(_BLOCK, bounds[-1] - lo)
+        block = terms(slice(lo, lo + n), eps[-1])
+        cuts = np.minimum(np.maximum(bounds - lo, 0), n)
+        sizes = np.diff(cuts)
+        full = np.flatnonzero(sizes)
+        padded = np.zeros((block.shape[0], n + full.size))
+        padded[:, np.arange(n) + np.repeat(np.arange(1, full.size + 1), sizes[full])] = block
+        part = np.zeros((block.shape[0], eps.size))
+        part[:, full] = np.add.reduceat(padded, cuts[full] + np.arange(full.size), axis=1)
+        segments = segments + part
     sums = np.cumsum(segments, axis=1)
     k = np.flatnonzero(n_whole < n_in)
     sums[:, k] += terms(n_whole[k], eps[k])
@@ -352,63 +370,76 @@ class DivergenceVerdict:
     fit_residual: float
 
 
+def _median(values) -> float:
+    v = sorted(values)
+    k = len(v) // 2
+    return v[k] if len(v) % 2 else (v[k - 1] + v[k]) / 2.0
+
+
+def _line_fit(pts):
+    """Slope and rms residual of the least-squares line through the points (x, y)."""
+    n = len(pts)
+    x_bar, y_bar = sum(x for x, _ in pts) / n, sum(y for _, y in pts) / n
+    d = [(x - x_bar, y - y_bar) for x, y in pts]
+    slope = sum(dx * dy for dx, dy in d) / sum(dx * dx for dx, _ in d)
+    return slope, math.sqrt(sum((dy - slope * dx) ** 2 for dx, dy in d) / n)
+
+
 def divergence_verdict(partials, checkpoints) -> DivergenceVerdict:
     """Classify nondecreasing partial sums as divergent, convergent, or inconclusive.
 
     Growth is modelled in u = log(1/eps) of the checkpoints.  See the module
-    docstring for the model family and the estimator policy.
+    docstring for the model family and the estimator policy.  The series are
+    a few dozen values long, so the estimator runs on Python floats.
     """
-    S = np.asarray(list(partials), dtype=float)
-    eps = np.asarray(list(checkpoints), dtype=float)
-    K = S.size
+    S = np.asarray(partials, dtype=float).tolist()
+    eps = np.asarray(checkpoints, dtype=float).tolist()
+    K = len(S)
     if K < 6:
         raise UsageError("need at least 6 partial sums")
-    if eps.size != K:
+    if len(eps) != K:
         raise UsageError("checkpoints and partials must have equal length")
-    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
+    if any(e <= 0.0 for e in eps) or any(e1 - e0 >= 0.0 for e0, e1 in zip(eps, eps[1:])):
         raise UsageError("checkpoints must be positive and strictly decreasing")
     if eps[0] / eps[-1] < 1e4:
         raise UsageError("checkpoints must span at least 4 geometric decades")
-    u = np.log(1.0 / eps)
-    if np.any(np.diff(S) < -1e-9 * np.max(np.abs(S))):
+    u = [math.log(1.0 / e) for e in eps]
+    dS = [s1 - s0 for s0, s1 in zip(S, S[1:])]
+    floor = -1e-9 * max(abs(s) for s in S)
+    if any(d < floor for d in dS):
         raise UsageError("partial sums must be nondecreasing")
 
-    tail = float(S[-1] - S[(2 * K) // 3])
-    if tail <= 1e-3 * abs(float(S[-1])):
+    tail = S[-1] - S[(2 * K) // 3]
+    if tail <= 1e-3 * abs(S[-1]):
         return DivergenceVerdict("convergent", "bounded", float("nan"), tail)
 
-    dS = np.diff(S)
-    du = np.diff(u)
-    um = np.sqrt(u[1:] * u[:-1])
-    mask = (dS > 0.0) & (um > 1.5)
-    if int(mask.sum()) < 5:
+    pts = []  # (log u, log dS/du) at the geometric midpoints of the growing steps
+    for d, u0, u1 in zip(dS, u, u[1:]):
+        if d > 0.0 and u1 * u0 > 2.25:  # um > 1.5, and no root of a negative product
+            pts.append((math.log(math.sqrt(u1 * u0)), math.log(d / (u1 - u0))))
+    if len(pts) < 5:
         return DivergenceVerdict("inconclusive", "power", float("nan"), float("inf"))
-    x = np.log(um[mask])
-    y = np.log(dS[mask] / du[mask])
 
     # The tail regime decides convergence.  When the nearest arcs cross a
     # class boundary the increments take a sharp downward step; fit only past
     # the last such break (or, if too little is left, without the steps).
     # Otherwise just drop the early transient.
-    if x.size >= 8:
-        loc = np.diff(y) / np.diff(x)
-        med_l = float(np.median(loc))
-        mad_l = float(np.median(np.abs(loc - med_l)))
-        thr = max(6.0 * 1.4826 * mad_l, 0.8)
-        dips = np.nonzero(loc < med_l - thr)[0]
-        if dips.size:
-            start = int(dips.max()) + 2  # skip the increment containing the break
-            if x.size - start >= 6:
-                x, y = x[start:], y[start:]
-            else:
-                keep = np.ones(x.size, dtype=bool)
-                keep[dips + 1] = False
-                if int(keep.sum()) >= 6:
-                    x, y = x[keep], y[keep]
-        elif x.size > 10:
-            keep = x >= x.max() - 0.65 * (x.max() - x.min())
-            if int(keep.sum()) >= 8:
-                x, y = x[keep], y[keep]
+    if len(pts) >= 8:
+        loc = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+        med_l = _median(loc)
+        thr = max(6.0 * 1.4826 * _median([abs(v - med_l) for v in loc]), 0.8)
+        dips = [i for i, v in enumerate(loc) if v < med_l - thr]
+        if dips:
+            start = dips[-1] + 2  # skip the increment containing the break
+            if len(pts) - start >= 6:
+                pts = pts[start:]
+            elif len(pts) - len(dips) >= 6:
+                pts = [p for i, p in enumerate(pts) if i - 1 not in dips]
+        elif len(pts) > 10:
+            xs = [x for x, _ in pts]
+            x_lo = max(xs) - 0.65 * (max(xs) - min(xs))
+            if sum(x >= x_lo for x, _ in pts) >= 8:
+                pts = [p for p in pts if p[0] >= x_lo]
 
     # Increments are modelled as C u^(q-1) (log u)^m with m in {0, 1} (all the
     # sums and integrals here carry at most a first-power log factor).  Fixing
@@ -416,14 +447,9 @@ def divergence_verdict(partials, checkpoints) -> DivergenceVerdict:
     # collinear with log u and can silently trade slope for curvature.  When
     # neither m explains the data decisively better, the exponent estimate is
     # the average of the two: the models bracket the truth.
-    design = np.column_stack([np.ones_like(x), x])
-    fits = []
-    for m in (0.0, 1.0):
-        ym = y - m * np.log(np.maximum(x, 1e-3))
-        cf, *_ = np.linalg.lstsq(design, ym, rcond=None)
-        rm = float(np.sqrt(np.mean((ym - design @ cf) ** 2)))
-        fits.append((rm, 1.0 + float(cf[1])))
-    (r0, q0), (r1, q1) = fits
+    slope0, r0 = _line_fit(pts)
+    slope1, r1 = _line_fit([(x, y - math.log(max(x, 1e-3))) for x, y in pts])
+    q0, q1 = 1.0 + slope0, 1.0 + slope1
     if r0 <= r1 / 1.35:
         resid, q_hat = r0, q0
     elif r1 <= r0 / 1.35:
@@ -438,14 +464,10 @@ def divergence_verdict(partials, checkpoints) -> DivergenceVerdict:
 
     # Near-flat exponent: a clean fit of S against log u still certifies
     # (logarithmic) divergence.
-    sel = u > 1.5
-    xs = np.log(u[sel])
-    ys = S[sel]
-    if xs.size >= 8 and q_hat >= -0.005:
-        dsg = np.column_stack([np.ones_like(xs), xs])
-        c_all, *_ = np.linalg.lstsq(dsg, ys, rcond=None)
-        rms = float(np.sqrt(np.mean((dsg @ c_all - ys) ** 2)))
-        span = float(ys.max() - ys.min())
+    late = [(math.log(v), s) for v, s in zip(u, S) if v > 1.5]
+    if len(late) >= 8 and q_hat >= -0.005:
+        _, rms = _line_fit(late)
+        span = max(s for _, s in late) - min(s for _, s in late)
         if span > 0.0 and rms / span < 0.05:
             return DivergenceVerdict("divergent", "log", q_hat, rms / span)
     return DivergenceVerdict("inconclusive", "power", q_hat, resid)

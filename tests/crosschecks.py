@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from cyclicity import boundary, weights
 from cyclicity.auxfun import PrivalovShadow, herglotz_arc_integral
+from cyclicity.criterion import DEFAULT_MARGIN, DivergenceVerdict
 from cyclicity.errors import UsageError
 from cyclicity.geometry import solve_profile_y
 from cyclicity.phragmen import DomainProfile, pl_divergence_integrand
@@ -137,3 +138,104 @@ def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:
         val, err = mpmath.quad(lambda v: mpmath.exp(v) / s(mpmath.exp(v)), pieces, error=True)
         assert err < mpmath.mpf(10) ** -25 * val, (profile, rho, err)
         return float(below + mpmath.pi * val)
+
+
+def divergence_verdict_numpy(partials, checkpoints) -> DivergenceVerdict:
+    """criterion.divergence_verdict written on NumPy arrays: medians by
+    np.median and the two-parameter fits by np.linalg.lstsq."""
+    S = np.asarray(list(partials), dtype=float)
+    eps = np.asarray(list(checkpoints), dtype=float)
+    K = S.size
+    if K < 6:
+        raise UsageError("need at least 6 partial sums")
+    if eps.size != K:
+        raise UsageError("checkpoints and partials must have equal length")
+    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
+        raise UsageError("checkpoints must be positive and strictly decreasing")
+    if eps[0] / eps[-1] < 1e4:
+        raise UsageError("checkpoints must span at least 4 geometric decades")
+    u = np.log(1.0 / eps)
+    if np.any(np.diff(S) < -1e-9 * np.max(np.abs(S))):
+        raise UsageError("partial sums must be nondecreasing")
+
+    tail = float(S[-1] - S[(2 * K) // 3])
+    if tail <= 1e-3 * abs(float(S[-1])):
+        return DivergenceVerdict("convergent", "bounded", float("nan"), tail)
+
+    dS = np.diff(S)
+    du = np.diff(u)
+    um = np.sqrt(u[1:] * u[:-1])
+    mask = (dS > 0.0) & (um > 1.5)
+    if int(mask.sum()) < 5:
+        return DivergenceVerdict("inconclusive", "power", float("nan"), float("inf"))
+    x = np.log(um[mask])
+    y = np.log(dS[mask] / du[mask])
+
+    if x.size >= 8:
+        loc = np.diff(y) / np.diff(x)
+        med_l = float(np.median(loc))
+        mad_l = float(np.median(np.abs(loc - med_l)))
+        thr = max(6.0 * 1.4826 * mad_l, 0.8)
+        dips = np.nonzero(loc < med_l - thr)[0]
+        if dips.size:
+            start = int(dips.max()) + 2
+            if x.size - start >= 6:
+                x, y = x[start:], y[start:]
+            else:
+                keep = np.ones(x.size, dtype=bool)
+                keep[dips + 1] = False
+                if int(keep.sum()) >= 6:
+                    x, y = x[keep], y[keep]
+        elif x.size > 10:
+            keep = x >= x.max() - 0.65 * (x.max() - x.min())
+            if int(keep.sum()) >= 8:
+                x, y = x[keep], y[keep]
+
+    design = np.column_stack([np.ones_like(x), x])
+    fits = []
+    for m in (0.0, 1.0):
+        ym = y - m * np.log(np.maximum(x, 1e-3))
+        cf, *_ = np.linalg.lstsq(design, ym, rcond=None)
+        rm = float(np.sqrt(np.mean((ym - design @ cf) ** 2)))
+        fits.append((rm, 1.0 + float(cf[1])))
+    (r0, q0), (r1, q1) = fits
+    if r0 <= r1 / 1.35:
+        resid, q_hat = r0, q0
+    elif r1 <= r0 / 1.35:
+        resid, q_hat = r1, q1
+    else:
+        resid, q_hat = max(r0, r1), 0.5 * (q0 + q1)
+
+    if q_hat >= DEFAULT_MARGIN:
+        return DivergenceVerdict("divergent", "power", q_hat, resid)
+    if q_hat <= -DEFAULT_MARGIN:
+        return DivergenceVerdict("convergent", "power", q_hat, resid)
+
+    sel = u > 1.5
+    xs = np.log(u[sel])
+    ys = S[sel]
+    if xs.size >= 8 and q_hat >= -0.005:
+        dsg = np.column_stack([np.ones_like(xs), xs])
+        c_all, *_ = np.linalg.lstsq(dsg, ys, rcond=None)
+        rms = float(np.sqrt(np.mean((dsg @ c_all - ys) ** 2)))
+        span = float(ys.max() - ys.min())
+        if span > 0.0 and rms / span < 0.05:
+            return DivergenceVerdict("divergent", "log", q_hat, rms / span)
+    return DivergenceVerdict("inconclusive", "power", q_hat, resid)
+
+
+def checkpoint_sums_by_segment(eps, a, b, terms, block):
+    """criterion._checkpoint_sums with one np.sum per segment between
+    checkpoints, whole-arc terms in blocks of `block` arcs."""
+    n_in = np.searchsorted(-b, -eps, side="right")
+    n_whole = np.searchsorted(-a, -eps, side="right")
+    bounds = np.concatenate(([0], n_whole))
+    segments = 0.0
+    for lo in range(0, max(bounds[-1], 1), block):
+        part = terms(slice(lo, min(lo + block, bounds[-1])), eps[-1])
+        cuts = np.clip(bounds - lo, 0, part.shape[1])
+        segments = segments + np.array([np.sum(part[:, i:j], axis=1) for i, j in zip(cuts[:-1], cuts[1:])]).T
+    sums = np.cumsum(segments, axis=1)
+    k = np.flatnonzero(n_whole < n_in)
+    sums[:, k] += terms(n_whole[k], eps[k])
+    return sums

@@ -9,6 +9,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclicity import __version__
@@ -21,6 +22,7 @@ from cyclicity.cli import (
     build_parser,
     canonical_json,
     config_hash,
+    csv_text,
     emit_report,
     run_command,
 )
@@ -109,14 +111,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "sigma", "--profile", ray, "--rho", "10")
         assert code == EXIT_USAGE and out == "" and "> 0" in err
 
+    @staticmethod
+    def fresh_python(probe: str) -> str:
+        """Standard output of `probe` run in a new interpreter on this checkout."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                              check=True, timeout=60).stdout
+
     def test_runtime_imports_no_scipy(self):
         # the toolkit runs on numpy alone; scipy serves the tests' cross-checks
         probe = "import sys, cyclicity.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
-                              check=True, timeout=60)
-        assert done.stdout == "[]\n"
+        assert self.fresh_python(probe) == "[]\n"
+
+    def test_analyze_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median imports numpy.ma on first use, about 13 ms of a one-shot run
+        argv = ["criterion", "analyze", "--weight", W1, "--set", GEO, "--out", str(tmp_path / "r.json")]
+        probe = ("import sys; from cyclicity.cli import run_command; "
+                 f"code = run_command({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+        assert self.fresh_python(probe) == "0 False\n"
 
     def test_numeric_failure_exit(self, capsys):
         # theta = pi without the normalization flag has no root below 1
@@ -228,10 +241,31 @@ class TestCanonicalJson:
         r2 = RunReport(parsed["command"], parsed["config"], parsed["results"])
         assert emit_report(r2, "json") == once
 
+    def test_float_array_as_its_floats(self):
+        # the one-pass array path gives the bytes of the element-by-element path
+        values = [0.1, -0.0, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, 123456789012345.0, 2.0]
+        assert canonical_json(np.array(values)) == canonical_json(values)
+        assert canonical_json(np.array(values)) == "[" + ",".join("%.12g" % v for v in values) + "]"
+        assert canonical_json(np.array([1.0, math.inf, math.nan])) == '[1,"inf","nan"]'
+        assert canonical_json(np.array([], dtype=float)) == "[]"
+        assert canonical_json(np.arange(3)) == "[0,1,2]"
+
     def test_config_hash_deterministic(self):
         a = config_hash({"x": 1.0, "y": "z"})
         b = config_hash({"y": "z", "x": 1.0})
         assert a == b and len(a) == 16
+
+
+class TestCsvText:
+    def test_cells(self):
+        rows = [(0.1, np.float64(1.0 / 3.0), "short", True, 3, np.float32(0.5)),
+                (-0.0, math.nan, "long", False, np.int64(-2), -math.inf)]
+        assert csv_text(("a", "b", "c", "d", "e", "f"), rows) == (
+            "a,b,c,d,e,f\n0.1,0.333333333333,short,True,3,0.5\n-0,nan,long,False,-2,-inf\n")
+
+    def test_mixed_column_and_no_rows(self):
+        assert csv_text(("x",), iter([(1.5,), ("tag",), (7,)])) == "x\n1.5\ntag\n7\n"
+        assert csv_text(("x", "y"), []) == "x,y\n"
 
 
 class TestCommands:

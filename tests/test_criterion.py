@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from crosschecks import checkpoint_sums_by_segment, divergence_verdict_numpy
+from cyclicity import criterion
 from cyclicity.boundary import Arc, BoundarySet, complementary_arcs
 from cyclicity.criterion import (
     DEFAULT_MARGIN,
@@ -364,8 +366,8 @@ class TestDivergenceVerdict:
 
 
 def _calibration_rows(dip):
-    """(q, m, C, verdict) over sums C * int u^(q-1) (log u)^m du on the
-    default schedule, with the increment at index dip (if any) cut to 1/10."""
+    """(q, m, C, S) over sums S = C * int u^(q-1) (log u)^m du on the default
+    schedule, with the increment at index dip (if any) cut to 1/10."""
     eps = default_checkpoints(WeightSpec.log_power(1.0), BoundarySet.full_circle())
     u = np.log(1.0 / eps)
     um, du = np.sqrt(u[1:] * u[:-1]), np.diff(u)
@@ -376,9 +378,8 @@ def _calibration_rows(dip):
             if dip is not None:
                 inc[dip] *= 0.1
             for C in (1e-6, 1.0, 1e6):
-                S = C * np.concatenate(([0.0], np.cumsum(inc)))
-                rows.append((q, m, C, divergence_verdict(S, eps).verdict))
-    return rows
+                rows.append((q, m, C, C * np.concatenate(([0.0], np.cumsum(inc)))))
+    return eps, rows
 
 
 class TestCalibration:
@@ -391,8 +392,10 @@ class TestCalibration:
 
     @pytest.mark.parametrize("dip", [None, 6, 12, 18])
     def test_confusion_matrix(self, dip):
+        eps, rows = _calibration_rows(dip)
         wrong, inconclusive_outside = [], []
-        for q, m, C, verdict in _calibration_rows(dip):
+        for q, m, C, S in rows:
+            verdict = divergence_verdict(S, eps).verdict
             truth = "divergent" if q >= 0.0 else "convergent"
             if verdict == "inconclusive":
                 if abs(q) > DEFAULT_MARGIN:
@@ -401,6 +404,187 @@ class TestCalibration:
                 wrong.append((q, m, C, verdict))
         assert wrong == []
         assert inconclusive_outside == []
+
+
+def _assert_matches_reference(S, eps):
+    """divergence_verdict against its NumPy form: exponent and residual within
+    1e-12, verdict and model identical.
+
+    Where the reference exponent lies within 1e-12 of a threshold the policy
+    compares it with (+-DEFAULT_MARGIN, and -0.005 for the log model), rounding
+    decides the verdict, and only the exponent is compared.
+    """
+    got = divergence_verdict(S, eps)
+    with np.errstate(invalid="ignore"):  # the root of a negative u product is NaN there
+        want = divergence_verdict_numpy(S, eps)
+
+    def close(x, y):
+        return x == y or (math.isnan(x) and math.isnan(y)) or abs(x - y) <= 1e-12
+
+    assert close(got.exponent, want.exponent), (got, want)
+    if any(abs(want.exponent - t) <= 1e-12 for t in (DEFAULT_MARGIN, -DEFAULT_MARGIN, -0.005)):
+        return
+    assert (got.verdict, got.model) == (want.verdict, want.model), (got, want)
+    assert close(got.fit_residual, want.fit_residual), (got, want)
+
+
+@st.composite
+def _nondecreasing_series(draw):
+    """(S, eps): a schedule geometric in g = log(1/eps) + shift and sums of
+    g^(q-1) (1 + log g)^m increments, jittered, with a few increments cut or
+    zeroed and a flat tail.  A positive shift puts the first checkpoints
+    above 1, where u = log(1/eps) is negative."""
+    k = draw(st.integers(min_value=6, max_value=30))
+    g0 = draw(st.floats(min_value=0.5, max_value=5.0))
+    g_max = draw(st.floats(min_value=16.0, max_value=650.0))
+    shift = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=4.0)))
+    g = np.geomspace(g0, g_max, k)
+    eps = np.exp(shift - g)
+    gm = np.sqrt(g[1:] * g[:-1])
+    q = draw(st.floats(min_value=-1.0, max_value=1.0))
+    m = draw(st.sampled_from((0, 1)))
+    jitter = draw(st.lists(st.floats(min_value=0.25, max_value=4.0), min_size=k - 1, max_size=k - 1))
+    inc = gm ** (q - 1.0) * (1.0 + np.log(gm)) ** m * np.diff(g) * np.array(jitter)
+    for i in draw(st.lists(st.integers(min_value=0, max_value=k - 2), max_size=4)):
+        inc[i] *= draw(st.sampled_from((0.0, 1e-3, 0.1)))
+    flat = draw(st.integers(min_value=0, max_value=k // 2))
+    inc[inc.size - flat:] = 0.0
+    C = 10.0 ** draw(st.floats(min_value=-6.0, max_value=6.0))
+    start = draw(st.floats(min_value=0.0, max_value=100.0))
+    return C * (start + np.concatenate(([0.0], np.cumsum(inc)))), eps
+
+
+class TestEstimatorAgainstReference:
+    @pytest.mark.parametrize("dip", [None, 6, 12, 18])
+    def test_calibration_rows(self, dip):
+        eps, rows = _calibration_rows(dip)
+        for _q, _m, _C, S in rows:
+            _assert_matches_reference(S, eps)
+
+    @given(_nondecreasing_series())
+    @settings(max_examples=200, deadline=None)
+    def test_random_nondecreasing_series(self, case):
+        _assert_matches_reference(*case)
+
+    @pytest.mark.parametrize("k", [12, 20, 30])
+    def test_checkpoints_above_one(self, k):
+        # u = log(1/eps) runs from -3.5 up through 0: the fit points' log u
+        # first falls, then rises, and some neighbours straddle u = 0
+        g = np.geomspace(0.5, 200.0, k)
+        eps, gm = np.exp(4.0 - g), np.sqrt(g[1:] * g[:-1])
+        for q in (-0.5, -0.2, 0.0, 0.3, 0.8):
+            for m in (0, 1):
+                inc = gm ** (q - 1.0) * (1.0 + np.log(gm)) ** m * np.diff(g)
+                _assert_matches_reference(np.concatenate(([0.0], np.cumsum(inc))), eps)
+
+    @pytest.mark.parametrize("S, eps, message", [
+        ([1.0, 2.0, 3.0], SCHEDULE[::8], "need at least 6 partial sums"),
+        (np.arange(8.0), SCHEDULE[::4], "checkpoints and partials must have equal length"),
+        (np.arange(6.0), SCHEDULE[::4][::-1], "positive and strictly decreasing"),
+        (np.arange(6.0), -SCHEDULE[::4], "positive and strictly decreasing"),
+        (np.arange(8.0), np.geomspace(1e-2, 1e-3, 8), "at least 4 geometric decades"),
+        ([1.0, 2.0, 1.5, 3.0, 4.0, 5.0], SCHEDULE[::4], "must be nondecreasing"),
+    ])
+    def test_refusals_match(self, S, eps, message):
+        for estimator in (divergence_verdict, divergence_verdict_numpy):
+            with pytest.raises(UsageError, match=message):
+                estimator(S, eps)
+
+    def test_undecided_returns(self):
+        flat = divergence_verdict([1.0] * 24, SCHEDULE)
+        assert (flat.verdict, flat.model, flat.fit_residual) == ("convergent", "bounded", 0.0)
+        assert math.isnan(flat.exponent)
+        # growth only in the first few increments, then a tail just above the bounded floor
+        S = np.concatenate((np.arange(1.0, 5.0), np.full(20, 4.0)))
+        S[-1] += 0.01
+        sparse = divergence_verdict(S, SCHEDULE)
+        assert (sparse.verdict, sparse.model, sparse.fit_residual) == ("inconclusive", "power", math.inf)
+        assert math.isnan(sparse.exponent)
+
+
+class TestCheckpointSums:
+    """The block reduction of _checkpoint_sums against one np.sum per segment."""
+
+    @staticmethod
+    def case():
+        # 30 disjoint arcs sorted by decreasing b; the checkpoints leave
+        # empty segments at the start (above every arc), in the middle and
+        # at the end, and some checkpoints fall inside an arc
+        rng = np.random.default_rng(11)
+        ends = np.sort(rng.uniform(0.0, 1.0, 60))[::-1]
+        b, a = ends[0::2], ends[1::2]
+        eps = np.array([1.5, 1.2, 0.5 * (a[2] + b[2]), a[9], 0.999 * a[9], b[20], a[24],
+                        0.5 * (a[27] + b[27]), 0.5 * a[29], 0.25 * a[29], 0.1 * a[29]])
+        vals = rng.uniform(0.0, 1.0, (2, a.size))
+
+        def terms(idx, lower):
+            return np.stack([vals[0, idx], vals[1, idx] * (b[idx] - np.maximum(a[idx], lower))])
+
+        return eps, a, b, terms
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
+    def test_bit_identical(self, monkeypatch, block):
+        eps, a, b, terms = self.case()
+        monkeypatch.setattr(criterion, "_BLOCK", block)
+        got = criterion._checkpoint_sums(eps, a, b, terms)
+        want = checkpoint_sums_by_segment(eps, a, b, terms, block)
+        assert got.shape == (2, eps.size)
+        assert np.array_equal(got, want)
+        assert np.all(np.diff(got, axis=1) >= 0.0)
+
+    @pytest.mark.parametrize("block", [300, 1000, 1 << 16])
+    def test_long_segments(self, monkeypatch, block):
+        # segments of 150 to 2,500 arcs: np.sum splits them pairwise above
+        # 128 terms, and the blocks fall both inside and around segments
+        rng = np.random.default_rng(5)
+        ends = np.sort(rng.uniform(0.0, 1.0, 8000))[::-1]
+        b, a = ends[0::2], ends[1::2]
+        eps = np.array([a[149], 0.5 * (a[1000] + b[1000]), a[1399], b[3900], a[3999], 0.5 * a[3999]])
+        vals = rng.lognormal(0.0, 3.0, (2, a.size))
+
+        def terms(idx, lower):
+            return np.stack([vals[0, idx], vals[1, idx] * (b[idx] - np.maximum(a[idx], lower))])
+
+        monkeypatch.setattr(criterion, "_BLOCK", block)
+        got = criterion._checkpoint_sums(eps, a, b, terms)
+        assert np.array_equal(got, checkpoint_sums_by_segment(eps, a, b, terms, block))
+
+    def test_no_whole_arc(self):
+        # every arc straddles or lies below the checkpoints: one empty block
+        eps, a, b, terms = self.case()
+        eps = np.array([1.5, 1.2, 0.5 * (a[0] + b[0])])
+        got = criterion._checkpoint_sums(eps, a, b, terms)
+        assert np.array_equal(got, checkpoint_sums_by_segment(eps, a, b, terms, 1 << 16))
+        assert np.array_equal(got[:, :2], np.zeros((2, 2)))
+
+
+def _weights_and_sets():
+    family = st.sampled_from(("log_power", "from_w"))
+    exponent = st.floats(min_value=0.3, max_value=3.0)
+    scale = st.floats(min_value=-3.0, max_value=3.0).map(lambda x: 10.0**x)
+    t_cut = st.sampled_from((0.1, math.exp(-2.0), math.exp(-3.0)))
+    weight = st.builds(lambda f, x, c, s: WeightSpec(f, **{"alpha" if f == "log_power" else "p": x},
+                                                     t_cut=c, scale=s),
+                       family, exponent, t_cut, scale)
+    bset = st.one_of(
+        st.sampled_from((BoundarySet.full_circle(), BoundarySet.single_point(), BoundarySet.geometric(),
+                         BoundarySet.doubly_exp(), BoundarySet.beta_points(0.0),
+                         BoundarySet.beta_points(0.25), BoundarySet.single_arc(-0.3, 0.04),
+                         BoundarySet.geometric(mirror=True))),
+        st.integers(min_value=8, max_value=20).map(BoundarySet.cantor),
+    )
+    return weight, bset
+
+
+class TestPartialsNondecreasing:
+    @given(*_weights_and_sets(), st.integers(min_value=6, max_value=24))
+    @settings(max_examples=60, deadline=None)
+    def test_every_column(self, weight, bset, count):
+        # the verdict estimator's allowance: a dip of at most 1e-9 of the largest sum
+        rep = criterion_partials(weight, bset, default_checkpoints(weight, bset, count))
+        for series in (rep.e_and_short, rep.intermediate_sum, rep.long_sum, rep.total,
+                       rep.alt_e_integral, rep.alt_gs_integral, rep.alt_arc_sum):
+            assert np.all(np.diff(series) >= -1e-9 * np.max(np.abs(series)))
 
 
 class TestThresholdOracle:
