@@ -21,11 +21,9 @@ from .auxfun import (
     GammaRegionSpec,
     PrivalovShadow,
     c_lambda,
-    f_lambda,
     h_lambda,
     in_gamma_region,
     keldysh_outer,
-    singular_inner,
 )
 from .errors import CapacityError, CyclicityError, DomainError, NumericError, UsageError
 from .geometry import (
@@ -33,10 +31,9 @@ from .geometry import (
     HalfplaneCoords,
     gamma_criterion_partial,
     solve_gamma,
-    solve_profile_y,
     to_halfplane,
 )
-from .phragmen import DomainProfile, arc_length_s, harmonic_measure_mc, pl_divergence_integrand, sigma
-from .weights import WeightSpec, check_regularity, condition_integrand, eval_lambda, eval_w
+from .phragmen import DomainProfile, arc_length_s, harmonic_measure_mc, sigma
+from .weights import WeightSpec, check_regularity, eval_lambda
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
-"""Singular inner function, Privalov-shadow outer comparisons, and the outer witness.
+"""Privalov-shadow outer comparisons and the outer witness.
 
 The singular inner function S(z) = exp(-(1+z)/(1-z)) has |S(z)| =
 exp(-(1-|z|^2)/|1-z|^2).  For lambda in the disc, the Privalov shadow is the
 boundary arc of length 1-|lambda| centered at the radial projection of
-lambda; the outer function f_lambda built from the Herglotz integral over the
-shadow is normalized (via the constant c_lambda) so that
-|f_lambda(lambda) S(lambda)| = 1.
+lambda; the shadow outer function f = exp(log_f_lambda) built from the
+Herglotz integral over the shadow is normalized (via the constant c_lambda)
+so that |f(lambda) S(lambda)| = 1.
 
 Boundary-arc integrals use the closed-form antiderivative of the Herglotz
 kernel,
@@ -21,7 +21,7 @@ The comparison function
     H_lambda(z) = c_lambda (1-|l|^2)/|1-l|^2 * P(z; shadow)
                   - (1-|z|^2)/|1-z|^2 - Lambda(dist(z, E))
 
-ties the weighted norm of f_lambda S to a sign analysis; grids restricted to
+ties the weighted norm of f S to a sign analysis; grids restricted to
 the region where (1-|l|^2)/|1-l|^2 <= a Lambda(A dist(lambda, E)) are checked
 case by case in the tests.
 
@@ -59,15 +59,7 @@ _LOG_GAMMA_FLOOR = 690.0  # just inside log(1e300): the gamma solver's lower bra
 
 
 # ---------------------------------------------------------------------------
-# singular inner function and the Privalov shadow
-
-
-def singular_inner(z: complex) -> complex:
-    """S(z) = exp(-(1+z)/(1-z)) on the open unit disc."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError("singular_inner needs |z| < 1")
-    return cmath.exp(-(1.0 + z) / (1.0 - z))
+# the Privalov shadow
 
 
 @dataclass(frozen=True)
@@ -148,14 +140,14 @@ def c_lambda(lam: complex) -> float:
 
 
 def log_f_lambda(lam: complex, z):
-    """log f_lambda(z): Herglotz integral over the shadow, scaled by c_lambda.
+    """log f(z): Herglotz integral over the shadow, scaled by c_lambda.
 
     z may be an array of points for the one lambda; a scalar z gives a complex.
     """
     lam = complex(lam)
     zs = np.asarray(z, dtype=complex)
     if np.count_nonzero(np.abs(zs) >= 1.0):
-        raise DomainError("f_lambda needs |z| < 1")
+        raise DomainError("log_f_lambda needs |z| < 1")
     if lam == 1.0:
         raise DomainError("lambda = 1 is not allowed")
     sh = PrivalovShadow(lam)
@@ -165,17 +157,9 @@ def log_f_lambda(lam: complex, z):
     return c_lambda(lam) * ratio * herglotz_arc_integral(zs, sh.lo, sh.hi)
 
 
-def f_lambda(lam: complex, z: complex) -> complex:
-    """The shadow outer function; |f_lambda(lambda) S(lambda)| = 1."""
-    lf = log_f_lambda(lam, z)
-    if lf.real > _EXP_CAP:
-        raise NumericError("f_lambda magnitude overflows; evaluate log_f_lambda instead")
-    return cmath.exp(lf)
-
-
 def h_lambda(weight: wts.WeightSpec, bset: bnd.BoundarySet, lam: complex, z):
     """Comparison function H_lambda(z); satisfies
-    |f_lambda(z) S(z)| exp(-Lambda(dist(z,E))) = exp(H_lambda(z)).
+    |f(z) S(z)| exp(-Lambda(dist(z,E))) = exp(H_lambda(z)).
 
     z may be an array of points for the one lambda; a scalar z gives a float.
     """

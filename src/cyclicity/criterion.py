@@ -399,11 +399,15 @@ def divergence_verdict(partials, checkpoints) -> DivergenceVerdict:
         raise UsageError("need at least 6 partial sums")
     if len(eps) != K:
         raise UsageError("checkpoints and partials must have equal length")
+    if not all(map(math.isfinite, S + eps)):
+        raise UsageError("partial sums and checkpoints must be finite")
     if any(e <= 0.0 for e in eps) or any(e1 - e0 >= 0.0 for e0, e1 in zip(eps, eps[1:])):
         raise UsageError("checkpoints must be positive and strictly decreasing")
     if eps[0] / eps[-1] < 1e4:
         raise UsageError("checkpoints must span at least 4 geometric decades")
     u = [math.log(1.0 / e) for e in eps]
+    if u[-1] == math.inf or any(u1 <= u0 for u0, u1 in zip(u, u[1:])):
+        raise UsageError("log(1/eps) must be finite and strictly increasing")
     dS = [s1 - s0 for s0, s1 in zip(S, S[1:])]
     floor = -1e-9 * max(abs(s) for s in S)
     if any(d < floor for d in dS):
@@ -561,12 +565,9 @@ def theorem_scan_point(theorem: str, alpha: float, beta: float = 0.0, depth: int
         eps, sums = cantor_reduced_partials(weight, depth)
         verdict = divergence_verdict(sums, eps)
     elif theorem == "nikolski":
-        # decided by the classical condition integral; the criterion's E-part
-        # is the same closed form and is cross-checked in the tests
-        bset = bnd.BoundarySet.full_circle()
-        eps = default_checkpoints(weight, bset)
-        sums = wts.condition_partials(weight, "nikolski", eps)
-        verdict = divergence_verdict(sums, eps)
+        # the square-root condition: sqrt(Lambda/t) = 1/(t w_eff), power 1
+        eps = default_checkpoints(weight, bnd.BoundarySet.full_circle())
+        verdict = divergence_verdict(wts.inv_tw_integral(weight, 1.0, eps, weight.pure_cut), eps)
     else:
         bset = oracle_set(theorem, beta=beta, depth=depth)
         eps = default_checkpoints(weight, bset)

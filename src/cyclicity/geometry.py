@@ -23,10 +23,8 @@ the 20-point sum and the error estimate the difference of the two plus a
 rounding allowance.  gamma_criterion_partial integrates gamma/theta^2 this
 way, for one cutoff or many.
 
-The radial profile of the full-circle domain transfers to a Cartesian
-half-plane domain: the boundary height y(x) solves
-x = Lambda(4x / ((x+1)^2 + y^2)) and is checked against the asymptotic
-y = (2 + o(1)) sqrt(Lambda(t)/t).
+to_halfplane gives a point w the coordinates (R, phi) with
+1 - w = e^{i phi} / R.
 """
 
 from __future__ import annotations
@@ -68,10 +66,6 @@ class GammaSolution:
 class HalfplaneCoords:
     R: float
     phi: float
-
-    def reconstruct(self) -> complex:
-        """The point w with 1 - w = e^{i phi} / R."""
-        return 1.0 - cmath.exp(1j * self.phi) / self.R
 
 
 class Quadrature(NamedTuple):
@@ -213,38 +207,6 @@ def to_halfplane(w: complex) -> HalfplaneCoords:
         raise DomainError("w = 1 has no half-plane image")
     one_minus = 1.0 - w
     return HalfplaneCoords(R=1.0 / abs(one_minus), phi=cmath.phase(one_minus))
-
-
-def solve_profile_y(weight: wts.WeightSpec, x: float) -> float:
-    """Boundary height y(x) >= 0 of the half-plane image of the full-circle domain.
-
-    Solves Lambda(u) = x for u (unique by monotonicity) in s = log u with
-    increasing_root, then y = sqrt(4x/u - (x+1)^2).  A root requires
-    Lambda(4x/(x+1)^2) <= x.
-    """
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError("x must be positive")
-    u0 = 4.0 * x / (x + 1.0) ** 2
-    lam_u0 = wts.eval_lambda(weight, u0)
-    if lam_u0 > x:
-        raise DomainError(
-            f"no boundary point at height x={x!r}: Lambda({u0!r}) = {lam_u0!r} > x; "
-            "increase x past the Lambda-infimum over reachable arguments"
-        )
-
-    log_x = math.log(x)
-
-    def f(s):  # log x - log Lambda(e^s): increasing and nearly linear in s = log u
-        return log_x - np.log(wts.eval_lambda(weight, np.exp(s)))
-
-    lo, hi = np.array([math.log(_GAMMA_FLOOR)]), np.array([math.log(u0)])
-    u = math.exp(increasing_root(f, lo, hi, f(lo), log_x - np.log([lam_u0]))[0])
-    rel = abs(wts.eval_lambda(weight, u) - x) / x
-    if rel > 1e-9:
-        raise NumericError(f"profile root residual {rel!r} too large at x={x!r}")
-    y2 = 4.0 * x / u - (x + 1.0) ** 2
-    return math.sqrt(max(y2, 0.0))
 
 
 @functools.cache

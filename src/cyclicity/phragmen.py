@@ -81,15 +81,6 @@ class DomainProfile:
             raise DomainError(f"invlog profile needs R > {self.r_min()!r}")
         return 1.0 / np.log(v)
 
-    def phi_prime(self, v: float) -> float:
-        if self.phi == "x":
-            return 1.0
-        if self.phi == "x2":
-            return 2.0 * v
-        if self.phi in ("const1", "const"):
-            return 0.0
-        return -1.0 / (v * math.log(v) ** 2)
-
     def r_min(self) -> float:
         """Radius below which the sector-variant domain is empty."""
         if self.variant == "sector" and self.phi == "invlog":
@@ -187,23 +178,6 @@ def sigma(profile: DomainProfile, rho: float) -> float:
         return math.exp(val)
     except OverflowError:
         raise NumericError(f"sigma overflows: pi int dr/s = {val!r} at rho = {rho!r}") from None
-
-
-def pl_divergence_integrand(profile: DomainProfile, point: float) -> float:
-    """Integrand of the growth-divergence condition for the profile.
-
-    Cartesian: x phi'(x) / phi(x)^2; sector: phi(R)/R.  Partial integrals of
-    this at geometric checkpoints feed the criterion module's estimator.
-    """
-    v = float(point)
-    if v <= 0.0:
-        raise DomainError("point must be positive")
-    if profile.variant == "sector":
-        return profile.phi_at(v) / v
-    ph = profile.phi_at(v)
-    if ph <= 0.0:
-        raise DomainError("profile vanishes at this point")
-    return v * profile.phi_prime(v) / ph**2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weight families Lambda(t) = scale / (t * w(t)^2) and their condition integrands.
+"""Weight families Lambda(t) = scale / (t * w(t)^2) and their closed-form integrals.
 
 Three families are supported:
 
@@ -13,9 +13,14 @@ decreasing tail Lambda(pure_cut) * pure_cut / t up to t = 2.  The continuation
 is continuous, keeps Lambda strictly decreasing on all of (0, 2], and cannot
 change any divergence verdict (those depend on t -> 0 only).
 
-eval_lambda, effective_w, eval_w and condition_integrand have one path for
-scalars and arrays: a scalar t is evaluated as a one-element array and
-gives a float.
+eval_lambda and effective_w have one path for scalars and arrays: a scalar
+t is evaluated as a one-element array and gives a float.
+
+inv_tw_integral is the one closed form of the integrals of dt/(t w_eff^power)
+over the pure region.  The classical condition integrals are its powers:
+1 is the square-root (Nikolski) condition sqrt(Lambda/t), 2 the area
+(Gevorkyan-Shamoyan) condition Lambda, and 2(1 - beta) the interpolating
+C_beta condition Lambda^(1-beta)/t^beta.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import numpy as np
 from .errors import DomainError, UsageError
 
 FAMILIES = ("log_power", "from_w", "const_w")
-CONDITION_KINDS = ("nikolski", "gs", "c_beta")
 
 DEFAULT_T_CUT = math.exp(-2.0)
 
@@ -133,16 +137,16 @@ class WeightSpec:
 # evaluation
 
 
-def _points(t, hi: float) -> np.ndarray:
-    """t as a float array of at least one dimension, every point in (0, hi].
+def _points(t) -> np.ndarray:
+    """t as a float array of at least one dimension, every point in (0, 2].
 
     Every evaluation runs on arrays, so a scalar takes the same operations
     as an array element (numpy's scalar power rounds differently).
     """
     ts = np.array(t, dtype=float, ndmin=1, copy=None)
-    bad = (ts <= 0.0) | (ts > hi)
+    bad = (ts <= 0.0) | (ts > 2.0)
     if np.count_nonzero(bad):
-        raise DomainError(f"t={ts[bad][0]!r} outside (0, {hi!r}]")
+        raise DomainError(f"t={ts[bad][0]!r} outside (0, 2.0]")
     return ts
 
 
@@ -163,7 +167,7 @@ def eval_lambda(spec: WeightSpec, t):
 
     Scalars and arrays share one path; a scalar t gives a float.
     """
-    ts = _points(t, 2.0)
+    ts = _points(t)
     cut, a = spec.pure_cut, spec.log_exponent
     # min(t, cut) is t wherever the pure formula is kept
     unit = 1.0 / (ts * _log_inv(np.minimum(ts, cut), cut) ** a) if a > 0.0 else 1.0 / ts
@@ -173,13 +177,6 @@ def eval_lambda(spec: WeightSpec, t):
     return _result(spec.scale * unit, t)
 
 
-def eval_w(spec: WeightSpec, t):
-    """The generator w(t) on the pure region (0, pure_cut]; unscaled."""
-    ts = _points(t, spec.pure_cut)
-    w = _log_inv(ts, spec.pure_cut) ** spec.w_exponent if spec.family != "const_w" else np.ones_like(ts)
-    return _result(w, t)
-
-
 def effective_w(spec: WeightSpec, t):
     """w for which Lambda = 1/(t w^2) holds identically on (0, 2].
 
@@ -187,7 +184,7 @@ def effective_w(spec: WeightSpec, t):
     so the arc-classification thresholds stay consistent with the weight
     actually in force.
     """
-    ts = _points(t, 2.0)
+    ts = _points(t)
     return _result(1.0 / np.sqrt(ts * eval_lambda(spec, ts)), t)
 
 
@@ -268,51 +265,3 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
         t_lambda_vanishing=bool(tl[-1] <= 0.5 * tl[0]),
         n_points=len(ts),
     )
-
-
-# ---------------------------------------------------------------------------
-# classical condition integrands
-
-
-def condition_integrand(spec: WeightSpec, kind: str, t, beta: float | None = None):
-    """Integrand of the Nikolski, Gevorkyan-Shamoyan, or interpolating C_beta condition.
-
-    nikolski: sqrt(Lambda(t)/t);  gs: Lambda(t);  c_beta: Lambda(t)^(1-beta)/t^beta
-    with beta in [0, 1/2].  For log_power(alpha) the c_beta integrand reduces to
-    1/(t log^(alpha(1-beta))(1/t)), which the tests exploit as an identity.
-    """
-    if kind not in CONDITION_KINDS:
-        raise UsageError(f"unknown condition kind {kind!r}")
-    ts = _points(t, spec.pure_cut)
-    lam = eval_lambda(spec, ts)
-    if kind == "nikolski":
-        return _result(np.sqrt(lam / ts), t)
-    if kind == "gs":
-        return _result(lam, t)
-    if beta is None or not (0.0 <= beta <= 0.5):
-        raise UsageError("c_beta requires beta in [0, 1/2]")
-    return _result(lam ** (1.0 - beta) / ts**beta, t)
-
-
-def condition_partials(spec: WeightSpec, kind: str, checkpoints, beta: float | None = None) -> np.ndarray:
-    """Partial integrals of a condition integrand from each checkpoint up to pure_cut.
-
-    For the log families every kind is of the form const/(t L^s), so the
-    closed form of inv_tw_integral applies; this keeps verdict scans exact.
-    """
-    if kind not in CONDITION_KINDS:
-        raise UsageError(f"unknown condition kind {kind!r}")
-    eps = np.asarray(list(checkpoints), dtype=float)
-    cut = spec.pure_cut
-    if np.any(eps <= 0.0) or np.any(eps >= cut):
-        raise UsageError("checkpoints must lie in (0, pure_cut)")
-    a = spec.log_exponent
-    if kind == "nikolski":
-        s, pref = a / 2.0, math.sqrt(spec.scale)
-    elif kind == "gs":
-        s, pref = a, spec.scale
-    else:
-        if beta is None or not (0.0 <= beta <= 0.5):
-            raise UsageError("c_beta requires beta in [0, 1/2]")
-        s, pref = a * (1.0 - beta), spec.scale ** (1.0 - beta)
-    return np.maximum(_log_power_integral(pref, s, np.log(1.0 / eps), math.log(1.0 / cut)), 0.0)

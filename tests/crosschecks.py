@@ -1,5 +1,8 @@
 """Cross-check routes that only the tests use: adaptive quadrature and
-asymptotic predictors set against the toolkit's closed forms and solvers."""
+asymptotic predictors set against the toolkit's closed forms and solvers,
+and the paper's objects that no command evaluates (the singular inner
+function, the classical condition integrands, the profile height y(x) and
+the growth-divergence integrand)."""
 
 import cmath
 import math
@@ -11,9 +14,101 @@ from scipy.integrate import quad
 from cyclicity import boundary, weights
 from cyclicity.auxfun import PrivalovShadow, herglotz_arc_integral
 from cyclicity.criterion import DEFAULT_MARGIN, DivergenceVerdict
-from cyclicity.errors import UsageError
-from cyclicity.geometry import solve_profile_y
-from cyclicity.phragmen import DomainProfile, pl_divergence_integrand
+from cyclicity.errors import DomainError, NumericError, UsageError
+from cyclicity.geometry import increasing_root
+from cyclicity.phragmen import DomainProfile
+
+CONDITION_KINDS = ("nikolski", "gs", "c_beta")
+
+
+def singular_inner(z: complex) -> complex:
+    """S(z) = exp(-(1+z)/(1-z)) on the open unit disc."""
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise DomainError("singular_inner needs |z| < 1")
+    return cmath.exp(-(1.0 + z) / (1.0 - z))
+
+
+def condition_integrand(spec, kind: str, t, beta: float | None = None):
+    """Integrand of the Nikolski, Gevorkyan-Shamoyan, or interpolating C_beta condition.
+
+    nikolski: sqrt(Lambda(t)/t);  gs: Lambda(t);  c_beta: Lambda(t)^(1-beta)/t^beta
+    with beta in [0, 1/2], on the pure region.  The square root is taken of
+    Lambda(t) t, which stays finite where Lambda(t)/t overflows (t < 1e-154).
+    """
+    if kind not in CONDITION_KINDS:
+        raise UsageError(f"unknown condition kind {kind!r}")
+    ts = np.asarray(t, dtype=float)
+    if np.any((ts <= 0.0) | (ts > spec.pure_cut)):
+        raise DomainError("condition integrands live on the pure region")
+    lam = weights.eval_lambda(spec, ts)
+    if kind == "nikolski":
+        return np.sqrt(lam * ts) / ts
+    if kind == "gs":
+        return lam
+    if beta is None or not (0.0 <= beta <= 0.5):
+        raise UsageError("c_beta requires beta in [0, 1/2]")
+    return lam ** (1.0 - beta) / ts**beta
+
+
+def condition_integral_quad(spec, kind: str, lo: float, hi: float, beta: float | None = None) -> float:
+    """Integral of a condition integrand over [lo, hi] in the pure region, by
+    adaptive quadrature in L = log(1/t) (dt = -t dL)."""
+    val, _ = quad(lambda L: float(condition_integrand(spec, kind, math.exp(-L), beta)) * math.exp(-L),
+                  math.log(1.0 / hi), math.log(1.0 / lo), epsrel=1e-11, epsabs=0.0, limit=200)
+    return val
+
+
+def condition_partials_quad(spec, kind: str, checkpoints, beta: float | None = None) -> np.ndarray:
+    """Integrals of a condition integrand from each checkpoint up to pure_cut:
+    quadrature between consecutive checkpoints, cumulated."""
+    edges = np.concatenate(([spec.pure_cut], np.asarray(checkpoints, dtype=float)))
+    return np.cumsum([condition_integral_quad(spec, kind, lo, hi, beta) for hi, lo in zip(edges, edges[1:])])
+
+
+def solve_profile_y(weight, x: float) -> float:
+    """Boundary height y(x) >= 0 of the half-plane image of the full-circle domain.
+
+    The radial profile of the full-circle domain transfers to the half-plane
+    boundary x = Lambda(4x / ((x+1)^2 + y^2)): solve Lambda(u) = x for u
+    (unique by monotonicity) in s = log u with increasing_root, then
+    y = sqrt(4x/u - (x+1)^2).  A root requires Lambda(4x/(x+1)^2) <= x.
+    """
+    x = float(x)
+    if x <= 0.0:
+        raise DomainError("x must be positive")
+    u0 = 4.0 * x / (x + 1.0) ** 2
+    lam_u0 = weights.eval_lambda(weight, u0)
+    if lam_u0 > x:
+        raise DomainError(f"no boundary point at height x={x!r}: Lambda({u0!r}) = {lam_u0!r} > x")
+    log_x = math.log(x)
+
+    def f(s):  # log x - log Lambda(e^s): increasing and nearly linear in s = log u
+        return log_x - np.log(weights.eval_lambda(weight, np.exp(s)))
+
+    lo, hi = np.array([math.log(1e-300)]), np.array([math.log(u0)])
+    u = math.exp(increasing_root(f, lo, hi, f(lo), log_x - np.log([lam_u0]))[0])
+    rel = abs(weights.eval_lambda(weight, u) - x) / x
+    if rel > 1e-9:
+        raise NumericError(f"profile root residual {rel!r} too large at x={x!r}")
+    return math.sqrt(max(4.0 * x / u - (x + 1.0) ** 2, 0.0))
+
+
+def pl_divergence_integrand(profile: DomainProfile, point: float) -> float:
+    """Integrand of the growth-divergence condition for the profile.
+
+    Cartesian: x phi'(x) / phi(x)^2; sector: phi(R)/R.
+    """
+    v = float(point)
+    if v <= 0.0:
+        raise DomainError("point must be positive")
+    if profile.variant == "sector":
+        return profile.phi_at(v) / v
+    ph = profile.phi_at(v)
+    if ph <= 0.0:
+        raise DomainError("profile vanishes at this point")
+    phi_prime = {"x": 1.0, "x2": 2.0 * v}.get(profile.phi, 0.0)  # the rest are constant
+    return v * phi_prime / ph**2
 
 
 def herglotz_arc_integral_quad(z: complex, lo: float, hi: float) -> complex:
@@ -150,11 +245,16 @@ def divergence_verdict_numpy(partials, checkpoints) -> DivergenceVerdict:
         raise UsageError("need at least 6 partial sums")
     if eps.size != K:
         raise UsageError("checkpoints and partials must have equal length")
+    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(eps))):
+        raise UsageError("partial sums and checkpoints must be finite")
     if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
         raise UsageError("checkpoints must be positive and strictly decreasing")
-    if eps[0] / eps[-1] < 1e4:
-        raise UsageError("checkpoints must span at least 4 geometric decades")
-    u = np.log(1.0 / eps)
+    with np.errstate(over="ignore"):  # a subnormal eps overflows 1/eps
+        if eps[0] / eps[-1] < 1e4:
+            raise UsageError("checkpoints must span at least 4 geometric decades")
+        u = np.log(1.0 / eps)
+    if u[-1] == np.inf or np.any(np.diff(u) <= 0.0):
+        raise UsageError("log(1/eps) must be finite and strictly increasing")
     if np.any(np.diff(S) < -1e-9 * np.max(np.abs(S))):
         raise UsageError("partial sums must be nondecreasing")
 

@@ -11,16 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from crosschecks import profile_y_predictor
+from crosschecks import condition_partials_quad, profile_y_predictor, singular_inner, solve_profile_y
 from cyclicity.auxfun import (
     GammaRegionSpec,
     case_tag,
     c_lambda,
-    f_lambda,
     h_lambda,
     in_gamma_region,
     log_f_lambda,
-    singular_inner,
     witness_amplitude_search,
 )
 from cyclicity.boundary import BoundarySet, distance_to_set
@@ -33,9 +31,9 @@ from cyclicity.criterion import (
     theorem_scan_point,
     threshold_oracle,
 )
-from cyclicity.geometry import normalized_for_lambda1, solve_gamma, solve_profile_y
+from cyclicity.geometry import normalized_for_lambda1, solve_gamma
 from cyclicity.phragmen import DomainProfile, harmonic_measure_mc, sigma
-from cyclicity.weights import WeightSpec, condition_partials, eval_lambda, eval_w
+from cyclicity.weights import WeightSpec, effective_w, eval_lambda
 
 A_DEFAULT = 2.0 / (5.0 * math.pi)
 MARGIN = 0.05
@@ -81,9 +79,9 @@ def test_acceptance_3_specializations():
     for alpha in (0.5, 1.5, 2.5):
         weight = WeightSpec.log_power(alpha)
         expect = threshold_oracle("nikolski", alpha)
-        # route 1: the classical square-root condition integral
+        # route 1: the classical square-root condition integral, by quadrature
         eps = default_checkpoints(weight, full)
-        v1 = divergence_verdict(condition_partials(weight, "nikolski", eps), eps)
+        v1 = divergence_verdict(condition_partials_quad(weight, "nikolski", eps), eps)
         # route 2: the criterion's own E-part for the full circle
         rep = criterion_partials(weight, full, eps)
         v2 = divergence_verdict(rep.e_and_short, eps)
@@ -114,7 +112,7 @@ def test_acceptance_4_auxiliary_identities():
     weight = WeightSpec.log_power(1.0)
     full = BoundarySet.full_circle()
     for lam in grid:
-        assert abs(f_lambda(lam, lam) * singular_inner(lam)) == pytest.approx(1.0, abs=1e-9)
+        assert abs(cmath.exp(log_f_lambda(lam, lam)) * singular_inner(lam)) == pytest.approx(1.0, abs=1e-9)
         assert 1.0 / c_lambda(lam) >= 0.8
         cap = 2.5 * math.pi * (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
         for _ in range(4):
@@ -188,7 +186,7 @@ def test_acceptance_6_geometry_certificates():
         weight = WeightSpec.from_w(p, scale=scale)
         for theta in (1e-2, 1e-4, 1e-6):
             sol = solve_gamma(weight, full, theta)
-            got = sol.gamma * eval_w(weight, sol.gamma)
+            got = sol.gamma * effective_w(weight, sol.gamma) * math.sqrt(scale)
             assert got == pytest.approx(theta * math.sqrt(scale), rel=1e-9)
 
     # profile solver against the asymptotic predictor, Lambda-values >= 10

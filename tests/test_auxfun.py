@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_mpmath, herglotz_arc_integral_quad
+from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_mpmath, herglotz_arc_integral_quad, singular_inner
 from cyclicity import auxfun, geometry
 from cyclicity.auxfun import (
     GammaRegionSpec,
     PrivalovShadow,
     c_lambda,
     case_tag,
-    f_lambda,
     gamma_integral_is_convergent,
     h_lambda,
     herglotz_arc_integral,
@@ -22,7 +21,6 @@ from cyclicity.auxfun import (
     keldysh_log_boundary,
     keldysh_outer,
     log_f_lambda,
-    singular_inner,
     witness_amplitude_search,
 )
 from cyclicity.boundary import BoundarySet, distance_to_set
@@ -178,12 +176,12 @@ class TestHerglotz:
 class TestFLambda:
     def test_unimodular_product_on_grid(self):
         for lam in lambda_grid():
-            val = abs(f_lambda(lam, lam) * singular_inner(lam))
+            val = abs(cmath.exp(log_f_lambda(lam, lam)) * singular_inner(lam))
             assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_value_at_origin(self):
         # Herglotz kernel is 1 at z = 0: log f(0) = c * ratio * |shadow|
-        got = abs(f_lambda(0.5, 0.0))
+        got = abs(cmath.exp(log_f_lambda(0.5, 0.0)))
         assert got == pytest.approx(2.8299049058843933, rel=1e-10)
         assert math.log(got) == pytest.approx(c_lambda(0.5) * 3.0 * 0.5, rel=1e-12)
 
@@ -202,7 +200,7 @@ class TestFLambda:
         sh = PrivalovShadow(lam)
         z = cmath.exp(1j * sh.center) * (1.0 - 1e-14)
         with pytest.raises(NumericError):
-            f_lambda(lam, z)
+            log_f_lambda(lam, z)
 
     def test_near_shadow_rejected_across_the_cut(self):
         # the shadow of lambda = -0.9 spans angle pi; angles come in (-pi, pi]
@@ -294,7 +292,7 @@ class TestHLambda:
         weight = WeightSpec.log_power(1.0)
         lam = 0.7 * cmath.exp(0.9j)
         for z in (0.2 + 0.1j, -0.5j, 0.6 * cmath.exp(2.0j)):
-            lhs = abs(f_lambda(lam, z) * singular_inner(z)) * math.exp(
+            lhs = abs(cmath.exp(log_f_lambda(lam, z)) * singular_inner(z)) * math.exp(
                 -eval_lambda(weight, min(distance_to_set(FULL, z), 2.0)))
             rhs = math.exp(h_lambda(weight, FULL, lam, z))
             assert lhs == pytest.approx(rhs, rel=1e-9)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from crosschecks import checkpoint_sums_by_segment, divergence_verdict_numpy
+from crosschecks import checkpoint_sums_by_segment, condition_partials_quad, divergence_verdict_numpy
 from cyclicity import criterion
 from cyclicity.boundary import Arc, BoundarySet, complementary_arcs
 from cyclicity.criterion import (
@@ -454,6 +454,23 @@ def _nondecreasing_series(draw):
     return C * (start + np.concatenate(([0.0], np.cumsum(inc)))), eps
 
 
+def _degenerate_case(kind):
+    """Series and checkpoints that pass the shape checks but carry a non-finite
+    value or two checkpoints whose logs round equal."""
+    S, eps = np.cumsum(np.ones(24)), np.geomspace(1e-3, 1e-200, 24)
+    if kind == "last-sum-inf":
+        S[-1] = np.inf
+    elif kind == "sum-nan":
+        S[10] = np.nan
+    elif kind == "eps-one-ulp-apart":
+        S, eps = np.cumsum(np.ones(25)), np.insert(eps, 11, np.nextafter(eps[10], 0.0))
+    elif kind == "first-eps-inf":
+        eps[0] = np.inf
+    else:
+        eps[-1] = 5e-324
+    return S, eps
+
+
 class TestEstimatorAgainstReference:
     @pytest.mark.parametrize("dip", [None, 6, 12, 18])
     def test_calibration_rows(self, dip):
@@ -484,6 +501,13 @@ class TestEstimatorAgainstReference:
         (np.arange(6.0), -SCHEDULE[::4], "positive and strictly decreasing"),
         (np.arange(8.0), np.geomspace(1e-2, 1e-3, 8), "at least 4 geometric decades"),
         ([1.0, 2.0, 1.5, 3.0, 4.0, 5.0], SCHEDULE[::4], "must be nondecreasing"),
+        pytest.param(*_degenerate_case("last-sum-inf"), "must be finite", id="last-sum-inf"),
+        pytest.param(*_degenerate_case("sum-nan"), "must be finite", id="sum-nan"),
+        pytest.param(*_degenerate_case("eps-one-ulp-apart"), r"log\(1/eps\) must be finite and strictly increasing",
+                     id="eps-one-ulp-apart"),
+        pytest.param(*_degenerate_case("first-eps-inf"), "must be finite", id="first-eps-inf"),
+        pytest.param(*_degenerate_case("last-eps-subnormal"), r"log\(1/eps\) must be finite and strictly increasing",
+                     id="last-eps-subnormal"),
     ])
     def test_refusals_match(self, S, eps, message):
         for estimator in (divergence_verdict, divergence_verdict_numpy):
@@ -644,6 +668,18 @@ class TestScan:
             if alpha <= 1.4:
                 true_q = 1.0 - alpha * (1.0 - KAPPA / 2.0)
                 assert row["fitted_exponent"] == pytest.approx(true_q, abs=0.05)
+
+    def test_nikolski_rows(self):
+        # the square-root condition integral grows like u^(1 - alpha/2) in
+        # u = log(1/eps); the closed form and quadrature give the same fit
+        for alpha in (0.5, 1.5, 2.5, 3.0):
+            row = theorem_scan_point("nikolski", alpha)
+            assert row["agree"], row
+            assert row["fitted_exponent"] == pytest.approx(1.0 - alpha / 2.0, abs=1e-9)
+            weight = WeightSpec.log_power(alpha)
+            eps = default_checkpoints(weight, BoundarySet.full_circle())
+            ref = divergence_verdict(condition_partials_quad(weight, "nikolski", eps), eps)
+            assert row["fitted_exponent"] == pytest.approx(ref.exponent, abs=1e-6)
 
     def test_scan_verdict_scale_invariance(self):
         for sc in (0.1, 1.0, 10.0):

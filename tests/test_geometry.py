@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from crosschecks import cut_crossings_bisection, profile_y_predictor
+from crosschecks import cut_crossings_bisection, profile_y_predictor, solve_profile_y
 from cyclicity import boundary, geometry, weights
 from cyclicity.boundary import BoundarySet
 from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
@@ -16,7 +16,6 @@ from cyclicity.geometry import (
     normalized_for_lambda1,
     solve_gamma,
     solve_gamma_array,
-    solve_profile_y,
     to_halfplane,
 )
 from cyclicity.weights import WeightSpec, eval_lambda
@@ -214,7 +213,8 @@ class TestHalfplane:
             if abs(w - 1.0) < 1e-3:
                 continue
             hp = to_halfplane(w)
-            assert abs(hp.reconstruct() - w) <= 1e-12 * max(abs(w), 1.0)
+            # 1 - w = e^{i phi} / R
+            assert abs(1.0 - cmath.exp(1j * hp.phi) / hp.R - w) <= 1e-12 * max(abs(w), 1.0)
 
     def test_boundary_point_asymptotics(self):
         # on the domain boundary: R |theta| and (pi/2 - |phi|)/(gamma/|theta|)

@@ -14,11 +14,10 @@ from cyclicity.phragmen import (
     HarmonicMeasureEstimate,
     arc_length_s,
     harmonic_measure_mc,
-    pl_divergence_integrand,
     sigma,
 )
 
-from crosschecks import log_sigma_mpmath, pl_divergence_partials
+from crosschecks import log_sigma_mpmath, pl_divergence_integrand, pl_divergence_partials
 
 HP = DomainProfile("sector", "const", value=0.0)
 WEDGE = DomainProfile("cartesian", "x")

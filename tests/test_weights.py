@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosschecks import condition_integral_quad, condition_integrand, condition_partials_quad
 from cyclicity.errors import DomainError, UsageError
 from cyclicity.weights import (
     WeightSpec,
     check_regularity,
-    condition_integrand,
-    condition_partials,
     eval_lambda,
-    eval_w,
     effective_w,
     inv_tw_integral,
 )
@@ -55,10 +53,9 @@ class TestEvalLambda:
         # log(1/t) vanishes at the pure cut: the tail constant is undefined
         flat = WeightSpec.log_power(1e-13, t_cut=1.0 - 1e-13)
         for fn in (eval_lambda, effective_w):
-            with pytest.raises(DomainError):
-                fn(flat, 1.5)
-        with pytest.raises(DomainError):
-            eval_w(flat, flat.pure_cut)
+            for t in (flat.pure_cut, 1.5):
+                with pytest.raises(DomainError):
+                    fn(flat, t)
 
     def test_pure_cut_shrinks_for_large_exponent(self):
         # the raw formula increases past e^-alpha; the formula region stops there
@@ -121,11 +118,17 @@ class TestEvalLambda:
             assert eval_lambda(spec, np.array([t]))[0] == eval_lambda(spec, t)
 
 
+def eval_w(spec, t):
+    """The generator w(t) on the pure region: effective_w carries 1/sqrt(scale)."""
+    return effective_w(spec, t) * math.sqrt(spec.scale)
+
+
 class TestEvalW:
     def test_values(self):
         assert eval_w(WeightSpec.from_w(0.5), math.exp(-4.0)) == pytest.approx(2.0, rel=1e-14)
         assert eval_w(WeightSpec.from_w(1.0), 0.1) == pytest.approx(math.log(10.0), rel=1e-13)
         assert eval_w(WeightSpec.const_w(), 0.01) == 1.0
+        assert eval_w(WeightSpec.log_power(3.0, scale=7.0), math.exp(-9.0)) == pytest.approx(27.0, rel=1e-13)
 
     def test_doubling_identity_exact(self):
         spec = WeightSpec.from_w(1.0)
@@ -133,8 +136,13 @@ class TestEvalW:
             assert eval_w(spec, t * t) / eval_w(spec, t) == pytest.approx(2.0, rel=1e-14)
 
     def test_out_of_region(self):
-        with pytest.raises(DomainError):
-            eval_w(WeightSpec.from_w(1.0), 0.5)
+        # past the pure cut w_eff follows the 1/t tail of Lambda, not log^p(1/t)
+        spec = WeightSpec.from_w(1.0)
+        for t in (0.5, 1.0, 2.0):
+            assert eval_w(spec, t) == pytest.approx(math.log(1.0 / spec.pure_cut), rel=1e-13)
+        for t in (0.0, 2.5):
+            with pytest.raises(DomainError):
+                effective_w(spec, t)
 
     @given(st.floats(min_value=0.2, max_value=2.0), st.floats(min_value=1e-8, max_value=1e-1))
     @settings(max_examples=60, deadline=None)
@@ -147,19 +155,19 @@ class TestEvalW:
     def test_effective_w_matches_pure_w_at_unit_scale(self):
         spec = WeightSpec.log_power(1.4)
         for t in (1e-5, 1e-2):
-            assert effective_w(spec, t) == pytest.approx(eval_w(spec, t), rel=1e-12)
+            assert effective_w(spec, t) == pytest.approx(math.log(1.0 / t) ** 0.7, rel=1e-12)
 
     def test_scalars_give_floats_and_arrays_agree(self):
         spec = WeightSpec.from_w(0.7, scale=3.0)
         ts = np.array([1e-100, 1e-5, 0.1, spec.pure_cut])
-        c_beta = lambda s, t: condition_integrand(s, "c_beta", t, beta=0.25)  # noqa: E731
-        for fn in (eval_w, c_beta):
+        c_beta = lambda s, t: inv_tw_integral(s, 1.5, t, s.pure_cut)  # noqa: E731
+        for fn in (effective_w, c_beta):
             vals = fn(spec, ts)
             assert vals.shape == ts.shape
             for t, v in zip(ts.tolist(), vals):
                 one = fn(spec, t)
                 assert type(one) is float and one == v
-        assert type(eval_w(WeightSpec.const_w(), 0.01)) is float
+        assert type(effective_w(WeightSpec.const_w(), 0.01)) is float
 
 
 class TestLogDerivativeRatio:
@@ -210,14 +218,23 @@ class TestCheckRegularity:
 
 
 class TestConditionIntegrand:
+    """The condition integrals are inv_tw_integral at powers 1 (nikolski),
+    2 (gs) and 2(1 - beta) (c_beta), against quadrature of the integrands."""
+
     def test_nikolski_value(self):
         spec = WeightSpec.log_power(2.0)
         got = condition_integrand(spec, "nikolski", math.exp(-4.0))
         assert got == pytest.approx(math.exp(4.0) / 4.0, rel=1e-13)
+        for lo, hi in ((1e-6, 1e-2), (1e-250, spec.pure_cut)):
+            ref = condition_integral_quad(spec, "nikolski", lo, hi)
+            assert inv_tw_integral(spec, 1.0, lo, hi) == pytest.approx(ref, rel=1e-10)
 
     def test_gs_equals_lambda(self):
         spec = WeightSpec.log_power(1.0, t_cut=math.exp(-1.0))
         assert condition_integrand(spec, "gs", math.exp(-1.0)) == pytest.approx(E, rel=1e-13)
+        for lo, hi in ((1e-6, 1e-2), (1e-250, spec.pure_cut)):
+            ref = condition_integral_quad(spec, "gs", lo, hi)
+            assert inv_tw_integral(spec, 2.0, lo, hi) == pytest.approx(ref, rel=1e-10)
 
     def test_cbeta_reduces_to_nikolski(self):
         # alpha (1 - beta) = 1 boundary: for alpha = 2, beta = 1/2 the integrands coincide
@@ -226,6 +243,9 @@ class TestConditionIntegrand:
             a = condition_integrand(spec, "c_beta", t, beta=0.5)
             b = condition_integrand(spec, "nikolski", t)
             assert a == pytest.approx(b, rel=1e-12)
+        # and so do the integrals at power 2(1 - beta) = 1
+        ref = condition_integral_quad(spec, "c_beta", 1e-9, 1e-2, beta=0.5)
+        assert inv_tw_integral(spec, 1.0, 1e-9, 1e-2) == pytest.approx(ref, rel=1e-10)
 
     def test_cbeta_closed_identity(self):
         spec = WeightSpec.log_power(1.5)
@@ -233,13 +253,16 @@ class TestConditionIntegrand:
             got = condition_integrand(spec, "c_beta", t, beta=0.25)
             L = math.log(1.0 / t)
             assert got == pytest.approx(1.0 / (t * L ** (1.5 * 0.75)), rel=1e-12)
+        # the scale enters as scale^(1 - beta) = scale^(power/2)
+        scaled = WeightSpec.log_power(1.5, scale=2.0)
+        ref = condition_integral_quad(scaled, "c_beta", 1e-200, 1e-3, beta=0.25)
+        assert inv_tw_integral(scaled, 2.0 * (1.0 - 0.25), 1e-200, 1e-3) == pytest.approx(ref, rel=1e-10)
 
-    def test_bad_kind_and_beta(self):
+    def test_bounds_outside_pure_region(self):
         spec = WeightSpec.log_power(1.0)
-        with pytest.raises(UsageError):
-            condition_integrand(spec, "bogus", 1e-3)
-        with pytest.raises(UsageError):
-            condition_integrand(spec, "c_beta", 1e-3, beta=0.9)
+        for lo, hi in ((0.0, 1e-3), (-1e-3, 1e-3), (1e-3, 0.5)):
+            with pytest.raises(DomainError):
+                inv_tw_integral(spec, 1.0, lo, hi)
 
 
 class TestIntegralHelper:
@@ -254,12 +277,14 @@ class TestIntegralHelper:
             assert inv_tw_integral(spec, power, lo, hi) == pytest.approx(ref, rel=1e-9)
 
     def test_condition_partials_closed_form(self):
+        # the area condition, power 2: int dt/(t log(1/t)) = log log(1/eps) - log log(1/cut)
         spec = WeightSpec.log_power(1.0)
         eps = np.array([1e-3, 1e-6, 1e-9])
-        got = condition_partials(spec, "gs", eps)
+        got = inv_tw_integral(spec, 2.0, eps, spec.pure_cut)
         L0 = math.log(1.0 / spec.pure_cut)
         expect = np.log(np.log(1.0 / eps)) - math.log(L0)
         assert np.allclose(got, expect, rtol=1e-12)
+        assert np.allclose(condition_partials_quad(spec, "gs", eps), expect, rtol=1e-10)
 
 
 class TestSerialization:
