@@ -158,7 +158,8 @@ def _beta_angle(beta: float, n) -> np.ndarray:
 
 def _sequence_points_desc(bset: BoundarySet, floor: float) -> np.ndarray:
     """E-point angles of a point-sequence kind, descending, down to >= floor."""
-    floor = max(floor, _ENUM_FLOOR)
+    if floor < _ENUM_FLOOR:
+        raise CapacityError(f"point-sequence enumeration floor is {_ENUM_FLOOR}; use a larger cutoff")
     if bset.kind == "geometric":
         n_max = int(math.floor(-math.log2(floor))) + 1
         pts = 2.0 ** -np.arange(0, n_max + 1)
@@ -277,7 +278,8 @@ def arc_arrays(bset: BoundarySet, cutoff: float):
     The one arc enumerator for every set kind.  An open arc meets [cutoff, 1]
     exactly when b > cutoff; arcs come sorted by decreasing b.  cutoff = 0 is
     accepted for kinds with finitely many window arcs (full/arc/point/cantor);
-    point sequences require cutoff > 0.
+    point sequences require cutoff >= _ENUM_FLOOR and raise CapacityError
+    below it.
     """
     if cutoff < 0.0:
         raise UsageError("cutoff must be nonnegative")

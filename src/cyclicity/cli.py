@@ -15,15 +15,20 @@ scan               estimator-vs-oracle sweep for a threshold family
 Exit codes: 0 success, 1 usage/config error, 2 numeric failure, 3 when the
 headline verdict is inconclusive and --strict-verdict is set.
 
-Reports are byte-stable: canonical JSON (sorted keys, %.12g floats) or CSV
-with a declared header; timing goes to stderr only.  Identical config and
-seed produce identical bytes.
+Reports are byte-stable; timing goes to stderr only, and identical config
+and seed produce identical bytes.  A JSON report is the envelope {command,
+version, config_hash, config, results} in canonical JSON (sorted keys,
+%.12g floats); a CSV report is a declared header and its rows.  The CSV of
+criterion analyze has the columns of the JSON arrays of its results, with
+the checkpoints named eps.  Every float flag, every number in a JSON
+argument and every --samples angle must be finite.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import hashlib
 import json
@@ -93,33 +98,11 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
 
-class RunReport:
-    """Report wrapper: command echo, version, config hash, results payload."""
-
-    def __init__(self, command: str, config: dict, results):
-        self.command = command
-        self.config = config
-        self.results = results
-
-    def payload(self) -> dict:
-        return {
-            "command": self.command,
-            "version": __version__,
-            "config_hash": config_hash({"command": self.command, **self.config}),
-            "config": self.config,
-            "results": self.results,
-        }
-
-
-def emit_report(report: RunReport, fmt: str, header=None, rows=None) -> str:
-    """Serialized bytes of a report: canonical JSON, or CSV rows with header."""
-    if fmt == "json":
-        return canonical_json(report.payload()) + "\n"
-    if fmt == "csv":
-        if header is None:
-            raise UsageError("csv format needs tabular results")
-        return csv_text(header, rows)
-    raise UsageError(f"unknown format {fmt!r}")
+def json_report(command: str, config: dict, results) -> str:
+    """The JSON report: command echo, version, config hash, config and results."""
+    return canonical_json({"command": command, "version": __version__,
+                           "config_hash": config_hash({"command": command, **config}),
+                           "config": config, "results": results}) + "\n"
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -139,9 +122,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_json_arg(text: str, what: str) -> dict:
+def _finite(text: str) -> float:
+    """The argparse type of every float flag; a non-number keeps argparse's own message."""
     try:
-        obj = json.loads(text)
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
+
+
+def _load_json_arg(text: str, what: str) -> dict:
+    def finite(token: str, kind=float):  # NaN, Infinity, 1e999 and integers past the float range
+        if not math.isfinite(float(token)):
+            raise UsageError(f"{what} must hold finite numbers, not {token}")
+        return kind(token)
+
+    try:
+        obj = json.loads(text, parse_float=finite, parse_constant=finite,
+                         parse_int=lambda token: finite(token, int))
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON for {what}: {exc}") from exc
     if not isinstance(obj, dict):
@@ -166,86 +166,77 @@ def build_parser() -> _Parser:
     """The CLI parser, built on first use and shared by every later call.
 
     Sharing is safe: parse_args writes into a fresh namespace, never into
-    the parser.
+    the parser.  Each leaf parser binds its handler, which run_command calls.
     """
     p = _Parser(prog="cyclicity", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    json_flags = {"weight": "weight spec JSON", "set": "boundary set JSON",
+                  "profile": "domain profile JSON"}
 
-    def add_common(sp, weight=True, bset=True):
-        if weight:
-            sp.add_argument("--weight", required=True, help="weight spec JSON")
-        if bset:
-            sp.add_argument("--set", required=True, help="boundary set JSON")
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+
+    def leaf(parent, name, handler, help, *flags):
+        sp = parent.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
+        for flag in flags:
+            sp.add_argument("--" + flag, required=True, help=json_flags[flag])
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+        return sp
 
-    pw = sub.add_parser("weights", help="weight-family operations")
-    pws = pw.add_subparsers(dest="subcommand", required=True)
-    pwc = pws.add_parser("check", help="regularity report on a grid")
-    add_common(pwc, bset=False)
-    pwc.add_argument("--grid-from", type=float, default=1e-2)
-    pwc.add_argument("--grid-to", type=float, default=1e-8)
+    pwc = leaf(group("weights", "weight-family operations"), "check", _cmd_weights_check,
+               "regularity report on a grid", "weight")
+    pwc.add_argument("--grid-from", type=_finite, default=1e-2)
+    pwc.add_argument("--grid-to", type=_finite, default=1e-8)
     pwc.add_argument("--points", type=int, default=25)
     pwc.add_argument("--format", choices=("json",), default="json")
 
-    pg = sub.add_parser("gamma", help="solve the implicit boundary equation")
-    add_common(pg)
-    pg.add_argument("--theta", type=float, required=True)
+    pg = leaf(sub, "gamma", _cmd_gamma, "solve the implicit boundary equation", "weight", "set")
+    pg.add_argument("--theta", type=_finite, required=True)
     pg.add_argument("--normalize-lambda1", action="store_true")
 
-    po = sub.add_parser("omega", help="domain boundary operations")
-    pos = po.add_subparsers(dest="subcommand", required=True)
-    pot = pos.add_parser("trace", help="trace the boundary over an angle range")
-    add_common(pot)
-    pot.add_argument("--from", dest="from_", type=float, required=True, help="smallest angle")
-    pot.add_argument("--to", type=float, required=True, help="largest angle")
+    pot = leaf(group("omega", "domain boundary operations"), "trace", _cmd_omega_trace,
+               "trace the boundary over an angle range", "weight", "set")
+    pot.add_argument("--from", dest="from_", type=_finite, required=True, help="smallest angle")
+    pot.add_argument("--to", type=_finite, required=True, help="largest angle")
     pot.add_argument("--points", type=int, default=50)
     pot.add_argument("--normalize-lambda1", action="store_true")
 
-    ps = sub.add_parser("sigma", help="cross-section growth integral")
-    ps.add_argument("--profile", required=True, help="domain profile JSON")
-    ps.add_argument("--rho", type=float, required=True)
-    ps.add_argument("--out", default=None)
+    ps = leaf(sub, "sigma", _cmd_sigma, "cross-section growth integral", "profile")
+    ps.add_argument("--rho", type=_finite, required=True)
 
-    ph = sub.add_parser("hm-mc", help="Monte Carlo harmonic measure")
-    ph.add_argument("--profile", required=True, help="domain profile JSON")
+    ph = leaf(sub, "hm-mc", _cmd_hm_mc, "Monte Carlo harmonic measure", "profile")
     ph.add_argument("--z0", default="1,0", help="interior start point re,im")
-    ph.add_argument("--rho", type=float, required=True)
+    ph.add_argument("--rho", type=_finite, required=True)
     ph.add_argument("--paths", type=int, default=100_000)
     ph.add_argument("--seed", type=int, required=True)
-    ph.add_argument("--out", default=None)
 
-    pa = sub.add_parser("aux", help="auxiliary function checks")
-    pas = pa.add_subparsers(dest="subcommand", required=True)
-    pav = pas.add_parser("verify-lemma", help="sign grid for the comparison function")
-    add_common(pav)
-    pav.add_argument("--a", type=float, default=2.0 / (5.0 * math.pi))
-    pav.add_argument("--A", type=float, default=None)
+    pas = group("aux", "auxiliary function checks")
+    pav = leaf(pas, "verify-lemma", _cmd_verify_lemma, "sign grid for the comparison function",
+               "weight", "set")
+    pav.add_argument("--a", type=_finite, default=2.0 / (5.0 * math.pi))
+    pav.add_argument("--A", type=_finite, default=None)
     pav.add_argument("--grid", type=int, default=12)
-    pak = pas.add_parser("keldysh", help="outer witness amplitude search")
-    add_common(pak)
-    pak.add_argument("--samples", default="1e-2,1e-3,1e-4",
-                     help="comma-separated boundary angles")
+    pak = leaf(pas, "keldysh", _cmd_keldysh, "outer witness amplitude search", "weight", "set")
+    pak.add_argument("--samples", default="1e-2,1e-3,1e-4", help="comma-separated boundary angles")
     pak.add_argument("--max-power", type=int, default=10)
 
-    pc = sub.add_parser("criterion", help="cyclicity criterion")
-    pcs = pc.add_subparsers(dest="subcommand", required=True)
-    pca = pcs.add_parser("analyze", help="full criterion report")
-    add_common(pca)
+    pca = leaf(group("criterion", "cyclicity criterion"), "analyze", _cmd_criterion_analyze,
+               "full criterion report", "weight", "set")
     pca.add_argument("--checkpoints", type=int, default=24)
     pca.add_argument("--format", choices=("json", "csv"), default="json")
     pca.add_argument("--arcs-out", default=None, help="per-arc CSV path")
-    pca.add_argument("--arcs-cutoff", type=float, default=None)
+    pca.add_argument("--arcs-cutoff", type=_finite, default=None)
     pca.add_argument("--strict-verdict", action="store_true")
 
-    pn = sub.add_parser("scan", help="threshold-family sweep")
+    pn = leaf(sub, "scan", _cmd_scan, "threshold-family sweep")
     pn.add_argument("--theorem", required=True, choices=crit.THEOREMS)
-    pn.add_argument("--alpha-from", type=float, required=True)
-    pn.add_argument("--alpha-to", type=float, required=True)
-    pn.add_argument("--step", type=float, required=True)
-    pn.add_argument("--beta", type=float, default=0.0)
+    pn.add_argument("--alpha-from", type=_finite, required=True)
+    pn.add_argument("--alpha-to", type=_finite, required=True)
+    pn.add_argument("--step", type=_finite, required=True)
+    pn.add_argument("--beta", type=_finite, default=0.0)
     pn.add_argument("--depth", type=int, default=30)
-    pn.add_argument("--out", default=None)
     pn.add_argument("--strict-verdict", action="store_true")
     return p
 
@@ -260,17 +251,9 @@ def _cmd_weights_check(args) -> int:
         raise UsageError("need at least 8 grid points")
     grid = np.geomspace(args.grid_from, args.grid_to, args.points)
     rep = wts.check_regularity(spec, grid)
-    report = RunReport("weights check", {"weight": spec.to_json(),
-                                         "grid_from": args.grid_from,
-                                         "grid_to": args.grid_to,
-                                         "points": args.points},
-                       {"max_t_lambda": rep.max_t_lambda,
-                        "argmax_t_lambda": rep.argmax_t_lambda,
-                        "max_log_deriv_ratio": rep.max_log_deriv_ratio,
-                        "lambda_decreasing": rep.lambda_decreasing,
-                        "t_lambda_vanishing": rep.t_lambda_vanishing,
-                        "n_points": rep.n_points})
-    _write_out(emit_report(report, "json"), args.out)
+    config = {"weight": spec.to_json(), "grid_from": args.grid_from, "grid_to": args.grid_to,
+              "points": args.points}
+    _write_out(json_report("weights check", config, dataclasses.asdict(rep)), args.out)
     return EXIT_OK
 
 
@@ -306,9 +289,8 @@ def _cmd_omega_trace(args) -> int:
 def _cmd_sigma(args) -> int:
     profile = _profile(args)
     val = phr.sigma(profile, args.rho)
-    report = RunReport("sigma", {"profile": profile.to_json(), "rho": args.rho},
-                       {"sigma": val})
-    _write_out(emit_report(report, "json"), args.out)
+    _write_out(json_report("sigma", {"profile": profile.to_json(), "rho": args.rho}, {"sigma": val}),
+               args.out)
     return EXIT_OK
 
 
@@ -320,11 +302,10 @@ def _cmd_hm_mc(args) -> int:
     except ValueError as exc:
         raise UsageError("--z0 must be re,im") from exc
     est = phr.harmonic_measure_mc(profile, z0, args.rho, args.paths, args.seed)
-    report = RunReport("hm-mc", {"profile": profile.to_json(), "z0": [z0.real, z0.imag],
-                                 "rho": args.rho, "paths": args.paths, "seed": args.seed},
-                       {"mean": est.mean, "standard_error": est.standard_error,
-                        "capped_paths": est.capped_paths})
-    _write_out(emit_report(report, "json"), args.out)
+    config = {"profile": profile.to_json(), "z0": [z0.real, z0.imag], "rho": args.rho,
+              "paths": args.paths, "seed": args.seed}
+    results = {"mean": est.mean, "standard_error": est.standard_error, "capped_paths": est.capped_paths}
+    _write_out(json_report("hm-mc", config, results), args.out)
     return EXIT_OK
 
 
@@ -364,69 +345,60 @@ def _cmd_keldysh(args) -> int:
         raise UsageError("--samples must be comma-separated angles") from exc
     if not thetas:
         raise UsageError("need at least one sample angle")
+    if not all(map(math.isfinite, thetas)):
+        raise UsageError("--samples must be finite angles")
     amp = aux.witness_amplitude_search(weight, bset, thetas, max_power=args.max_power)
-    report = RunReport("aux keldysh", {"weight": weight.to_json(), "set": bset.to_json(),
-                                       "samples": thetas, "max_power": args.max_power},
-                       {"amplitude": amp})
-    _write_out(emit_report(report, "json"), args.out)
+    config = {"weight": weight.to_json(), "set": bset.to_json(), "samples": thetas,
+              "max_power": args.max_power}
+    _write_out(json_report("aux keldysh", config, {"amplitude": amp}), args.out)
     return EXIT_OK
+
+
+def _arc_listing(weight, bset, eps, cutoff) -> str:
+    """The per-arc CSV: the window arcs with b above cutoff and a below the cut."""
+    if cutoff is None:
+        cutoff = float(eps.min())
+        if bset.kind == "cantor":
+            # a full enumeration down to the deepest checkpoint is exponential
+            cutoff = max(cutoff, 3.0 ** -min(bset.depth, 11))
+    if bset.kind == "cantor":
+        # list generations down to the cutoff scale; deeper gaps sit below
+        # it or are exponentially many slivers of the listed ones
+        gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
+        bset = bnd.BoundarySet.cantor(gen_cap, mirror=bset.mirror)
+    a, b = bnd.arc_arrays(bset, cutoff)
+    keep = a < weight.pure_cut
+    a, b = a[keep], b[keep]
+    cls, contrib, _ = crit.arc_terms(weight, a, b, float(eps.min()))
+    rows = zip(a.tolist(), b.tolist(), (crit.ARC_CLASSES[c] for c in cls.tolist()), contrib.tolist())
+    return csv_text(("a", "b", "class", "contribution"), rows)
 
 
 def _cmd_criterion_analyze(args) -> int:
     weight, bset = _weight(args), _bset(args)
     if args.checkpoints < 6:
         raise UsageError("--checkpoints must be >= 6")
+    if args.arcs_cutoff is not None and args.arcs_cutoff <= 0.0:
+        raise UsageError("--arcs-cutoff must be positive")
     eps = crit.default_checkpoints(weight, bset, count=args.checkpoints)
     report = crit.criterion_partials(weight, bset, eps)
     verdict = report.verdict()
     alt = report.alt_verdict()
-    results = {
-        "checkpoints": report.checkpoints,
-        "e_and_short": report.e_and_short,
-        "intermediate_sum": report.intermediate_sum,
-        "long_sum": report.long_sum,
-        "total": report.total,
-        "alt_e_integral": report.alt_e_integral,
-        "alt_gs_integral": report.alt_gs_integral,
-        "alt_arc_sum": report.alt_arc_sum,
-        "verdict": verdict.verdict,
-        "model": verdict.model,
-        "fitted_exponent": verdict.exponent,
-        "fit_residual": verdict.fit_residual,
-        "alt_verdict": alt.verdict,
-        "forms_agree": verdict.verdict == alt.verdict,
-    }
-    run = RunReport("criterion analyze", {"weight": weight.to_json(), "set": bset.to_json(),
-                                          "checkpoints": args.checkpoints}, results)
-    if args.format == "json":
-        _write_out(emit_report(run, "json"), args.out)
+    names = [f.name for f in dataclasses.fields(report)]
+    columns = [getattr(report, name) for name in names]
+    if args.format == "csv":
+        text = csv_text(["eps", *names[1:]], zip(*columns))
     else:
-        header = ("eps", "e_and_short", "intermediate_sum", "long_sum", "total",
-                  "alt_e_integral", "alt_gs_integral", "alt_arc_sum")
-        rows = list(zip(report.checkpoints, report.e_and_short, report.intermediate_sum,
-                        report.long_sum, report.total, report.alt_e_integral,
-                        report.alt_gs_integral, report.alt_arc_sum))
-        _write_out(emit_report(run, "csv", header=header, rows=rows), args.out)
-    if args.arcs_out is not None:
-        if args.arcs_cutoff is not None:
-            cutoff = args.arcs_cutoff
-        elif bset.kind == "cantor":
-            # a full enumeration down to the deepest checkpoint is exponential
-            cutoff = max(float(eps.min()), 3.0 ** -min(bset.depth, 11))
-        else:
-            cutoff = float(eps.min())
-        enum_set = bset
-        if bset.kind == "cantor":
-            # list generations down to the cutoff scale; deeper gaps sit below
-            # it or are exponentially many slivers of the listed ones
-            gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
-            enum_set = bnd.BoundarySet.cantor(gen_cap, mirror=bset.mirror)
-        a, b = bnd.arc_arrays(enum_set, cutoff)
-        keep = a < weight.pure_cut
-        a, b = a[keep], b[keep]
-        cls, contrib, _ = crit.arc_terms(weight, a, b, float(eps.min()))
-        rows = zip(a.tolist(), b.tolist(), (crit.ARC_CLASSES[c] for c in cls.tolist()), contrib.tolist())
-        _write_out(csv_text(("a", "b", "class", "contribution"), rows), args.arcs_out)
+        results = dict(zip(names, columns), verdict=verdict.verdict, model=verdict.model,
+                       fitted_exponent=verdict.exponent, fit_residual=verdict.fit_residual,
+                       alt_verdict=alt.verdict, forms_agree=verdict.verdict == alt.verdict)
+        config = {"weight": weight.to_json(), "set": bset.to_json(), "checkpoints": args.checkpoints}
+        text = json_report("criterion analyze", config, results)
+    # the listing is made before anything is written, so a refused cutoff writes nothing
+    arcs = None if args.arcs_out is None else _arc_listing(weight, bset, eps, args.arcs_cutoff)
+    _write_out(text, args.out)
+    if arcs is not None:
+        _write_out(arcs, args.arcs_out)
     if args.strict_verdict and verdict.verdict == "inconclusive":
         return EXIT_INCONCLUSIVE
     return EXIT_OK
@@ -440,31 +412,12 @@ def _cmd_scan(args) -> int:
     while a <= args.alpha_to + 1e-12:
         alphas.append(round(a, 12))
         a += args.step
-    rows = []
-    any_inconclusive = False
-    for alpha in alphas:
-        row = crit.theorem_scan_point(args.theorem, alpha, beta=args.beta, depth=args.depth)
-        any_inconclusive |= row["verdict"] == "inconclusive"
-        rows.append((row["alpha"], row["fitted_exponent"], row["verdict"],
-                     row["oracle"], row["agree"]))
-    _write_out(csv_text(("alpha", "fitted_exponent", "verdict", "oracle", "agree"), rows),
-               args.out)
-    if args.strict_verdict and any_inconclusive:
+    header = ("alpha", "fitted_exponent", "verdict", "oracle", "agree")
+    points = [crit.theorem_scan_point(args.theorem, alpha, beta=args.beta, depth=args.depth) for alpha in alphas]
+    _write_out(csv_text(header, ([point[name] for name in header] for point in points)), args.out)
+    if args.strict_verdict and any(point["verdict"] == "inconclusive" for point in points):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
-
-
-_HANDLERS = {
-    ("weights", "check"): _cmd_weights_check,
-    ("gamma", None): _cmd_gamma,
-    ("omega", "trace"): _cmd_omega_trace,
-    ("sigma", None): _cmd_sigma,
-    ("hm-mc", None): _cmd_hm_mc,
-    ("aux", "verify-lemma"): _cmd_verify_lemma,
-    ("aux", "keldysh"): _cmd_keldysh,
-    ("criterion", "analyze"): _cmd_criterion_analyze,
-    ("scan", None): _cmd_scan,
-}
 
 
 def run_command(argv) -> int:
@@ -472,8 +425,7 @@ def run_command(argv) -> int:
     t0 = time.perf_counter()
     try:
         args = build_parser().parse_args(list(argv))
-        handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
-        code = handler(args)
+        code = args.handler(args)
     except SystemExit as exc:  # parse_args, after printing --help or --version
         return exc.code
     except (UsageError, DomainError, CapacityError) as exc:

@@ -57,7 +57,6 @@ from .errors import CapacityError, DomainError, UsageError
 KAPPA = math.log(2.0) / math.log(3.0)
 
 ARC_CLASSES = ("short", "intermediate", "long")
-VERDICTS = ("divergent", "convergent", "inconclusive")
 THEOREMS = ("teo2", "teo3", "nikolski", "gs")
 
 DEFAULT_MARGIN = 0.05

@@ -160,7 +160,7 @@ def _residual(spec: wts.WeightSpec, x, u, d):
     """|gamma - theta^2 Lambda(gamma + d)| = gamma |1 - exp(-_gamma_equation)|, underflow-safe."""
     gamma = np.exp(x)
     residual = gamma * np.abs(1.0 - np.exp(-_gamma_equation(spec, x, u, d)))
-    bad = residual > _RESIDUAL_REL * np.maximum(gamma, _GAMMA_FLOOR)
+    bad = ~(residual <= _RESIDUAL_REL * np.maximum(gamma, _GAMMA_FLOOR))  # a NaN residual fails
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
         raise NumericError(f"residual certificate failed: {residual[i]!r} at gamma={gamma[i]!r}")
@@ -175,6 +175,8 @@ def solve_gamma_array(weight: wts.WeightSpec, bset: bnd.BoundarySet, thetas) -> 
     element carries its residual certificate.
     """
     theta = np.asarray(thetas, dtype=float)
+    if not np.isfinite(theta).all():
+        raise DomainError("theta must be finite")
     if np.any(theta == 0.0):
         raise DomainError("theta must be nonzero")
     if np.any(np.abs(theta) > math.pi):

@@ -93,6 +93,15 @@ class TestComplementaryArcs:
         with pytest.raises(UsageError):
             complementary_arcs(BoundarySet.cantor(3), -1.0)
 
+    @pytest.mark.parametrize("bset", [BoundarySet.geometric(), BoundarySet.doubly_exp(),
+                                      BoundarySet.beta_points(0.25)], ids=lambda b: b.kind)
+    def test_point_sequences_refuse_cutoffs_below_the_floor(self, bset):
+        # below 1e-290 the rules once stopped at the floor and listed fewer arcs than asked
+        a, b = arc_arrays(bset, 1e-290)
+        assert b.min() > 1e-290 and a.min() < 1e-290
+        with pytest.raises(CapacityError, match="floor"):
+            arc_arrays(bset, 1e-300)
+
     def test_cantor_capacity(self):
         with pytest.raises(CapacityError):
             BoundarySet.cantor(40)

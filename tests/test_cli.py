@@ -18,12 +18,11 @@ from cyclicity.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
-    RunReport,
     build_parser,
     canonical_json,
     config_hash,
     csv_text,
-    emit_report,
+    json_report,
     run_command,
 )
 
@@ -31,6 +30,7 @@ W1 = '{"family":"log_power","alpha":1.0}'
 W2 = '{"family":"log_power","alpha":2.0}'
 PT = '{"kind":"point"}'
 GEO = '{"kind":"geometric"}'
+CANTOR14 = '{"kind":"cantor","depth":14}'
 HP = '{"variant":"sector","phi":"const","params":{"value":0}}'
 WEDGE = '{"variant":"cartesian","phi":"x"}'
 STRIP = '{"variant":"cartesian","phi":"const1"}'
@@ -235,11 +235,12 @@ class TestCanonicalJson:
         assert canonical_json(float("nan")) == '"nan"'
 
     def test_round_trip_after_canonicalization(self):
-        r = RunReport("x", {"v": 0.1234567890123456789}, {"out": [1.0, 2.5]})
-        once = emit_report(r, "json")
+        once = json_report("x", {"v": 0.1234567890123456789}, {"out": [1.0, 2.5]})
         parsed = json.loads(once)
-        r2 = RunReport(parsed["command"], parsed["config"], parsed["results"])
-        assert emit_report(r2, "json") == once
+        assert once.endswith("}\n")
+        assert sorted(parsed) == ["command", "config", "config_hash", "results", "version"]
+        assert parsed["config_hash"] == config_hash({"command": "x", "v": 0.1234567890123456789})
+        assert json_report(parsed["command"], parsed["config"], parsed["results"]) == once
 
     def test_float_array_as_its_floats(self):
         # the one-pass array path gives the bytes of the element-by-element path
@@ -352,6 +353,21 @@ class TestCommands:
         short = res["e_and_short"][-1] - res["alt_e_integral"][-1]
         assert sums["short"] == pytest.approx(short, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("bset", [CANTOR14, GEO])
+    def test_criterion_csv_columns_are_the_json_arrays(self, capsys, bset):
+        # the same eight columns, token for token; the checkpoints are named eps in the CSV
+        argv = ("criterion", "analyze", "--weight", W1, "--set", bset, "--checkpoints", "12")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        res = json.loads(out)["results"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        names = ["checkpoints", *header[1:]]
+        assert header[0] == "eps" and len(header) == 8
+        assert all(isinstance(res[name], list) for name in names)
+        assert list(zip(*rows)) == [tuple(canonical_json(v) for v in res[name]) for name in names]
+
     def test_aux_keldysh(self, capsys):
         code, out, _ = run(capsys, "aux", "keldysh", "--weight", W2, "--set", PT,
                            "--samples", "1e-2,1e-3")
@@ -398,3 +414,53 @@ class TestCommands:
         assert out.startswith("SUP_H ")
         assert float(out.split()[1]) <= 1e-9
         assert f.read_text().splitlines()[0] == "lambda_re,lambda_im,z_re,z_im,H,case_tag"
+
+
+class TestRefusals:
+    """Inputs the CLI refuses with exit 1, writing nothing, not even the report."""
+
+    CASES = {
+        "gamma-theta-nan": ("gamma", "--weight", W1, "--set", PT, "--theta", "nan"),
+        "scan-alpha-from-nan": ("scan", "--theorem", "gs", "--alpha-from", "nan", "--alpha-to", "1.0",
+                                "--step", "0.5"),
+        "keldysh-samples-nan": ("aux", "keldysh", "--weight", W2, "--set", PT, "--samples", "1e-2,nan"),
+        "weight-scale-nan": ("weights", "check", "--weight", '{"family":"log_power","alpha":1.0,"scale":NaN}'),
+        "weight-scale-overflow": ("weights", "check", "--weight",
+                                  '{"family":"log_power","alpha":1.0,"scale":1e999}'),
+        "weight-alpha-past-float-range": ("gamma", "--weight", '{"family":"log_power","alpha":1%s}' % ("0" * 400),
+                                          "--set", PT, "--theta", "0.01"),
+        "verify-lemma-a-nan": ("aux", "verify-lemma", "--weight", W1, "--set", '{"kind":"full"}',
+                               "--a", "nan", "--grid", "4"),
+        "arcs-cutoff-below-floor": ("criterion", "analyze", "--weight", W1, "--set", GEO,
+                                    "--arcs-cutoff", "1e-300"),
+        "arcs-cutoff-zero": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "0"),
+        "arcs-cutoff-nan": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "nan"),
+        "arcs-cutoff-inf": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "inf"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_refused_before_writing(self, capsys, tmp_path, name):
+        argv = self.CASES[name]
+        extra = ["--arcs-out", str(tmp_path / "arcs.csv")] if argv[0] == "criterion" else []
+        code, out, err = run(capsys, *argv, *extra)  # the report would go to stdout
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: ")
+        code, out, err = run(capsys, *argv, *extra, "--out", str(tmp_path / "report"))
+        assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_float_flags_say_finite(self, capsys):
+        _, _, err = run(capsys, *self.CASES["gamma-theta-nan"])
+        assert "finite" in err
+        _, _, err = run(capsys, "gamma", "--weight", W1, "--set", PT, "--theta", "x")
+        assert err == "error: argument --theta: invalid float value: 'x'\n"
+
+    def test_infinite_scan_end_is_refused_in_time(self, tmp_path):
+        # an unbounded alpha range once looped forever: a regression fails here instead of hanging
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--theorem", "gs", "--alpha-from", "0.5", "--alpha-to", "inf", "--step", "0.5"]
+        proc = subprocess.run([sys.executable, "-m", "cyclicity", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "") and "finite" in proc.stderr
+        assert not out.exists()

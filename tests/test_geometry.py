@@ -143,6 +143,14 @@ class TestSolveGamma:
             solve_gamma_array(spec, FULL, [1e-3, -4.0])
         with pytest.raises(NumericError):
             solve_gamma_array(spec, FULL, [1e-3, math.pi])
+        for theta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                solve_gamma_array(spec, FULL, [1e-3, theta])
+
+    def test_nan_residual_fails_the_certificate(self):
+        one = np.ones(1)
+        with pytest.raises(NumericError, match="residual certificate"):
+            geometry._residual(WeightSpec.log_power(1.0), math.nan * one, 5.0 * one, 0.0 * one)
 
     def test_errors(self):
         spec = WeightSpec.log_power(1.0)
