@@ -16,6 +16,9 @@ beta        angles exp(-n^(1-beta)), n >= 1, plus the anchor 1, beta in [0, 1/2]
 cantor      the middle-thirds set at a finite generation depth (1..38);
             its gap ends are integer numerators over 3^g, exact in int64
 
+The fields of BoundarySet are its JSON config: BoundarySet("cantor",
+depth=20) is {"kind": "cantor", "depth": 20}.  Each point-sequence kind has
+one rule, _sequence_rule, for its points and their nearest-point search.
 arc_arrays is the one arc enumerator for every kind; complementary_arcs is
 its list-of-Arc view.
 
@@ -33,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .errors import CapacityError, DomainError, UsageError
 
 KINDS = ("full", "arc", "point", "geometric", "doubly_exp", "beta", "cantor")
@@ -60,7 +64,7 @@ class Arc:
 
 
 @dataclass(frozen=True)
-class BoundarySet:
+class BoundarySet(config.JsonConfig, what="set", required="kind"):
     kind: str
     beta: float | None = None
     depth: int | None = None
@@ -89,94 +93,38 @@ class BoundarySet:
         elif self.a is not None or self.b is not None:
             raise DomainError("a/b parameters only valid for kind 'arc'")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def full_circle() -> "BoundarySet":
-        return BoundarySet("full")
-
-    @staticmethod
-    def single_arc(a: float, b: float, mirror: bool = False) -> "BoundarySet":
-        return BoundarySet("arc", a=a, b=b, mirror=mirror)
-
-    @staticmethod
-    def single_point(mirror: bool = False) -> "BoundarySet":
-        return BoundarySet("point", mirror=mirror)
-
-    @staticmethod
-    def geometric(mirror: bool = False) -> "BoundarySet":
-        return BoundarySet("geometric", mirror=mirror)
-
-    @staticmethod
-    def doubly_exp(mirror: bool = False) -> "BoundarySet":
-        return BoundarySet("doubly_exp", mirror=mirror)
-
-    @staticmethod
-    def beta_points(beta: float, mirror: bool = False) -> "BoundarySet":
-        return BoundarySet("beta", beta=beta, mirror=mirror)
-
-    @staticmethod
-    def cantor(depth: int, mirror: bool = False) -> "BoundarySet":
-        return BoundarySet("cantor", depth=depth, mirror=mirror)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.depth is not None:
-            out["depth"] = self.depth
-        if self.a is not None:
-            out["a"] = self.a
-            out["b"] = self.b
-        if self.mirror:
-            out["mirror"] = True
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "BoundarySet":
-        if not isinstance(obj, dict):
-            raise UsageError("set config must be a JSON object")
-        allowed = {"kind", "beta", "depth", "a", "b", "mirror"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise UsageError(f"unknown set config fields: {sorted(unknown)}")
-        if "kind" not in obj:
-            raise UsageError("set config requires 'kind'")
-        kwargs = {k: obj[k] for k in ("beta", "depth", "a", "b", "mirror") if k in obj}
-        return BoundarySet(obj["kind"], **kwargs)
-
 
 # ---------------------------------------------------------------------------
 # point-sequence rules
 
 
-def _beta_angle(beta: float, n) -> np.ndarray:
-    return np.exp(-np.asarray(n, dtype=float) ** (1.0 - beta))
+def _sequence_rule(bset: BoundarySet):
+    """(angle(n), index(u), first) of a point-sequence kind.
+
+    The E-points below the anchor 1 are angle(n) for integers n >= first,
+    decreasing in n; index inverts angle in u = log(1/theta), so that
+    angle(index(u)) = e^-u and the points per unit of u are index'(u).
+    Geometric's angle(0) is the anchor itself.
+    """
+    if bset.kind == "geometric":
+        return (lambda n: np.ldexp(1.0, -n)), (lambda u: u / math.log(2.0)), 0
+    if bset.kind == "doubly_exp":
+        return (lambda n: np.ldexp(1.0, -(2**n))), (lambda u: np.log2(np.maximum(u / math.log(2.0), 1.0))), 0
+    if bset.kind == "beta":
+        e = 1.0 - bset.beta
+        return (lambda n: np.exp(-np.asarray(n, dtype=float) ** e)), (lambda u: u ** (1.0 / e)), 1
+    raise UsageError(f"{bset.kind!r} is not a point-sequence kind")
 
 
 def _sequence_points_desc(bset: BoundarySet, floor: float) -> np.ndarray:
     """E-point angles of a point-sequence kind, descending, down to >= floor."""
     if floor < _ENUM_FLOOR:
         raise CapacityError(f"point-sequence enumeration floor is {_ENUM_FLOOR}; use a larger cutoff")
-    if bset.kind == "geometric":
-        n_max = int(math.floor(-math.log2(floor))) + 1
-        pts = 2.0 ** -np.arange(0, n_max + 1)
-    elif bset.kind == "doubly_exp":
-        m_max = int(math.ceil(math.log2(max(1.0, -math.log2(floor))))) + 1
-        pts = np.concatenate(([1.0], 2.0 ** -(2.0 ** np.arange(0, m_max + 1))))
-    elif bset.kind == "beta":
-        u_max = math.log(1.0 / floor)
-        n_max = int(math.ceil(u_max ** (1.0 / (1.0 - bset.beta)))) + 1
-        pts = np.concatenate(([1.0], _beta_angle(bset.beta, np.arange(1, n_max + 1))))
-    else:
-        raise UsageError(f"{bset.kind!r} is not a point-sequence kind")
-    pts = pts[pts > 0.0]
-    keep = pts >= floor
+    angle, index, first = _sequence_rule(bset)
+    pts = angle(np.arange(first, int(math.ceil(index(math.log(1.0 / floor)))) + 2))
+    pts = np.concatenate(([1.0], pts[(0.0 < pts) & (pts < 1.0)]))  # the anchor once, on geometric too
     # include one point below the floor so the straddling gap is closed
-    idx = int(np.sum(keep))
-    return pts[: min(len(pts), idx + 1)]
+    return pts[: np.count_nonzero(pts >= floor) + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +280,10 @@ def _candidate_angles(bset: BoundarySet, theta: np.ndarray) -> np.ndarray:
         near = np.stack(cantor_locate(bset.depth, theta)[:2], axis=-1)
         return np.concatenate([np.stack([zero, zero + 1.0], axis=-1), near], axis=-1)
     # point sequences: invert the rule and take a small index neighborhood
-    inside = (theta > 0.0) & (theta < 1.0)
-    u = np.log(1.0 / np.clip(theta, _ENUM_FLOOR, 1.0))
-    j = np.arange(-2, 3)
-    if bset.kind == "geometric":
-        n = np.maximum(0, np.floor(u / math.log(2.0)).astype(int)[..., None] + j)
-        near = np.ldexp(1.0, -n)
-    elif bset.kind == "doubly_exp":
-        m0 = np.log2(np.maximum(u / math.log(2.0), 1.0))
-        near = np.ldexp(1.0, -(2 ** np.maximum(0, np.floor(m0).astype(int)[..., None] + j)))
-    else:
-        n0 = u ** (1.0 / (1.0 - bset.beta))
-        near = _beta_angle(bset.beta, np.maximum(1, np.floor(n0)[..., None] + j))
-    near = np.where(inside[..., None], near, 0.0)
+    angle, index, first = _sequence_rule(bset)
+    n = np.floor(index(np.log(1.0 / np.clip(theta, _ENUM_FLOOR, 1.0)))).astype(int)
+    near = angle(np.maximum(first, n[..., None] + np.arange(-2, 3)))
+    near = np.where(((theta > 0.0) & (theta < 1.0))[..., None], near, 0.0)
     return np.concatenate([np.stack([zero, zero + 1.0], axis=-1), near], axis=-1)
 
 

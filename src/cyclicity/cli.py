@@ -52,6 +52,8 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_INCONCLUSIVE = 3
 
+MAX_SCAN_ROWS = 100_000  # rows one scan may list, far above any sweep in the README
+
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -365,7 +367,7 @@ def _arc_listing(weight, bset, eps, cutoff) -> str:
         # list generations down to the cutoff scale; deeper gaps sit below
         # it or are exponentially many slivers of the listed ones
         gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
-        bset = bnd.BoundarySet.cantor(gen_cap, mirror=bset.mirror)
+        bset = bnd.BoundarySet("cantor", depth=gen_cap, mirror=bset.mirror)
     a, b = bnd.arc_arrays(bset, cutoff)
     keep = a < weight.pure_cut
     a, b = a[keep], b[keep]
@@ -411,6 +413,8 @@ def _cmd_scan(args) -> int:
     a = args.alpha_from
     while a <= args.alpha_to + 1e-12:
         alphas.append(round(a, 12))
+        if len(alphas) > MAX_SCAN_ROWS:  # also a step below the float spacing of alpha
+            raise UsageError(f"--step {args.step!r} gives more than {MAX_SCAN_ROWS} scan rows")
         a += args.step
     header = ("alpha", "fitted_exponent", "verdict", "oracle", "agree")
     points = [crit.theorem_scan_point(args.theorem, alpha, beta=args.beta, depth=args.depth) for alpha in alphas]

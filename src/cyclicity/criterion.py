@@ -502,19 +502,6 @@ def threshold_oracle(theorem: str, alpha: float, beta: float = 0.0) -> str:
     return "divergent" if alpha <= threshold_value(theorem, beta) else "convergent"
 
 
-def oracle_set(theorem: str, beta: float = 0.0, depth: int = 30) -> bnd.BoundarySet:
-    """The boundary set a threshold family refers to."""
-    if theorem == "teo2":
-        return bnd.BoundarySet.beta_points(beta)
-    if theorem == "teo3":
-        return bnd.BoundarySet.cantor(depth)
-    if theorem == "nikolski":
-        return bnd.BoundarySet.full_circle()
-    if theorem == "gs":
-        return bnd.BoundarySet.single_point()
-    raise UsageError(f"unknown theorem {theorem!r}")
-
-
 def cantor_reduced_partials(weight: wts.WeightSpec, depth: int, count: int = 20):
     """Class-counting partial sums for the middle-thirds set.
 
@@ -559,16 +546,16 @@ def theorem_scan_point(theorem: str, alpha: float, beta: float = 0.0, depth: int
     """
     if theorem not in THEOREMS:
         raise UsageError(f"unknown theorem {theorem!r}")
-    weight = wts.WeightSpec.log_power(alpha)
+    weight = wts.WeightSpec("log_power", alpha=alpha)
     if theorem == "teo3":
         eps, sums = cantor_reduced_partials(weight, depth)
         verdict = divergence_verdict(sums, eps)
     elif theorem == "nikolski":
         # the square-root condition: sqrt(Lambda/t) = 1/(t w_eff), power 1
-        eps = default_checkpoints(weight, bnd.BoundarySet.full_circle())
+        eps = default_checkpoints(weight, bnd.BoundarySet("full"))
         verdict = divergence_verdict(wts.inv_tw_integral(weight, 1.0, eps, weight.pure_cut), eps)
     else:
-        bset = oracle_set(theorem, beta=beta, depth=depth)
+        bset = bnd.BoundarySet("beta", beta=beta) if theorem == "teo2" else bnd.BoundarySet("point")
         eps = default_checkpoints(weight, bset)
         report = criterion_partials(weight, bset, eps)
         verdict = report.verdict()

@@ -48,7 +48,7 @@ _MAX_STEPS = 200  # root-finder steps; about 10 are needed
 _BLOCK = 4096  # angles solved together; bounds the solver's working memory
 _RULE_ORDER = 20  # Gauss-Legendre points per panel; the error estimate uses half as many
 _ROUNDING = 50.0 * np.finfo(float).eps  # relative rounding allowance of a rule sum
-_PANEL_WIDTH = 8.0  # widest panel in v = log(1/theta)
+_PANEL_WIDTH = 8.0  # widest uniform panel, in v = log(1/theta) or, for phragmen.sigma, v = log r
 _KINK_SPACING = 0.25  # at most one kink break per cell of this width in v
 
 
@@ -274,6 +274,11 @@ def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
                            -np.log(ends[k]), orient * f[k + 1], orient * f[k], orient)
 
 
+def uniform_panels(lo: float, hi: float) -> np.ndarray:
+    """Edges of the fewest equal panels at most _PANEL_WIDTH wide over [lo, hi]."""
+    return np.linspace(lo, hi, max(1, math.ceil((hi - lo) / _PANEL_WIDTH)) + 1)
+
+
 def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
                 v_lo: float, v_hi: float, breaks=()):
     """Panel edges in v = log(1/|theta|) over [v_lo, v_hi] for the angles of one sign.
@@ -294,8 +299,7 @@ def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     v_kinks = v_kinks[np.unique(np.floor(v_kinks / _KINK_SPACING), return_index=True)[1]]
     crossings = _cut_crossings(weight, bset, sign, kinks, math.exp(-v_hi))
     inner = np.concatenate([v_kinks, crossings, np.asarray(breaks, dtype=float)])
-    uniform = np.linspace(v_lo, v_hi, max(1, math.ceil((v_hi - v_lo) / _PANEL_WIDTH)) + 1)
-    return np.concatenate([uniform, inner[(v_lo < inner) & (inner < v_hi)]])
+    return np.concatenate([uniform_panels(v_lo, v_hi), inner[(v_lo < inner) & (inner < v_hi)]])
 
 
 def gamma_criterion_partial(

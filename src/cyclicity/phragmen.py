@@ -19,6 +19,9 @@ half planes, constant-opening sectors, the wedge |y| <= x and the half strips
 distance to the tangent line at (x, x^2) for the profile x^2, a trig-based
 static-sector bound for invlog.  A lower bound keeps the walk law exact, it
 only costs steps.
+
+The JSON config of a DomainProfile nests its value as params: {"value": x},
+as every echoed config and its hash do.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from . import geometry as geo
 from .errors import DomainError, NumericError, UsageError
 
@@ -37,7 +41,6 @@ PHI_NAMES = ("x", "x2", "const1", "const", "invlog")
 _WOS_TOL_FACTOR = 1e-4
 _WOS_MAX_STEPS = 100_000
 _BLOCK = 4096
-_PANEL_WIDTH = 8.0  # widest uniform panel of the sigma rule, in v = log r
 _GRADES = 40  # sigma panels halving toward the lower end; the last is 2^-40 of the first
 
 
@@ -104,18 +107,19 @@ class DomainProfile:
             out["params"] = {"value": self.value}
         return out
 
-    @staticmethod
-    def from_json(obj: dict) -> "DomainProfile":
+    @classmethod
+    def from_json(cls, obj: dict) -> "DomainProfile":
         if not isinstance(obj, dict):
             raise UsageError("profile config must be a JSON object")
-        allowed = {"variant", "phi", "params"}
-        unknown = set(obj) - allowed
+        unknown = set(obj) - {"variant", "phi", "params"}
         if unknown:
             raise UsageError(f"unknown profile config fields: {sorted(unknown)}")
         params = obj.get("params", {})
         if not isinstance(params, dict) or set(params) - {"value"}:
             raise UsageError("profile params may only carry 'value'")
-        return DomainProfile(obj.get("variant"), obj.get("phi"), value=params.get("value"))
+        fields = {k: v for k, v in obj.items() if k != "params"} | params
+        config.check_types(cls, fields, "profile")
+        return cls(fields.get("variant"), fields.get("phi"), fields.get("value"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +155,8 @@ def sigma(profile: DomainProfile, rho: float) -> float:
     """Comparison quantity exp(pi int_lo^rho dr / s(r)); rho^2 must be finite.
 
     lo = max(1, r_min (1 + 1e-9)).  pi int r/s dv in v = log r by
-    geometry.log_rule, on uniform panels plus panels graded by powers of 2
-    toward v0 = log of the half strip's corner r = c clamped to [lo, rho],
+    geometry.log_rule, on geometry.uniform_panels plus panels graded by
+    powers of 2 toward v0 = log of the half strip's corner r = c clamped to [lo, rho],
     or toward lo on the other profiles (the strip's square-root corner, the
     invlog pole just below lo); below the corner s = pi r, and one panel
     from lo to v0 integrates the constant exactly.  NumericError if the
@@ -166,7 +170,7 @@ def sigma(profile: DomainProfile, rho: float) -> float:
         raise DomainError(f"rho must be >= {lo!r}")
     corner = profile.phi_at(0.0) if profile.variant == "cartesian" else lo
     v_lo, v0, v_hi = math.log(lo), math.log(min(max(corner, lo), rho)), math.log(rho)
-    uniform = np.linspace(v0, v_hi, max(1, math.ceil((v_hi - v0) / _PANEL_WIDTH)) + 1)
+    uniform = geo.uniform_panels(v0, v_hi)
     graded = v0 + (uniform[1] - v0) * 0.5 ** np.arange(1, _GRADES + 1)
     v, fine, coarse = geo.log_rule(np.concatenate([[v_lo], uniform, graded]))
     r = np.exp(v)

@@ -1,10 +1,13 @@
 """Weight families Lambda(t) = scale / (t * w(t)^2) and their closed-form integrals.
 
-Three families are supported:
+Three families are supported, each a WeightSpec(family, ...):
 
-* ``log_power(alpha)``:  Lambda(t) = 1/(t log^alpha(1/t)),  w(t) = log^(alpha/2)(1/t)
-* ``from_w(p)``:         w(t) = log^p(1/t),  Lambda(t) = 1/(t w(t)^2)
+* ``log_power``, alpha:  Lambda(t) = 1/(t log^alpha(1/t)),  w(t) = log^(alpha/2)(1/t)
+* ``from_w``, p:         w(t) = log^p(1/t),  Lambda(t) = 1/(t w(t)^2)
 * ``const_w``:           w == 1,  Lambda(t) = 1/t  (degenerate test family)
+
+The fields of WeightSpec are its JSON config: WeightSpec("from_w", p=0.4)
+is {"family": "from_w", "p": 0.4}.
 
 The closed formulas are decreasing only while log(1/t) >= a, where a is the
 log exponent (alpha, 2p, or 0).  eval_lambda therefore uses the formula on
@@ -30,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import config
 from .errors import DomainError, UsageError
 
 FAMILIES = ("log_power", "from_w", "const_w")
@@ -38,7 +42,7 @@ DEFAULT_T_CUT = math.exp(-2.0)
 
 
 @dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(config.JsonConfig, what="weight", required="family"):
     """A weight family plus regularized-continuation parameters."""
 
     family: str
@@ -68,22 +72,6 @@ class WeightSpec:
         if self.scale <= 0.0:
             raise DomainError("scale must be positive")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def log_power(alpha: float, t_cut: float = DEFAULT_T_CUT, scale: float = 1.0) -> "WeightSpec":
-        return WeightSpec("log_power", alpha=alpha, t_cut=t_cut, scale=scale)
-
-    @staticmethod
-    def from_w(p: float, t_cut: float = DEFAULT_T_CUT, scale: float = 1.0) -> "WeightSpec":
-        return WeightSpec("from_w", p=p, t_cut=t_cut, scale=scale)
-
-    @staticmethod
-    def const_w(t_cut: float = DEFAULT_T_CUT, scale: float = 1.0) -> "WeightSpec":
-        return WeightSpec("const_w", t_cut=t_cut, scale=scale)
-
-    # -- derived quantities ------------------------------------------------
-
     @property
     def log_exponent(self) -> float:
         """Exponent a with Lambda(t) = scale/(t log^a(1/t)); 0 for const_w."""
@@ -108,29 +96,6 @@ class WeightSpec:
 
     def with_scale(self, scale: float) -> "WeightSpec":
         return replace(self, scale=scale)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        out: dict = {"family": self.family, "t_cut": self.t_cut, "scale": self.scale}
-        if self.family == "log_power":
-            out["alpha"] = self.alpha
-        elif self.family == "from_w":
-            out["p"] = self.p
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "WeightSpec":
-        if not isinstance(obj, dict):
-            raise UsageError("weight config must be a JSON object")
-        allowed = {"family", "alpha", "p", "t_cut", "scale"}
-        unknown = set(obj) - allowed
-        if unknown:
-            raise UsageError(f"unknown weight config fields: {sorted(unknown)}")
-        if "family" not in obj:
-            raise UsageError("weight config requires 'family'")
-        kwargs = {k: obj[k] for k in ("alpha", "p", "t_cut", "scale") if k in obj}
-        return WeightSpec(obj["family"], **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,10 @@ def test_acceptance_2_interpolating_matrix():
 
 def test_acceptance_3_specializations():
     started = time.monotonic()
-    full = BoundarySet.full_circle()
-    point = BoundarySet.single_point()
+    full = BoundarySet("full")
+    point = BoundarySet("point")
     for alpha in (0.5, 1.5, 2.5):
-        weight = WeightSpec.log_power(alpha)
+        weight = WeightSpec("log_power", alpha=alpha)
         expect = threshold_oracle("nikolski", alpha)
         # route 1: the classical square-root condition integral, by quadrature
         eps = default_checkpoints(weight, full)
@@ -92,7 +92,7 @@ def test_acceptance_3_specializations():
         rep_pt = criterion_partials(weight, point, default_checkpoints(weight, point))
         assert rep_pt.verdict().verdict == expect_gs, (alpha, rep_pt.verdict())
     for p in (0.4, 0.6):
-        weight = WeightSpec.from_w(p)
+        weight = WeightSpec("from_w", p=p)
         expect = "divergent" if 2.0 * p <= 1.0 else "convergent"
         for kind in ("geometric", "doubly_exp"):
             bset = BoundarySet(kind)
@@ -109,8 +109,8 @@ def test_acceptance_4_auxiliary_identities():
         lam = complex(rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95))
         if 0.05 < abs(lam) < 0.95 and abs(1.0 - lam) > 0.05:
             grid.append(lam)
-    weight = WeightSpec.log_power(1.0)
-    full = BoundarySet.full_circle()
+    weight = WeightSpec("log_power", alpha=1.0)
+    full = BoundarySet("full")
     for lam in grid:
         assert abs(cmath.exp(log_f_lambda(lam, lam)) * singular_inner(lam)) == pytest.approx(1.0, abs=1e-9)
         assert 1.0 / c_lambda(lam) >= 0.8
@@ -167,10 +167,10 @@ def test_acceptance_5_phragmen_lindelof():
 def test_acceptance_6_geometry_certificates():
     started = time.monotonic()
     rng = np.random.default_rng(66)
-    weights = [WeightSpec.log_power(a) for a in (0.5, 1.0, 2.0, 2.5)] + [
-        WeightSpec.from_w(0.5), WeightSpec.from_w(1.0), WeightSpec.const_w()]
-    sets = [BoundarySet.full_circle(), BoundarySet.single_point(),
-            BoundarySet.geometric(), BoundarySet.beta_points(0.25), BoundarySet.cantor(15)]
+    weights = [WeightSpec("log_power", alpha=a) for a in (0.5, 1.0, 2.0, 2.5)] + [
+        WeightSpec("from_w", p=0.5), WeightSpec("from_w", p=1.0), WeightSpec("const_w")]
+    sets = [BoundarySet("full"), BoundarySet("point"),
+            BoundarySet("geometric"), BoundarySet("beta", beta=0.25), BoundarySet("cantor", depth=15)]
     for _ in range(1000):
         weight = weights[rng.integers(len(weights))]
         bset = sets[rng.integers(len(sets))]
@@ -181,9 +181,9 @@ def test_acceptance_6_geometry_certificates():
         assert sol.residual <= 1e-12 * max(sol.gamma, 1e-300)
 
     # gamma * w(gamma) = |theta| sqrt(scale) on the set (dist = 0)
-    full = BoundarySet.full_circle()
+    full = BoundarySet("full")
     for p, scale in ((0.5, 1.0), (1.0, 1.0), (1.0, 4.0)):
-        weight = WeightSpec.from_w(p, scale=scale)
+        weight = WeightSpec("from_w", p=p, scale=scale)
         for theta in (1e-2, 1e-4, 1e-6):
             sol = solve_gamma(weight, full, theta)
             got = sol.gamma * effective_w(weight, sol.gamma) * math.sqrt(scale)
@@ -191,7 +191,7 @@ def test_acceptance_6_geometry_certificates():
 
     # profile solver against the asymptotic predictor, Lambda-values >= 10
     for alpha in (0.5, 1.0, 1.5, 2.0, 2.5):
-        weight = WeightSpec.log_power(alpha)
+        weight = WeightSpec("log_power", alpha=alpha)
         for x in (10.0, 20.0, 50.0, 100.0):
             y = solve_profile_y(weight, x)
             pred = profile_y_predictor(weight, x)
@@ -212,7 +212,7 @@ def test_acceptance_7_forms_and_invariances():
         verdicts = set()
         for tc in t_cuts:
             for sc in scales:
-                w = WeightSpec.log_power(alpha, t_cut=tc, scale=sc)
+                w = WeightSpec("log_power", alpha=alpha, t_cut=tc, scale=sc)
                 eps, sums = cantor_reduced_partials(w, 30)
                 verdicts.add(divergence_verdict(sums, eps).verdict)
         assert len(verdicts) == 1, (alpha, verdicts)
@@ -221,13 +221,13 @@ def test_acceptance_7_forms_and_invariances():
     for beta in (0.0, 0.25, 0.5):
         for alpha in (1.0, 1.5, 2.0, 2.5):
             if abs(alpha * (1.0 - beta) - 1.0) >= MARGIN:
-                cases.append((("log_power", alpha), BoundarySet.beta_points(beta)))
+                cases.append((("log_power", alpha), BoundarySet("beta", beta=beta)))
     for alpha in (0.5, 1.5, 2.5):
-        cases.append((("log_power", alpha), BoundarySet.full_circle()))
-        cases.append((("log_power", alpha), BoundarySet.single_point()))
+        cases.append((("log_power", alpha), BoundarySet("full")))
+        cases.append((("log_power", alpha), BoundarySet("point")))
     for p in (0.4, 0.6):
-        cases.append((("from_w", p), BoundarySet.geometric()))
-        cases.append((("from_w", p), BoundarySet.doubly_exp()))
+        cases.append((("from_w", p), BoundarySet("geometric")))
+        cases.append((("from_w", p), BoundarySet("doubly_exp")))
 
     for fam, bset in cases:
         verdicts = set()
@@ -235,9 +235,9 @@ def test_acceptance_7_forms_and_invariances():
         for tc in t_cuts:
             for sc in scales:
                 if fam[0] == "log_power":
-                    w = WeightSpec.log_power(fam[1], t_cut=tc, scale=sc)
+                    w = WeightSpec("log_power", alpha=fam[1], t_cut=tc, scale=sc)
                 else:
-                    w = WeightSpec.from_w(fam[1], t_cut=tc, scale=sc)
+                    w = WeightSpec("from_w", p=fam[1], t_cut=tc, scale=sc)
                 rep = criterion_partials(w, bset, default_checkpoints(w, bset))
                 verdicts.add(rep.verdict().verdict)
                 if sc == 1.0 and tc == t_cuts[0]:
@@ -249,8 +249,8 @@ def test_acceptance_7_forms_and_invariances():
 
 def test_acceptance_8_keldysh_witness():
     started = time.monotonic()
-    weight = WeightSpec.log_power(2.0)
-    point = BoundarySet.single_point()
+    weight = WeightSpec("log_power", alpha=2.0)
+    point = BoundarySet("point")
     thetas = [1e-2, 1e-3, 1e-4]
     amp = witness_amplitude_search(weight, point, thetas, max_power=10)
     assert amp <= 2**10

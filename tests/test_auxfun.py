@@ -28,8 +28,8 @@ from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.geometry import normalized_for_lambda1, solve_gamma
 from cyclicity.weights import WeightSpec, eval_lambda
 
-FULL = BoundarySet.full_circle()
-POINT = BoundarySet.single_point()
+FULL = BoundarySet("full")
+POINT = BoundarySet("point")
 A_DEFAULT = 2.0 / (5.0 * math.pi)
 
 
@@ -222,14 +222,14 @@ class TestHLambda:
     def test_cancellation_at_lambda(self):
         # H(lambda) = -Lambda(dist(lambda, E)) exactly; the first two terms
         # cancel because the shadow Poisson integral at lambda is 1/c
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         for bset in (FULL, POINT):
             for lam in lambda_grid(20, seed=2):
                 lam_term = eval_lambda(weight, min(distance_to_set(bset, lam), 2.0))
                 assert h_lambda(weight, bset, lam, lam) == pytest.approx(-lam_term, abs=1e-9)
 
     def test_case1_nonpositive(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         spec = GammaRegionSpec(weight=weight, bset=FULL, a=A_DEFAULT, A=1000.0)
         rng = np.random.default_rng(3)
         checked = 0
@@ -248,7 +248,7 @@ class TestHLambda:
         assert checked > 50
 
     def test_case3_nonpositive(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         spec = GammaRegionSpec(weight=weight, bset=FULL, a=A_DEFAULT, A=1000.0)
         rng = np.random.default_rng(13)
         checked = 0
@@ -269,7 +269,7 @@ class TestHLambda:
     def test_grid_sup_nonregression(self):
         # over the region grid x z grid the sup stays below the recorded
         # constant (the case analysis gives <= 0 for these a, A)
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         spec = GammaRegionSpec(weight=weight, bset=FULL, a=A_DEFAULT, A=1000.0)
         rng = np.random.default_rng(23)
         sup = -math.inf
@@ -289,7 +289,7 @@ class TestHLambda:
         assert sup <= 1e-9  # recorded constant: 0 for (a, A) = (2/(5pi), 1000)
 
     def test_log_identity(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         lam = 0.7 * cmath.exp(0.9j)
         for z in (0.2 + 0.1j, -0.5j, 0.6 * cmath.exp(2.0j)):
             lhs = abs(cmath.exp(log_f_lambda(lam, z)) * singular_inner(z)) * math.exp(
@@ -300,7 +300,7 @@ class TestHLambda:
 
 class TestGammaRegion:
     def test_membership_examples(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         spec = GammaRegionSpec(weight=weight, bset=POINT, a=A_DEFAULT, A=1000.0)
         lam = (1.0 - 1e-8) * cmath.exp(1e-3j)
         assert in_gamma_region(spec, lam)
@@ -308,14 +308,14 @@ class TestGammaRegion:
         assert not in_gamma_region(spec, 0.0 + 0.0j)
 
     def test_default_A(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         assert GammaRegionSpec(weight=weight, bset=FULL).big_a == 1000.0
         assert GammaRegionSpec(weight=weight, bset=POINT).big_a == 100.0
 
     def test_array_calls_match_scalar_calls(self):
         # one path: each scalar call equals its element of the array call, bit for bit
-        weight = WeightSpec.from_w(0.7, scale=7.0)
-        for bset in (FULL, POINT, BoundarySet.cantor(9), BoundarySet.geometric(mirror=True)):
+        weight = WeightSpec("from_w", p=0.7, scale=7.0)
+        for bset in (FULL, POINT, BoundarySet("cantor", depth=9), BoundarySet("geometric", mirror=True)):
             spec = GammaRegionSpec(weight=weight, bset=bset, a=0.5)
             lams = lambda_grid(40, seed=3)
             inside = in_gamma_region(spec, lams)
@@ -336,22 +336,22 @@ class TestGammaRegion:
 
 class TestKeldyshWitness:
     def test_amplitude_zero_is_one(self):
-        weight = WeightSpec.log_power(2.0)
+        weight = WeightSpec("log_power", alpha=2.0)
         assert keldysh_outer(weight, POINT, 0.0, 0.3 + 0.2j) == 1.0 + 0.0j
 
     def test_divergent_case_rejected(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         with pytest.raises(DomainError):
             keldysh_outer(weight, FULL, 1.0, 0.1 + 0.0j)
         assert not gamma_integral_is_convergent(weight, FULL)
 
     def test_convergence_guard_accepts(self):
-        assert gamma_integral_is_convergent(WeightSpec.log_power(2.0), POINT)
+        assert gamma_integral_is_convergent(WeightSpec("log_power", alpha=2.0), POINT)
 
     @pytest.mark.parametrize("alpha", [2.2, 2.5])
     def test_convergence_guard_full_circle_above_nikolski(self, alpha):
         # gamma w(gamma) = theta on the full circle: the integral converges for alpha > 2
-        assert gamma_integral_is_convergent(WeightSpec.log_power(alpha), FULL)
+        assert gamma_integral_is_convergent(WeightSpec("log_power", alpha=alpha), FULL)
 
     def test_guard_runs_once_per_pair(self, monkeypatch):
         calls = []
@@ -363,13 +363,13 @@ class TestKeldyshWitness:
 
         monkeypatch.setattr(geometry, "gamma_criterion_partial", counting)
         gamma_integral_is_convergent.cache_clear()
-        weight = WeightSpec.log_power(2.0)
+        weight = WeightSpec("log_power", alpha=2.0)
         for w in (0.3 + 0.2j, 0.5 - 0.1j):
             keldysh_outer(weight, POINT, 1.0, w)
         assert calls == [(weight, POINT)]
 
     def test_witness_amplitude_and_inequality(self):
-        weight = WeightSpec.log_power(2.0)
+        weight = WeightSpec("log_power", alpha=2.0)
         thetas = [1e-2, 1e-3, 1e-4]
         amp = witness_amplitude_search(weight, POINT, thetas)
         assert amp <= 2**10
@@ -390,7 +390,7 @@ class TestKeldyshWitness:
         # the real Poisson route, agree to the quadrature tolerance
         from cyclicity.auxfun import _witness_poisson
 
-        weight = WeightSpec.log_power(2.0)
+        weight = WeightSpec("log_power", alpha=2.0)
         w = 0.15 + 0.1j
         herg = _witness_poisson(weight, POINT, [w], herglotz=True).value[0]
         pois = _witness_poisson(weight, POINT, [w], herglotz=False).value[0]
@@ -400,11 +400,11 @@ class TestKeldyshWitness:
 
 
 class TestWitnessRule:
-    @pytest.mark.parametrize("alpha,bset", [(2.0, POINT), (3.0, FULL), (3.0, BoundarySet.geometric())])
+    @pytest.mark.parametrize("alpha,bset", [(2.0, POINT), (3.0, FULL), (3.0, BoundarySet("geometric"))])
     def test_error_estimate_covers_a_finer_rule(self, monkeypatch, alpha, bset):
         # the rule at orders 20/10 against orders 40/20 on panels a quarter
         # as wide: the coarse result's error estimate covers the difference
-        weight = normalized_for_lambda1(WeightSpec.log_power(alpha))
+        weight = normalized_for_lambda1(WeightSpec("log_power", alpha=alpha))
         sol = geometry.solve_gamma_array(weight, bset, [1e-2, 1e-3, 1e-4])
         ws = (1.0 - sol.gamma) * np.exp(1j * sol.theta)
         coarse = auxfun._witness_poisson(weight, bset, ws)
@@ -426,7 +426,7 @@ class TestWitnessRule:
         # (scipy quad, epsrel 1e-8), which stopped at |theta| = 1e-8
         monkeypatch.setattr(auxfun, "_witness_depth", lambda spec: math.log(1e8))
         monkeypatch.setattr(auxfun, "_witness_tail", lambda spec, bset, depth: 0.0)
-        weight = normalized_for_lambda1(WeightSpec.log_power(alpha))
+        weight = normalized_for_lambda1(WeightSpec("log_power", alpha=alpha))
         sol = geometry.solve_gamma_array(weight, bset, [1e-2, 1e-3, 1e-4])
         got = auxfun._witness_poisson(weight, bset, (1.0 - sol.gamma) * np.exp(1j * sol.theta))
         np.testing.assert_allclose(got.value, recorded, rtol=1e-8)
@@ -434,10 +434,10 @@ class TestWitnessRule:
     def test_no_cutoff_below_1e8(self):
         # the boundary data is solved, not dropped, down to theta ~ 1e-290
         thetas = np.array([1e-9, -1e-50, 1e-200, 2e-290])
-        data = keldysh_log_boundary(WeightSpec.log_power(2.0), POINT, thetas)
+        data = keldysh_log_boundary(WeightSpec("log_power", alpha=2.0), POINT, thetas)
         assert np.all(np.isfinite(data)) and np.all(data > 0.0)
         # gamma/|theta| <= (s/c)(u - log c)^-a on the point set, c = 2/pi
-        s = normalized_for_lambda1(WeightSpec.log_power(2.0)).scale
+        s = normalized_for_lambda1(WeightSpec("log_power", alpha=2.0)).scale
         u = -np.log(np.abs(thetas))
         c = 2.0 / math.pi
         assert np.all(data * np.abs(thetas) <= s / c * (u - math.log(c)) ** -2.0)
@@ -445,12 +445,12 @@ class TestWitnessRule:
     def test_full_circle_amplitude_with_deep_tail(self):
         # the data below theta = 1e-8 carries most of the Poisson integral on
         # the full circle at alpha = 2.2; with it the smallest amplitude is 2
-        assert witness_amplitude_search(WeightSpec.log_power(2.2), FULL, [1e-2, 1e-3, 1e-4]) == 2
+        assert witness_amplitude_search(WeightSpec("log_power", alpha=2.2), FULL, [1e-2, 1e-3, 1e-4]) == 2
 
     @pytest.mark.parametrize("weight,bset", [
-        (WeightSpec.log_power(2.0), FULL),
-        (WeightSpec.log_power(1.0), POINT),
-        (WeightSpec.log_power(1.9), BoundarySet.geometric()),
+        (WeightSpec("log_power", alpha=2.0), FULL),
+        (WeightSpec("log_power", alpha=1.0), POINT),
+        (WeightSpec("log_power", alpha=1.9), BoundarySet("geometric")),
     ])
     def test_unbounded_tail_keeps_the_value(self, weight, bset):
         # no remainder bound is known: the tail is inf, but the rule's value

@@ -23,12 +23,12 @@ from cyclicity.errors import CapacityError, DomainError, UsageError
 
 def _any_set(draw_kind, beta, depth):
     if draw_kind == "geometric":
-        return BoundarySet.geometric()
+        return BoundarySet("geometric")
     if draw_kind == "doubly_exp":
-        return BoundarySet.doubly_exp()
+        return BoundarySet("doubly_exp")
     if draw_kind == "beta":
-        return BoundarySet.beta_points(beta)
-    return BoundarySet.cantor(depth)
+        return BoundarySet("beta", beta=beta)
+    return BoundarySet("cantor", depth=depth)
 
 
 def _interval_nums(depth):
@@ -53,7 +53,7 @@ def _walk_gaps(depth, cutoff):
 class TestComplementaryArcs:
     def test_cantor_depth2(self):
         assert _walk_gaps(2, 0.0) == _brute_gaps(2, 0.0) == {(1, 1), (1, 2), (7, 2)}
-        arcs = complementary_arcs(BoundarySet.cantor(2), 0.0)
+        arcs = complementary_arcs(BoundarySet("cantor", depth=2), 0.0)
         assert [(a.a, a.b) for a in arcs] == [(7 / 9, 8 / 9), (1 / 3, 2 / 3), (1 / 9, 2 / 9)]
 
     @pytest.mark.parametrize("depth", [1, 2, 5, 8, 11, 12])
@@ -61,19 +61,19 @@ class TestComplementaryArcs:
     def test_cantor_gaps_against_digit_enumeration(self, depth, cutoff):
         expect = _brute_gaps(depth, cutoff)
         assert _walk_gaps(depth, cutoff) == expect
-        arcs = complementary_arcs(BoundarySet.cantor(depth), cutoff)
+        arcs = complementary_arcs(BoundarySet("cantor", depth=depth), cutoff)
         assert {(a.a, a.b) for a in arcs} == {(n / 3**g, (n + 1) / 3**g) for n, g in expect}
         assert len(arcs) == len(expect)
 
     def test_geometric_cutoff(self):
-        arcs = complementary_arcs(BoundarySet.geometric(), 2.0**-5)
+        arcs = complementary_arcs(BoundarySet("geometric"), 2.0**-5)
         got = [(a.a, a.b) for a in arcs]
         expect = [(2.0 ** -(n + 1), 2.0**-n) for n in range(5)]
         assert got == expect
 
     def test_beta_gap_ratio(self):
         # 1 - a5/a4 = 1 - exp(-(sqrt5 - sqrt4)), comparable to n^-beta
-        arcs = complementary_arcs(BoundarySet.beta_points(0.5), 1e-2)
+        arcs = complementary_arcs(BoundarySet("beta", beta=0.5), 1e-2)
         pairs = {(round(a.a, 12), round(a.b, 12)) for a in arcs}
         a4, a5 = math.exp(-2.0), math.exp(-math.sqrt(5.0))
         assert (round(a5, 12), round(a4, 12)) in pairs
@@ -82,19 +82,19 @@ class TestComplementaryArcs:
         assert 0.25 <= ratio / 4.0**-0.5 <= 4.0
 
     def test_point_kind_window_arc(self):
-        arcs = complementary_arcs(BoundarySet.single_point(), 0.0)
+        arcs = complementary_arcs(BoundarySet("point"), 0.0)
         assert len(arcs) == 1
         assert arcs[0].a == 0.0 and arcs[0].b == 1.0
-        assert complementary_arcs(BoundarySet.single_arc(-0.3, 1.5), 0.0) == []  # E covers the window
+        assert complementary_arcs(BoundarySet("arc", a=-0.3, b=1.5), 0.0) == []  # E covers the window
 
     def test_cutoff_rules(self):
         with pytest.raises(UsageError):
-            complementary_arcs(BoundarySet.geometric(), 0.0)
+            complementary_arcs(BoundarySet("geometric"), 0.0)
         with pytest.raises(UsageError):
-            complementary_arcs(BoundarySet.cantor(3), -1.0)
+            complementary_arcs(BoundarySet("cantor", depth=3), -1.0)
 
-    @pytest.mark.parametrize("bset", [BoundarySet.geometric(), BoundarySet.doubly_exp(),
-                                      BoundarySet.beta_points(0.25)], ids=lambda b: b.kind)
+    @pytest.mark.parametrize("bset", [BoundarySet("geometric"), BoundarySet("doubly_exp"),
+                                      BoundarySet("beta", beta=0.25)], ids=lambda b: b.kind)
     def test_point_sequences_refuse_cutoffs_below_the_floor(self, bset):
         # below 1e-290 the rules once stopped at the floor and listed fewer arcs than asked
         a, b = arc_arrays(bset, 1e-290)
@@ -104,10 +104,10 @@ class TestComplementaryArcs:
 
     def test_cantor_capacity(self):
         with pytest.raises(CapacityError):
-            BoundarySet.cantor(40)
+            BoundarySet("cantor", depth=40)
 
     def test_arc_arrays_match_list(self):
-        for bset in (BoundarySet.geometric(), BoundarySet.beta_points(0.25), BoundarySet.cantor(6)):
+        for bset in (BoundarySet("geometric"), BoundarySet("beta", beta=0.25), BoundarySet("cantor", depth=6)):
             arcs = complementary_arcs(bset, 1e-3)
             a, b = arc_arrays(bset, 1e-3)
             assert [(x.a, x.b) for x in arcs] == list(zip(a.tolist(), b.tolist()))
@@ -115,9 +115,9 @@ class TestComplementaryArcs:
     @pytest.mark.parametrize("depth, cutoff", [(34, 1 - 1e-14), (36, 1 - 1e-15), (38, 1 - 3e-16)])
     def test_deep_cantor_gaps_near_one(self, depth, cutoff):
         # gaps narrower than one ulp have coinciding float ends and are left out
-        a, b = arc_arrays(BoundarySet.cantor(depth), cutoff)
+        a, b = arc_arrays(BoundarySet("cantor", depth=depth), cutoff)
         assert a.size > 0 and np.all(a < b) and np.all(b > cutoff)
-        arcs = complementary_arcs(BoundarySet.cantor(depth), cutoff)
+        arcs = complementary_arcs(BoundarySet("cantor", depth=depth), cutoff)
         assert [(x.a, x.b) for x in arcs] == list(zip(a.tolist(), b.tolist()))
         # every end is the exact quotient num / 3^g, correctly rounded
         num, gen = cantor_gaps(depth, cutoff)
@@ -146,12 +146,12 @@ class TestComplementaryArcs:
 
 class TestDistance:
     def test_radial_point(self):
-        for bset in (BoundarySet.single_point(), BoundarySet.geometric(), BoundarySet.cantor(5)):
+        for bset in (BoundarySet("point"), BoundarySet("geometric"), BoundarySet("cantor", depth=5)):
             assert distance_to_set(bset, 0.5 + 0.0j) == pytest.approx(0.5, abs=1e-14)
 
     def test_full_circle(self):
-        assert distance_to_set(BoundarySet.full_circle(), cmath.exp(0.7j)) == pytest.approx(0.0, abs=1e-12)
-        assert distance_to_set(BoundarySet.full_circle(), 0.25j) == pytest.approx(0.75)
+        assert distance_to_set(BoundarySet("full"), cmath.exp(0.7j)) == pytest.approx(0.0, abs=1e-12)
+        assert distance_to_set(BoundarySet("full"), 0.25j) == pytest.approx(0.75)
 
     @given(st.integers(min_value=1, max_value=8),
            st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0),
@@ -166,51 +166,51 @@ class TestDistance:
         theta = np.angle(z)[:, None]
         eta = np.concatenate([np.clip(theta, lo, hi), lo + 0.0 * theta, hi + 0.0 * theta], axis=1)
         expect = np.abs(z[:, None] - np.exp(1j * eta)).min(axis=1)
-        got = distance_to_set(BoundarySet.cantor(depth), z)
+        got = distance_to_set(BoundarySet("cantor", depth=depth), z)
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
 
     def test_cantor_gap_midpoint(self):
         z = cmath.exp(0.5j)
-        d = distance_to_set(BoundarySet.cantor(3), z)
+        d = distance_to_set(BoundarySet("cantor", depth=3), z)
         assert d == pytest.approx(2.0 * math.sin(1.0 / 12.0), rel=1e-12)
 
     def test_membership_zero_distance(self):
         for theta in (1.0 / 3.0, 2.0 / 9.0, 1.0, 0.0):
-            d = distance_to_set(BoundarySet.cantor(20), cmath.exp(1j * theta))
+            d = distance_to_set(BoundarySet("cantor", depth=20), cmath.exp(1j * theta))
             assert d <= 2.0 * 3.0**-20 + 1e-12
 
     def test_exact_member_has_zero_distance(self):
         for n in (0, 3, 20):
             z = cmath.exp(1j * 2.0**-n)
-            assert distance_to_set(BoundarySet.geometric(), z) == 0.0
+            assert distance_to_set(BoundarySet("geometric"), z) == 0.0
 
     def test_geometric_bracketing(self):
-        bset = BoundarySet.geometric()
+        bset = BoundarySet("geometric")
         theta = 0.75 * 2.0**-3  # between 2^-4 and 2^-3
         z = cmath.exp(1j * theta)
         expect = min(abs(z - cmath.exp(1j * 2.0**-3)), abs(z - cmath.exp(1j * 2.0**-4)))
         assert distance_to_set(bset, z) == pytest.approx(expect, rel=1e-12)
 
     def test_single_arc(self):
-        bset = BoundarySet.single_arc(-0.5, 0.5)
+        bset = BoundarySet("arc", a=-0.5, b=0.5)
         assert distance_to_set(bset, 0.9 * cmath.exp(0.2j)) == pytest.approx(0.1, abs=1e-12)
         z = cmath.exp(1.0j)
         assert distance_to_set(bset, z) == pytest.approx(abs(z - cmath.exp(0.5j)), rel=1e-12)
 
     def test_mirror(self):
-        bset = BoundarySet.geometric(mirror=True)
-        plain = BoundarySet.geometric()
+        bset = BoundarySet("geometric", mirror=True)
+        plain = BoundarySet("geometric")
         z = cmath.exp(-1j * 0.11) * 0.999
         assert distance_to_set(bset, z) == pytest.approx(
             distance_to_set(plain, z.conjugate()), rel=1e-12)
 
     def test_outside_disc_rejected(self):
         with pytest.raises(DomainError):
-            distance_to_set(BoundarySet.full_circle(), 2.0 + 0.0j)
+            distance_to_set(BoundarySet("full"), 2.0 + 0.0j)
 
     def test_negative_angle_without_mirror(self):
         # nearest point of a one-sided set to a negative angle is the point 1
-        bset = BoundarySet.single_point()
+        bset = BoundarySet("point")
         z = 0.99 * cmath.exp(-0.3j)
         assert distance_to_set(bset, z) == pytest.approx(abs(z - 1.0), rel=1e-13)
 
@@ -218,7 +218,7 @@ class TestDistance:
 class TestKinkAngles:
     def test_dense_sequence_lists_every_kink(self):
         # beta = 0.5 has about 2e5 arcs above 1e-200; each end and midpoint is a kink
-        bset = BoundarySet.beta_points(0.5)
+        bset = BoundarySet("beta", beta=0.5)
         a, b = arc_arrays(bset, 1e-200)
         assert a.size > 100_000
         kinks = kink_angles(bset, 1e-200)
@@ -226,9 +226,9 @@ class TestKinkAngles:
         assert np.abs(kinks).min() >= 1e-200 and 0.5 - math.pi in kinks
 
     def test_deep_cantor_refused(self):
-        assert kink_angles(BoundarySet.cantor(5), 1e-3).size > 3 * 2**4
+        assert kink_angles(BoundarySet("cantor", depth=5), 1e-3).size > 3 * 2**4
         with pytest.raises(CapacityError):
-            kink_angles(BoundarySet.cantor(20), 1e-3)
+            kink_angles(BoundarySet("cantor", depth=20), 1e-3)
 
 
 class TestMeasure:
@@ -249,10 +249,10 @@ class TestMeasure:
 
 class TestSerialization:
     def test_round_trip(self):
-        for bset in (BoundarySet.full_circle(), BoundarySet.single_arc(-0.1, 0.3),
-                     BoundarySet.single_point(), BoundarySet.geometric(mirror=True),
-                     BoundarySet.doubly_exp(), BoundarySet.beta_points(0.25),
-                     BoundarySet.cantor(12)):
+        for bset in (BoundarySet("full"), BoundarySet("arc", a=-0.1, b=0.3),
+                     BoundarySet("point"), BoundarySet("geometric", mirror=True),
+                     BoundarySet("doubly_exp"), BoundarySet("beta", beta=0.25),
+                     BoundarySet("cantor", depth=12)):
             assert BoundarySet.from_json(bset.to_json()) == bset
 
     def test_unknown_fields(self):

@@ -183,6 +183,21 @@ class TestDeterminism:
         header = f1.read_text().splitlines()[0]
         assert header == "alpha,fitted_exponent,verdict,oracle,agree"
 
+    @pytest.mark.parametrize("argv, config_hash, config", [
+        (("--weight", '{"family":"from_w","p":0.4}', "--set", GEO, "--checkpoints", "24"), "5e6b271c6f404a03",
+         {"checkpoints": 24, "set": {"kind": "geometric"},
+          "weight": {"family": "from_w", "p": 0.4, "scale": 1, "t_cut": 0.135335283237}}),
+        (("--weight", '{"family":"log_power","alpha":2.0,"scale":0.1}',
+          "--set", '{"kind":"arc","a":0.0,"b":0.2,"mirror":true}'), "19082a7779b58ffb",
+         {"checkpoints": 24, "set": {"a": 0, "b": 0.2, "kind": "arc", "mirror": True},
+          "weight": {"alpha": 2, "family": "log_power", "scale": 0.1, "t_cut": 0.135335283237}}),
+    ], ids=["readme-analyze", "mirrored-arc-from-zero"])
+    def test_echoed_config_is_pinned(self, capsys, argv, config_hash, config):
+        # the echoed config and its hash are part of every report: a change to them shows here
+        code, out, _ = run(capsys, "criterion", "analyze", *argv)
+        report = json.loads(out)
+        assert code == EXIT_OK and (report["config_hash"], report["config"]) == (config_hash, config)
+
     def test_no_timing_in_report(self, capsys):
         _, out, err = run(capsys, "sigma", "--profile", HP, "--rho", "10")
         assert "elapsed" in err
@@ -436,6 +451,18 @@ class TestRefusals:
         "arcs-cutoff-zero": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "0"),
         "arcs-cutoff-nan": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "nan"),
         "arcs-cutoff-inf": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "inf"),
+        # a config field of the wrong JSON type, once a TypeError traceback or a silent misreading
+        "set-depth-float": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"cantor","depth":14.0}'),
+        "set-beta-string": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"beta","beta":"0.25"}'),
+        "set-mirror-string": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"point","mirror":"no"}'),
+        "weight-alpha-string": ("criterion", "analyze", "--weight", '{"family":"log_power","alpha":"2"}',
+                                "--set", PT),
+        "weight-scale-string": ("criterion", "analyze", "--weight",
+                                '{"family":"log_power","alpha":1.0,"scale":"1"}', "--set", PT),
+        "weight-alpha-bool": ("criterion", "analyze", "--weight", '{"family":"log_power","alpha":true}',
+                              "--set", PT),
+        "profile-value-string": ("sigma", "--profile", '{"variant":"sector","phi":"const","params":{"value":"1"}}',
+                                 "--rho", "10"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -463,4 +490,21 @@ class TestRefusals:
         proc = subprocess.run([sys.executable, "-m", "cyclicity", *argv, "--out", str(out)],
                               capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "") and "finite" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha_from, alpha_to, step", [
+        ("1", "2", "1e-20"), ("1", "1e300", "1"),
+        # moves alpha at first, then stalls at 2, where the float spacing doubles
+        ("1.9999999999999998", "2.000000000001", "1.3e-16"),
+    ], ids=["step-below-spacing", "1e300-rows", "stalls-at-2"])
+    def test_endless_scan_is_refused_in_time(self, tmp_path, alpha_from, alpha_to, step):
+        # a step that leaves alpha unchanged once looped forever, and 1e300 rows never end either
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--theorem", "gs", "--alpha-from", alpha_from, "--alpha-to", alpha_to, "--step", step]
+        proc = subprocess.run([sys.executable, "-m", "cyclicity", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.startswith("error: ") and "100000 scan rows" in proc.stderr
         assert not out.exists()

@@ -28,22 +28,22 @@ from cyclicity.weights import WeightSpec, effective_w, inv_tw_integral
 
 class TestClassify:
     def test_short(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         arc = Arc(0.95 * 2.0**-10, 2.0**-10)
         assert classify_arc(arc, w) == "short"
 
     def test_intermediate(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         arc = Arc(0.6 * 2.0**-10, 2.0**-10)
         assert classify_arc(arc, w) == "intermediate"
 
     def test_long_is_weight_free(self):
         arc = Arc(0.4 * 2.0**-10, 2.0**-10)
-        for w in (WeightSpec.from_w(1.0), WeightSpec.log_power(0.5), WeightSpec.const_w()):
+        for w in (WeightSpec("from_w", p=1.0), WeightSpec("log_power", alpha=0.5), WeightSpec("const_w")):
             assert classify_arc(arc, w) == "long"
 
     def test_boundary_ties(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         b = 2.0**-10
         wb = effective_w(w, b)
         assert classify_arc(Arc(b / 2.0, b), w) == "long"  # ratio exactly 1/2
@@ -51,7 +51,7 @@ class TestClassify:
         assert classify_arc(Arc(a_tie, b), w) == "intermediate"
 
     def test_partition_on_sweeps(self):
-        w = WeightSpec.from_w(0.7)
+        w = WeightSpec("from_w", p=0.7)
         rng = np.random.default_rng(3)
         for _ in range(300):
             b = float(np.exp(rng.uniform(np.log(1e-9), np.log(w.pure_cut * 0.99))))
@@ -62,13 +62,13 @@ class TestClassify:
 
 class TestContribution:
     def test_intermediate_value(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         arc = Arc(0.6 * 2.0**-10, 2.0**-10)
         got = arc_contribution(arc, "intermediate", w)
         assert got == pytest.approx(0.02122541457741479, rel=1e-12)
 
     def test_long_value(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         b = math.exp(-4.0)
         arc = Arc(b / 4.0, b)
         got = arc_contribution(arc, "long", w)
@@ -77,7 +77,7 @@ class TestContribution:
         assert got == pytest.approx(0.150987, rel=1e-5)
 
     def test_short_against_quadrature(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         b = 2.0**-10
         arc = Arc(0.95 * b, b)
         got = arc_contribution(arc, "short", w)
@@ -87,13 +87,13 @@ class TestContribution:
         assert got == pytest.approx(math.log(1.0 / 0.95) / math.log(2.0**10), rel=1e-2)
 
     def test_class_mismatch_rejected(self):
-        w = WeightSpec.from_w(1.0)
+        w = WeightSpec("from_w", p=1.0)
         arc = Arc(0.6 * 2.0**-10, 2.0**-10)
         with pytest.raises(UsageError):
             arc_contribution(arc, "long", w)
 
     def test_intermediate_terms_exceed_log2_over_w2(self):
-        w = WeightSpec.from_w(0.8)
+        w = WeightSpec("from_w", p=0.8)
         rng = np.random.default_rng(8)
         for _ in range(100):
             b = float(np.exp(rng.uniform(np.log(1e-8), np.log(1e-2))))
@@ -155,10 +155,10 @@ class TestCantorEngineExact:
     # generation with b* = cut and non-short gaps past its first
     @pytest.mark.parametrize("alpha, scale", [(1.3, 1.0), (2.5, 0.1), (1.3, 10.0), (3.0, 0.01)])
     def test_against_brute_force(self, alpha, scale):
-        weight = WeightSpec.log_power(alpha, scale=scale)
+        weight = WeightSpec("log_power", alpha=alpha, scale=scale)
         depth = 14
         eps = np.array([3.0**-5, 3.0**-9, 3.0**-14])
-        rep = criterion_partials(weight, BoundarySet.cantor(depth), eps)
+        rep = criterion_partials(weight, BoundarySet("cantor", depth=depth), eps)
         brute = _brute_cantor_sums(weight, depth, eps)
         for i, (e_part, inter, long_s, e_fn) in enumerate(brute):
             assert rep.e_and_short[i] == pytest.approx(e_part, rel=1e-10, abs=1e-12)
@@ -171,8 +171,8 @@ class TestCantorEngineExact:
     def test_e_integral_on_default_schedule(self, alpha):
         # every checkpoint of the default schedule is a piece edge of the
         # cumulated E-integral
-        weight = WeightSpec.log_power(alpha)
-        bset = BoundarySet.cantor(14)
+        weight = WeightSpec("log_power", alpha=alpha)
+        bset = BoundarySet("cantor", depth=14)
         eps = default_checkpoints(weight, bset)
         rep = criterion_partials(weight, bset, eps)
         e_fn = np.array([row[3] for row in _brute_cantor_sums(weight, 14, eps)])
@@ -181,15 +181,15 @@ class TestCantorEngineExact:
         assert np.all(np.diff(rep.alt_arc_sum) >= 0.0)
 
     def test_insufficient_depth(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         with pytest.raises(CapacityError):
-            criterion_partials(weight, BoundarySet.cantor(10), [3.0**-12])
+            criterion_partials(weight, BoundarySet("cantor", depth=10), [3.0**-12])
 
     def test_mirror_doubles(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         eps = np.array([3.0**-4, 3.0**-8])
-        one = criterion_partials(weight, BoundarySet.cantor(9), eps)
-        two = criterion_partials(weight, BoundarySet.cantor(9, mirror=True), eps)
+        one = criterion_partials(weight, BoundarySet("cantor", depth=9), eps)
+        two = criterion_partials(weight, BoundarySet("cantor", depth=9, mirror=True), eps)
         assert np.allclose(two.total, 2.0 * one.total, rtol=1e-12)
 
 
@@ -222,18 +222,18 @@ def _brute_arc_sums(weight, bset, eps_values):
 
 class TestEngineAgainstBruteForce:
     SETS = (
-        BoundarySet.full_circle(),
-        BoundarySet.single_arc(-0.3, 0.04),
-        BoundarySet.single_arc(-0.3, 1.5),
-        BoundarySet.single_point(),
-        BoundarySet.geometric(),
-        BoundarySet.geometric(mirror=True),
-        BoundarySet.doubly_exp(),
-        BoundarySet.beta_points(0.0),
-        BoundarySet.beta_points(0.25),
-        BoundarySet.beta_points(0.5),
+        BoundarySet("full"),
+        BoundarySet("arc", a=-0.3, b=0.04),
+        BoundarySet("arc", a=-0.3, b=1.5),
+        BoundarySet("point"),
+        BoundarySet("geometric"),
+        BoundarySet("geometric", mirror=True),
+        BoundarySet("doubly_exp"),
+        BoundarySet("beta", beta=0.0),
+        BoundarySet("beta", beta=0.25),
+        BoundarySet("beta", beta=0.5),
     )
-    WEIGHTS = (WeightSpec.log_power(1.5), WeightSpec.from_w(0.4, t_cut=math.exp(-3.0), scale=10.0))
+    WEIGHTS = (WeightSpec("log_power", alpha=1.5), WeightSpec("from_w", p=0.4, t_cut=math.exp(-3.0), scale=10.0))
 
     @pytest.mark.parametrize("bset", SETS, ids=lambda s: s.kind + ("-m" if s.mirror else ""))
     @pytest.mark.parametrize("weight", WEIGHTS, ids=("log_power", "from_w"))
@@ -254,10 +254,10 @@ class TestEngineAgainstBruteForce:
 
 class TestReports:
     def test_monotone_in_cutoff(self):
-        for weight, bset in ((WeightSpec.log_power(1.0), BoundarySet.cantor(20)),
-                             (WeightSpec.from_w(0.4), BoundarySet.geometric()),
-                             (WeightSpec.log_power(2.0), BoundarySet.beta_points(0.5)),
-                             (WeightSpec.log_power(1.5), BoundarySet.single_point())):
+        for weight, bset in ((WeightSpec("log_power", alpha=1.0), BoundarySet("cantor", depth=20)),
+                             (WeightSpec("from_w", p=0.4), BoundarySet("geometric")),
+                             (WeightSpec("log_power", alpha=2.0), BoundarySet("beta", beta=0.5)),
+                             (WeightSpec("log_power", alpha=1.5), BoundarySet("point"))):
             rep = criterion_partials(weight, bset, default_checkpoints(weight, bset, 16))
             for series in (rep.total, rep.e_and_short, rep.intermediate_sum,
                            rep.long_sum, rep.alt_e_integral, rep.alt_gs_integral,
@@ -266,9 +266,9 @@ class TestReports:
                 assert np.all(np.diff(series) >= -1e-9 * max(1.0, np.max(np.abs(series))))
 
     def test_full_circle_closed_form(self):
-        weight = WeightSpec.from_w(1.0)
+        weight = WeightSpec("from_w", p=1.0)
         eps = np.array([1e-4, 1e-10, 1e-40])
-        rep = criterion_partials(weight, BoundarySet.full_circle(), eps)
+        rep = criterion_partials(weight, BoundarySet("full"), eps)
         L0 = math.log(1.0 / weight.pure_cut)
         expect = np.log(np.log(1.0 / eps)) - math.log(L0)
         assert np.allclose(rep.e_and_short, expect, rtol=1e-12)
@@ -277,16 +277,16 @@ class TestReports:
 
     def test_single_arc_matches_full_circle_near_zero(self):
         # a closed arc through 1 behaves like the full circle for small cutoffs
-        weight = WeightSpec.log_power(1.5)
+        weight = WeightSpec("log_power", alpha=1.5)
         eps = np.geomspace(1e-3, 1e-30, 8)
-        rep_full = criterion_partials(weight, BoundarySet.full_circle(), eps)
-        rep_arc = criterion_partials(weight, BoundarySet.single_arc(-0.3, 0.4), eps)
+        rep_full = criterion_partials(weight, BoundarySet("full"), eps)
+        rep_arc = criterion_partials(weight, BoundarySet("arc", a=-0.3, b=0.4), eps)
         assert np.allclose(rep_arc.e_and_short, rep_full.e_and_short, rtol=1e-9)
 
     def test_point_set_is_gs_integral(self):
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         eps = np.geomspace(1e-3, 1e-20, 6)
-        rep = criterion_partials(weight, BoundarySet.single_point(), eps)
+        rep = criterion_partials(weight, BoundarySet("point"), eps)
         cut = weight.pure_cut
         gs = np.log(np.log(1.0 / eps)) - math.log(math.log(1.0 / cut))
         w_cut = effective_w(weight, cut)
@@ -294,7 +294,7 @@ class TestReports:
         assert np.allclose(rep.long_sum, gs + edge, rtol=1e-10)
 
     def test_adding_arcs_never_decreases(self):
-        weight = WeightSpec.from_w(0.5)
+        weight = WeightSpec("from_w", p=0.5)
         eps = 1e-6
         base = arc_contribution(Arc(0.5e-3, 1e-3), "long", weight, lower=eps)
         assert base > 0.0
@@ -359,7 +359,7 @@ class TestDivergenceVerdict:
         bset = BoundarySet(kind)
         got = []
         for scale in (1.0, 1e-6):
-            w = WeightSpec.log_power(alpha, scale=scale)
+            w = WeightSpec("log_power", alpha=alpha, scale=scale)
             rep = criterion_partials(w, bset, default_checkpoints(w, bset))
             got.append((rep.verdict().verdict, rep.alt_verdict().verdict))
         assert got[0] == got[1]
@@ -368,7 +368,7 @@ class TestDivergenceVerdict:
 def _calibration_rows(dip):
     """(q, m, C, S) over sums S = C * int u^(q-1) (log u)^m du on the default
     schedule, with the increment at index dip (if any) cut to 1/10."""
-    eps = default_checkpoints(WeightSpec.log_power(1.0), BoundarySet.full_circle())
+    eps = default_checkpoints(WeightSpec("log_power", alpha=1.0), BoundarySet("full"))
     u = np.log(1.0 / eps)
     um, du = np.sqrt(u[1:] * u[:-1]), np.diff(u)
     rows = []
@@ -591,11 +591,11 @@ def _weights_and_sets():
                                                      t_cut=c, scale=s),
                        family, exponent, t_cut, scale)
     bset = st.one_of(
-        st.sampled_from((BoundarySet.full_circle(), BoundarySet.single_point(), BoundarySet.geometric(),
-                         BoundarySet.doubly_exp(), BoundarySet.beta_points(0.0),
-                         BoundarySet.beta_points(0.25), BoundarySet.single_arc(-0.3, 0.04),
-                         BoundarySet.geometric(mirror=True))),
-        st.integers(min_value=8, max_value=20).map(BoundarySet.cantor),
+        st.sampled_from((BoundarySet("full"), BoundarySet("point"), BoundarySet("geometric"),
+                         BoundarySet("doubly_exp"), BoundarySet("beta", beta=0.0),
+                         BoundarySet("beta", beta=0.25), BoundarySet("arc", a=-0.3, b=0.04),
+                         BoundarySet("geometric", mirror=True))),
+        st.integers(min_value=8, max_value=20).map(lambda depth: BoundarySet("cantor", depth=depth)),
     )
     return weight, bset
 
@@ -637,7 +637,7 @@ class TestThresholdOracle:
 class TestReducedCantor:
     def test_exponent_is_exact(self):
         for alpha in (1.0, 1.3, 1.7, 2.2):
-            weight = WeightSpec.log_power(alpha)
+            weight = WeightSpec("log_power", alpha=alpha)
             eps, sums = cantor_reduced_partials(weight, 30)
             v = divergence_verdict(sums, eps)
             assert v.exponent == pytest.approx(1.0 - alpha * (1.0 - KAPPA / 2.0), abs=1e-9)
@@ -646,7 +646,7 @@ class TestReducedCantor:
         # growth ratio between depth-15 and depth-30 of the class-counting
         # mass, from its closed form (the asymptotic-pure-power prediction
         # 2^0.3155 ~ 1.244 ignores the additive constant and is not attained)
-        weight = WeightSpec.log_power(1.0)
+        weight = WeightSpec("log_power", alpha=1.0)
         q = 1.0 - (1.0 - KAPPA / 2.0)
         u0 = math.log(1.0 / weight.pure_cut) + 0.2
 
@@ -676,13 +676,13 @@ class TestScan:
             row = theorem_scan_point("nikolski", alpha)
             assert row["agree"], row
             assert row["fitted_exponent"] == pytest.approx(1.0 - alpha / 2.0, abs=1e-9)
-            weight = WeightSpec.log_power(alpha)
-            eps = default_checkpoints(weight, BoundarySet.full_circle())
+            weight = WeightSpec("log_power", alpha=alpha)
+            eps = default_checkpoints(weight, BoundarySet("full"))
             ref = divergence_verdict(condition_partials_quad(weight, "nikolski", eps), eps)
             assert row["fitted_exponent"] == pytest.approx(ref.exponent, abs=1e-6)
 
     def test_scan_verdict_scale_invariance(self):
         for sc in (0.1, 1.0, 10.0):
-            w = WeightSpec.log_power(1.6, scale=sc)
+            w = WeightSpec("log_power", alpha=1.6, scale=sc)
             eps, sums = cantor_reduced_partials(w, 30)
             assert divergence_verdict(sums, eps).verdict == "convergent"

@@ -20,14 +20,14 @@ from cyclicity.geometry import (
 )
 from cyclicity.weights import WeightSpec, eval_lambda
 
-FULL = BoundarySet.full_circle()
-POINT = BoundarySet.single_point()
+FULL = BoundarySet("full")
+POINT = BoundarySet("point")
 
 
 class TestSolveGamma:
     def test_const_w_exact_identity(self):
         # w == 1 makes gamma * w(gamma) = |theta| exact: gamma = |theta|
-        spec = WeightSpec.const_w()
+        spec = WeightSpec("const_w")
         for theta in (0.01, 0.1, -0.05):
             sol = solve_gamma(spec, FULL, theta)
             assert sol.gamma == pytest.approx(abs(theta), rel=1e-11)
@@ -35,7 +35,7 @@ class TestSolveGamma:
     def test_log_power_full_circle(self):
         # independent oracle: root of g^2 log(1/g) = 0.01
         oracle = brentq(lambda g: g * g * math.log(1.0 / g) - 0.01, 1e-8, 0.5, xtol=1e-16)
-        sol = solve_gamma(WeightSpec.log_power(1.0), FULL, 0.1)
+        sol = solve_gamma(WeightSpec("log_power", alpha=1.0), FULL, 0.1)
         assert sol.gamma == pytest.approx(oracle, rel=1e-10)
         assert sol.gamma == pytest.approx(0.0595369, rel=1e-5)
 
@@ -43,7 +43,7 @@ class TestSolveGamma:
         d = 2.0 * math.sin(0.005)
         oracle = brentq(lambda g: g - 1e-4 / ((g + d) * math.log(1.0 / (g + d))),
                         1e-12, 0.4, xtol=1e-18)
-        sol = solve_gamma(WeightSpec.log_power(1.0), POINT, 0.01)
+        sol = solve_gamma(WeightSpec("log_power", alpha=1.0), POINT, 0.01)
         assert sol.dist_at_theta == pytest.approx(d, rel=1e-12)
         assert sol.gamma == pytest.approx(oracle, rel=1e-10)
         assert sol.gamma == pytest.approx(1.8968e-3, rel=1e-4)
@@ -57,13 +57,13 @@ class TestSolveGamma:
             rhs = 2 * mpmath.log(mpmath.mpf(theta))
             x = mpmath.findroot(lambda x: 2 * x + alpha * mpmath.log(-x) - rhs, rhs / 2)
             oracle = float(mpmath.exp(x))
-        sol = solve_gamma(WeightSpec.log_power(alpha), FULL, theta)
+        sol = solve_gamma(WeightSpec("log_power", alpha=alpha), FULL, theta)
         assert sol.gamma == pytest.approx(oracle, rel=1e-12)
 
     def test_residual_certificates(self):
         rng = np.random.default_rng(11)
-        specs = [WeightSpec.log_power(a) for a in (0.5, 1.0, 2.0)] + [WeightSpec.from_w(0.6)]
-        sets = [FULL, POINT, BoundarySet.geometric(), BoundarySet.cantor(12)]
+        specs = [WeightSpec("log_power", alpha=a) for a in (0.5, 1.0, 2.0)] + [WeightSpec("from_w", p=0.6)]
+        sets = [FULL, POINT, BoundarySet("geometric"), BoundarySet("cantor", depth=12)]
         for _ in range(200):
             spec = specs[rng.integers(len(specs))]
             bset = sets[rng.integers(len(sets))]
@@ -73,7 +73,7 @@ class TestSolveGamma:
 
     def test_gamma_w_identity_on_set(self):
         # for dist = 0: gamma w(gamma) = |theta| sqrt(scale)
-        spec = WeightSpec.from_w(1.0, scale=4.0)
+        spec = WeightSpec("from_w", p=1.0, scale=4.0)
         for theta in (1e-3, 1e-5):
             sol = solve_gamma(spec, FULL, theta)
             w = math.log(1.0 / sol.gamma)
@@ -81,7 +81,7 @@ class TestSolveGamma:
 
     def test_gamma_over_theta_vanishes(self):
         # gamma/theta ~ 1/sqrt(log(1/theta)): slow, but strictly decreasing
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         ratios = []
         for k in range(2, 9):
             theta = 10.0**-k
@@ -91,7 +91,7 @@ class TestSolveGamma:
         assert ratios[-1] == pytest.approx(1.0 / math.sqrt(math.log(1e8)), rel=0.1)
 
     def test_dop1_lower_bound(self):
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         vals = [solve_gamma(spec, POINT, t).gamma / t**2
                 for t in np.geomspace(1e-4, 0.1, 40)]
         assert min(vals) > 0.0
@@ -101,12 +101,12 @@ class TestSolveGamma:
         # every element, so a result does not depend on how angles are batched
         rng = np.random.default_rng(17)
         thetas = np.exp(rng.uniform(np.log(1e-290), np.log(0.1), 40)) * rng.choice([-1.0, 1.0], 40)
-        for bset in (FULL, POINT, BoundarySet.geometric(), BoundarySet.beta_points(0.25),
-                     BoundarySet.cantor(12)):
-            sols = solve_gamma_array(WeightSpec.log_power(2.0), bset, thetas)
+        for bset in (FULL, POINT, BoundarySet("geometric"), BoundarySet("beta", beta=0.25),
+                     BoundarySet("cantor", depth=12)):
+            sols = solve_gamma_array(WeightSpec("log_power", alpha=2.0), bset, thetas)
             assert sols.gamma.shape == thetas.shape
             for k, theta in enumerate(thetas.tolist()):
-                one = solve_gamma(WeightSpec.log_power(2.0), bset, theta)
+                one = solve_gamma(WeightSpec("log_power", alpha=2.0), bset, theta)
                 assert (one.gamma, one.residual, one.dist_at_theta) == (
                     sols.gamma[k], sols.residual[k], sols.dist_at_theta[k])
 
@@ -121,10 +121,10 @@ class TestSolveGamma:
 
         monkeypatch.setattr(weights, "eval_lambda", counted)
         rng = np.random.default_rng(66)
-        specs = [WeightSpec.log_power(a) for a in (0.5, 1.0, 2.0, 2.5)] + [
-            WeightSpec.from_w(0.5), WeightSpec.from_w(1.0), WeightSpec.const_w()]
-        sets = [FULL, POINT, BoundarySet.geometric(), BoundarySet.beta_points(0.25),
-                BoundarySet.cantor(15)]
+        specs = [WeightSpec("log_power", alpha=a) for a in (0.5, 1.0, 2.0, 2.5)] + [
+            WeightSpec("from_w", p=0.5), WeightSpec("from_w", p=1.0), WeightSpec("const_w")]
+        sets = [FULL, POINT, BoundarySet("geometric"), BoundarySet("beta", beta=0.25),
+                BoundarySet("cantor", depth=15)]
         worst = 0
         for spec in specs:
             for bset in sets:
@@ -136,7 +136,7 @@ class TestSolveGamma:
         assert worst <= 20
 
     def test_array_errors(self):
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         with pytest.raises(DomainError):
             solve_gamma_array(spec, FULL, [1e-3, 0.0])
         with pytest.raises(DomainError):
@@ -150,17 +150,17 @@ class TestSolveGamma:
     def test_nan_residual_fails_the_certificate(self):
         one = np.ones(1)
         with pytest.raises(NumericError, match="residual certificate"):
-            geometry._residual(WeightSpec.log_power(1.0), math.nan * one, 5.0 * one, 0.0 * one)
+            geometry._residual(WeightSpec("log_power", alpha=1.0), math.nan * one, 5.0 * one, 0.0 * one)
 
     def test_errors(self):
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         with pytest.raises(DomainError):
             solve_gamma(spec, FULL, 0.0)
         with pytest.raises(DomainError):
             solve_gamma(spec, FULL, 4.0)
 
     def test_normalize_lambda1(self):
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         with pytest.raises(NumericError):
             solve_gamma(spec, FULL, math.pi)  # Lambda(1) too large at unit scale
         norm = normalized_for_lambda1(spec)
@@ -187,10 +187,10 @@ class TestCutCrossings:
     # however small the pure cut (e^-25 at alpha = 25); a solve in theta with
     # the same absolute tolerance is off by 6e-5 there
     @pytest.mark.parametrize("alpha", [3.0, 10.0, 25.0])
-    @pytest.mark.parametrize("bset", [BoundarySet.geometric(), BoundarySet.beta_points(0.25)],
+    @pytest.mark.parametrize("bset", [BoundarySet("geometric"), BoundarySet("beta", beta=0.25)],
                              ids=["geometric", "beta0.25"])
     def test_against_bisection(self, alpha, bset):
-        spec = WeightSpec.log_power(alpha)
+        spec = WeightSpec("log_power", alpha=alpha)
         floor = 1e-3 * spec.pure_cut
         all_kinks = boundary.kink_angles(bset, floor)
         found = 0
@@ -227,7 +227,7 @@ class TestHalfplane:
     def test_boundary_point_asymptotics(self):
         # on the domain boundary: R |theta| and (pi/2 - |phi|)/(gamma/|theta|)
         # are bounded by the module constant C = 4 on sweeps
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         for bset in (FULL, POINT):
             for theta in np.geomspace(1e-5, 1e-2, 12):
                 sol = solve_gamma(spec, bset, float(theta))
@@ -238,7 +238,7 @@ class TestHalfplane:
                 assert 0.25 <= p_ratio <= 4.0
 
     def test_worked_example(self):
-        sol = solve_gamma(WeightSpec.log_power(1.0), POINT, 0.01)
+        sol = solve_gamma(WeightSpec("log_power", alpha=1.0), POINT, 0.01)
         hp = to_halfplane((1.0 - sol.gamma) * cmath.exp(0.01j))
         assert hp.R == pytest.approx(98.34, rel=2e-3)
         assert math.pi / 2 - abs(hp.phi) == pytest.approx(0.1926, rel=2e-3)
@@ -251,25 +251,25 @@ class TestHalfplane:
 class TestProfileSolver:
     def test_const_w_closed_form(self):
         # Lambda = 1/t: u = 1/x, y = sqrt(4 x^2 - (x+1)^2); at x = 2: sqrt(7)
-        got = solve_profile_y(WeightSpec.const_w(), 2.0)
+        got = solve_profile_y(WeightSpec("const_w"), 2.0)
         assert got == pytest.approx(math.sqrt(7.0), rel=1e-10)
 
     def test_log_power_oracle(self):
         u = brentq(lambda u: u * math.log(1.0 / u) - 0.1, 1e-8, 0.3, xtol=1e-16)
         y = math.sqrt(40.0 / u - 121.0)
-        got = solve_profile_y(WeightSpec.log_power(1.0), 10.0)
+        got = solve_profile_y(WeightSpec("log_power", alpha=1.0), 10.0)
         assert got == pytest.approx(y, rel=1e-9)
         assert got == pytest.approx(36.19, rel=1e-3)
 
     def test_asymptotic_predictor(self):
-        spec = WeightSpec.log_power(1.0)
+        spec = WeightSpec("log_power", alpha=1.0)
         y = solve_profile_y(spec, 10.0)
         pred = profile_y_predictor(spec, 10.0)
         assert pred == pytest.approx(37.83, rel=1e-3)
         assert 0.9 <= y / pred <= 1.1
 
-    @pytest.mark.parametrize("spec", [WeightSpec.log_power(a) for a in (0.5, 1.0, 2.0, 2.5)]
-                             + [WeightSpec.from_w(0.5), WeightSpec.const_w()])
+    @pytest.mark.parametrize("spec", [WeightSpec("log_power", alpha=a) for a in (0.5, 1.0, 2.0, 2.5)]
+                             + [WeightSpec("from_w", p=0.5), WeightSpec("const_w")])
     def test_root_residual(self, spec):
         # u is recovered from y = sqrt(4x/u - (x+1)^2)
         for x in (2.0, 10.0, 100.0, 1e6):
@@ -279,13 +279,13 @@ class TestProfileSolver:
 
     def test_no_root_diagnostic(self):
         with pytest.raises(DomainError):
-            solve_profile_y(WeightSpec.log_power(1.0), 1e-3)
+            solve_profile_y(WeightSpec("log_power", alpha=1.0), 1e-3)
 
 
 class TestGammaCriterionPartial:
     def test_const_w_closed_form(self):
         # gamma/theta^2 = 1/theta: the integral is log(upper/eps)
-        got = gamma_criterion_partial(WeightSpec.const_w(), FULL, 1e-4, 1e-1)
+        got = gamma_criterion_partial(WeightSpec("const_w"), FULL, 1e-4, 1e-1)
         assert got.value == pytest.approx(math.log(1000.0), rel=1e-10)
         assert abs(got.value - math.log(1000.0)) <= got.error
 
@@ -301,7 +301,7 @@ class TestGammaCriterionPartial:
             return L
 
         closed = (math.log(L_of(100.0)) + 1.0 / L_of(100.0)) - (math.log(L_of(2.0)) + 1.0 / L_of(2.0))
-        got = gamma_criterion_partial(WeightSpec.log_power(2.0), FULL,
+        got = gamma_criterion_partial(WeightSpec("log_power", alpha=2.0), FULL,
                                       math.exp(-100.0), math.exp(-2.0))
         assert closed == pytest.approx(3.19614539543922, rel=1e-10)
         assert got.value == pytest.approx(closed, rel=1e-8)
@@ -310,7 +310,7 @@ class TestGammaCriterionPartial:
 
     def test_partials_over_several_cutoffs(self):
         # one rule with a break at each cutoff gives every partial integral
-        spec = WeightSpec.log_power(2.0)
+        spec = WeightSpec("log_power", alpha=2.0)
         eps = np.exp(-np.array([10.0, 100.0, 300.0]))
         got = gamma_criterion_partial(spec, POINT, eps, spec.pure_cut)
         for k, e in enumerate(eps):
@@ -322,7 +322,7 @@ class TestGammaCriterionPartial:
         # alpha = 4 (the convergent side of the square-root condition):
         # partial integrals converge; exp(-1000) underflows float64, so the
         # checkpoint ladder stops at exp(-690)
-        spec = WeightSpec.log_power(4.0)
+        spec = WeightSpec("log_power", alpha=4.0)
         upper = spec.pure_cut * 0.9
         vals = [gamma_criterion_partial(spec, FULL, math.exp(-v), upper).value
                 for v in (10.0, 100.0, 500.0, 650.0)]
@@ -332,8 +332,8 @@ class TestGammaCriterionPartial:
         assert diffs[-1] < 1e-3
 
     def test_arc_capacity_drops_break_points(self, monkeypatch):
-        spec = WeightSpec.log_power(1.0)
-        geo_set = BoundarySet.geometric()
+        spec = WeightSpec("log_power", alpha=1.0)
+        geo_set = BoundarySet("geometric")
         expected = gamma_criterion_partial(spec, geo_set, 1e-4, 1e-2)
         kinks = boundary.kink_angles(geo_set, 1e-4)
         kinks = -np.log(kinks[kinks > 0.0])
@@ -353,8 +353,8 @@ class TestGammaCriterionPartial:
     def test_dense_set_kink_breaks_thinned(self):
         # every arc of beta = 0.5 is listed, but at most one kink break per
         # cell of width _KINK_SPACING in v reaches the panels
-        spec = WeightSpec.log_power(3.0)
-        edges = geometry.panel_edges(spec, BoundarySet.beta_points(0.5), 1.0, 1.0, 600.0)
+        spec = WeightSpec("log_power", alpha=3.0)
+        edges = geometry.panel_edges(spec, BoundarySet("beta", beta=0.5), 1.0, 1.0, 600.0)
         uniform = math.ceil(599.0 / geometry._PANEL_WIDTH) + 1
         cells = 599.0 / geometry._KINK_SPACING
         assert 0.9 * cells < edges.size - uniform < cells + 8
@@ -366,10 +366,10 @@ class TestGammaCriterionPartial:
 
         monkeypatch.setattr(boundary, "arc_arrays", broken)
         with pytest.raises(error):
-            gamma_criterion_partial(WeightSpec.log_power(1.0), BoundarySet.geometric(), 1e-4, 1e-2)
+            gamma_criterion_partial(WeightSpec("log_power", alpha=1.0), BoundarySet("geometric"), 1e-4, 1e-2)
 
     def test_usage(self):
         with pytest.raises(UsageError):
-            gamma_criterion_partial(WeightSpec.log_power(1.0), FULL, 1e-2, 1e-3)
+            gamma_criterion_partial(WeightSpec("log_power", alpha=1.0), FULL, 1e-2, 1e-3)
         with pytest.raises(UsageError):
-            gamma_criterion_partial(WeightSpec.log_power(1.0), FULL, 1e-4, 1.5)
+            gamma_criterion_partial(WeightSpec("log_power", alpha=1.0), FULL, 1e-4, 1.5)
