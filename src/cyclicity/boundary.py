@@ -19,8 +19,12 @@ cantor      the middle-thirds set at a finite generation depth (1..38);
 The fields of BoundarySet are its JSON config: BoundarySet("cantor",
 depth=20) is {"kind": "cantor", "depth": 20}.  Each point-sequence kind has
 one rule, _sequence_rule, for its points and their nearest-point search.
-arc_arrays is the one arc enumerator for every kind; complementary_arcs is
-its list-of-Arc view.
+arc_blocks is the one arc enumerator for every kind: it gives the arcs in
+blocks of a chosen size, and a point sequence computes each block from its
+own range of point indices, so its memory is bounded by the block size and
+not by the arc count (about 4 * 10^5 arcs on beta = 1/2 near the floor).
+arc_arrays is all of them in one block, capped at _MAX_ARC_LIST arcs, and
+complementary_arcs its list-of-Arc view.
 
 Distances are Euclidean (chordal).  Chord and arc-length differ by a factor
 in [2/pi, 1], so every divergence criterion is insensitive to the choice.
@@ -104,10 +108,9 @@ def _sequence_rule(bset: BoundarySet):
     The E-points below the anchor 1 are angle(n) for integers n >= first,
     decreasing in n; index inverts angle in u = log(1/theta), so that
     angle(index(u)) = e^-u and the points per unit of u are index'(u).
-    Geometric's angle(0) is the anchor itself.
     """
-    if bset.kind == "geometric":
-        return (lambda n: np.ldexp(1.0, -n)), (lambda u: u / math.log(2.0)), 0
+    if bset.kind == "geometric":  # angle(0) is the anchor itself
+        return (lambda n: np.ldexp(1.0, -n)), (lambda u: u / math.log(2.0)), 1
     if bset.kind == "doubly_exp":
         return (lambda n: np.ldexp(1.0, -(2**n))), (lambda u: np.log2(np.maximum(u / math.log(2.0), 1.0))), 0
     if bset.kind == "beta":
@@ -116,15 +119,29 @@ def _sequence_rule(bset: BoundarySet):
     raise UsageError(f"{bset.kind!r} is not a point-sequence kind")
 
 
-def _sequence_points_desc(bset: BoundarySet, floor: float) -> np.ndarray:
-    """E-point angles of a point-sequence kind, descending, down to >= floor."""
-    if floor < _ENUM_FLOOR:
-        raise CapacityError(f"point-sequence enumeration floor is {_ENUM_FLOOR}; use a larger cutoff")
+def _sequence_blocks(bset: BoundarySet, cutoff: float, size: int):
+    """The window arcs of a point-sequence kind with b > cutoff, as (a, b)
+    blocks of at most size arcs, each computed from its own index range.
+
+    The points, descending, are the anchor 1 and then the positive angle(n)
+    for first <= n <= ceil(index(log(1/cutoff))) + 1; each arc runs between
+    consecutive points, and the last one listed ends at the first point at
+    or below the cutoff.
+    """
+    if cutoff >= 1.0:  # b <= 1 on every arc
+        return
     angle, index, first = _sequence_rule(bset)
-    pts = angle(np.arange(first, int(math.ceil(index(math.log(1.0 / floor)))) + 2))
-    pts = np.concatenate(([1.0], pts[(0.0 < pts) & (pts < 1.0)]))  # the anchor once, on geometric too
-    # include one point below the floor so the straddling gap is closed
-    return pts[: np.count_nonzero(pts >= floor) + 1]
+    n_end = int(math.ceil(index(math.log(1.0 / cutoff)))) + 2
+    top = 1.0  # the point above the block's arcs
+    for n in range(first, n_end, size):
+        pts = angle(np.arange(n, min(n + size, n_end)))
+        pts = np.concatenate(([top], pts[pts > 0.0]))
+        k = np.count_nonzero(pts[:-1] > cutoff)  # points decrease, so these arcs come first
+        if k:
+            yield pts[1:k + 1], pts[:k]
+        if k < size:
+            return
+        top = pts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +237,32 @@ def _cantor_ends(num: np.ndarray, gen: np.ndarray):
     return [np.array([n / d for n, d in zip(k.tolist(), den)], dtype=float) for k in (num, num + 1)]
 
 
-def arc_arrays(bset: BoundarySet, cutoff: float):
-    """(a, b) endpoint arrays of the complementary window arcs meeting [cutoff, 1].
+def arc_blocks(bset: BoundarySet, cutoff: float, size: int):
+    """The complementary window arcs meeting [cutoff, 1], as (a, b) blocks.
 
     The one arc enumerator for every set kind.  An open arc meets [cutoff, 1]
-    exactly when b > cutoff; arcs come sorted by decreasing b.  cutoff = 0 is
-    accepted for kinds with finitely many window arcs (full/arc/point/cantor);
-    point sequences require cutoff >= _ENUM_FLOOR and raise CapacityError
-    below it.
+    exactly when b > cutoff; the arcs come sorted by decreasing b, in blocks
+    of size arcs, the last one shorter.  cutoff = 0 is accepted for kinds
+    with finitely many window arcs (full/arc/point/cantor); point sequences
+    require cutoff >= _ENUM_FLOOR and raise CapacityError below it.  A
+    point sequence computes each block from its own range of point indices,
+    so memory is bounded by the block size, not by the arc count; the
+    other kinds list at most _MAX_ARC_LIST arcs and slice them.  The
+    cutoff is checked on the call, before any block is taken.
     """
     if cutoff < 0.0:
         raise UsageError("cutoff must be nonnegative")
+    if bset.kind in ("geometric", "doubly_exp", "beta"):
+        if cutoff == 0.0:
+            raise UsageError("cutoff must be positive for point-sequence kinds")
+        if cutoff < _ENUM_FLOOR:
+            raise CapacityError(f"point-sequence enumeration floor is {_ENUM_FLOOR}; use a larger cutoff")
+        return _sequence_blocks(bset, cutoff, size)
     if bset.kind == "full" or (bset.kind == "arc" and bset.b >= 1.0):
         a = b = np.empty(0)  # E covers the window
     elif bset.kind in ("arc", "point"):
         a, b = np.array([float(bset.b) if bset.kind == "arc" else 0.0]), np.ones(1)
-    elif bset.kind == "cantor":
+    else:
         num, gen = cantor_gaps(bset.depth, cutoff)
         a, b = _cantor_ends(num, gen)
         # the walk lists gaps by generation; a deep gap (3^g > 2^53) may have
@@ -243,15 +270,19 @@ def arc_arrays(bset: BoundarySet, cutoff: float):
         order = np.argsort(-b, kind="stable")
         order = order[a[order] < b[order]]
         a, b = a[order], b[order]
-    elif cutoff == 0.0:
-        raise UsageError("cutoff must be positive for point-sequence kinds")
-    else:
-        pts = _sequence_points_desc(bset, cutoff)
-        a, b = pts[1:], pts[:-1]
     n = np.count_nonzero(b > cutoff)  # b decreases, so these arcs come first
-    if n > _MAX_ARC_LIST:
+    return ((a[j:j + size], b[j:j + size]) for j in range(0, n, size))
+
+
+def arc_arrays(bset: BoundarySet, cutoff: float):
+    """(a, b) endpoint arrays of the arcs of arc_blocks, all in one block.
+
+    More than _MAX_ARC_LIST arcs raise CapacityError.
+    """
+    a, b = next(arc_blocks(bset, cutoff, _MAX_ARC_LIST + 1), (np.empty(0), np.empty(0)))
+    if a.size > _MAX_ARC_LIST:
         raise CapacityError("arc list capacity exceeded; raise the cutoff")
-    return a[:n], b[:n]
+    return a, b
 
 
 def complementary_arcs(bset: BoundarySet, cutoff: float) -> list[Arc]:

@@ -24,6 +24,12 @@ The report also carries the equivalent three-quantity form: the integral of
 dt/(t w) over E, the global integral of dt/(t w^2), and the unified arc sum
 of log[1 + (1 - a/b) w(b)] / w(b)^2; both forms must yield the same verdict.
 
+Every arc sum is one pass over the set's arcs in blocks of _BLOCK arcs.  A
+point sequence's arcs come from boundary.arc_blocks as the pass goes, so the
+engine's memory is bounded by one block and not by the arc count (about
+4 * 10^5 arcs on beta = 1/2 down to e^-630); the block cuts also fix the
+bits of the sums.
+
 Partial sums are decided by fitting their growth in u = log(1/eps): bounded,
 logarithmic (c + b log u), or a power c + b u^q, with q estimated from the
 increments (this removes the unknown constant) together with a log-log
@@ -64,8 +70,11 @@ DEFAULT_MARGIN = 0.05
 # deepest log(1/eps) reachable before the point-sequence rules underflow float64
 _U_MAX = 650.0
 
-# arcs per batch of whole-arc terms in the criterion engine (bounds its memory)
+# arcs per block of the criterion engine's one pass (bounds its memory; the
+# block cuts fix the bits of the sums), and per block taken from the arc
+# enumerator and per call of the arc terms
 _BLOCK = 1 << 16
+_CHUNK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +177,79 @@ def _validate_checkpoints(eps: np.ndarray, cut: float) -> None:
         raise UsageError("checkpoints must be strictly decreasing")
 
 
-def _checkpoint_sums(eps, a, b, terms):
-    """Per-checkpoint sums of arc terms in one pass over the arcs.
+def _checkpoint_sums(eps, blocks, terms, rows):
+    """Per-checkpoint sums of arc terms in one pass over blocks of arcs.
 
-    The arcs (a, b) are disjoint and sorted by decreasing b, so at checkpoint
-    e the arcs with b >= e form a leading run, of which at most the last
-    straddles e (a < e).  terms(idx, lower) gives the (columns x arcs) terms
-    of the arcs a[idx], integrals starting at max(a, lower).  Whole-arc terms
-    are computed once, in blocks of at most _BLOCK arcs, and summed segment
-    by segment between checkpoints; the straddling arcs are then added with
-    lower = e.  Returns (columns x checkpoints).
+    blocks yields the arcs as (a, b) arrays of any size, disjoint and sorted
+    by decreasing b across the blocks.  At checkpoint e the arcs with b >= e
+    form a leading run, of which at most the last straddles e (a < e).
+    terms(a, b, lower) gives the (rows x arcs) terms of the arcs (a, b),
+    integrals starting at max(a, lower).  The arcs are cut again into blocks
+    of _BLOCK arcs; the whole arcs of each (a >= e_min) are summed segment
+    by segment between checkpoints, and each checkpoint's straddling arc is
+    kept as the pass reaches it.  All the straddling arcs are scored, with
+    lower = e, in one call at the end.  Returns (rows x checkpoints).
 
-    One np.add.reduceat sums the non-empty segments of a block, which tile
-    it.  reduceat adds a segment's first term to the pairwise sum of the
-    rest, np.sum zero to the pairwise sum of all: a zero column ahead of
-    each segment makes the two agree bit for bit.
+    Memory is bounded by one block and its reduction array, not by the arc
+    count.  The sums depend on where the blocks are cut, and cutting them
+    here, at every _BLOCK arcs, fixes their bits whatever blocks come in.
     """
-    n_in = np.searchsorted(-b, -eps, side="right")  # arcs with b >= e
-    n_whole = np.searchsorted(-a, -eps, side="right")  # arcs with a >= e
-    bounds = np.concatenate(([0], n_whole))
-    segments = 0.0
-    for lo in range(0, max(bounds[-1], 1), _BLOCK):  # one empty block if no arc is whole
-        n = min(_BLOCK, bounds[-1] - lo)
-        block = terms(slice(lo, lo + n), eps[-1])
-        cuts = np.minimum(np.maximum(bounds - lo, 0), n)
-        sizes = np.diff(cuts)
-        full = np.flatnonzero(sizes)
-        padded = np.zeros((block.shape[0], n + full.size))
-        padded[:, np.arange(n) + np.repeat(np.arange(1, full.size + 1), sizes[full])] = block
-        part = np.zeros((block.shape[0], eps.size))
-        part[:, full] = np.add.reduceat(padded, cuts[full] + np.arange(full.size), axis=1)
-        segments = segments + part
+    segments = np.zeros((rows, eps.size))
+    straddle_a, straddle_b = np.zeros(eps.size), np.zeros(eps.size)  # the arc straddling each checkpoint, if any
+    for a, b in _reblock(blocks):
+        whole = np.searchsorted(-a, -eps, side="right")  # arcs of the block with a >= e
+        k = np.flatnonzero(whole < np.searchsorted(-b, -eps, side="right"))
+        straddle_a[k], straddle_b[k] = a[whole[k]], b[whole[k]]
+        segments = segments + _segment_sums(a, b, whole, terms, eps[-1], rows)
     sums = np.cumsum(segments, axis=1)
-    k = np.flatnonzero(n_whole < n_in)
-    sums[:, k] += terms(n_whole[k], eps[k])
+    k = np.flatnonzero(straddle_b)  # a straddling arc has b >= e > 0
+    sums[:, k] += terms(straddle_a[k], straddle_b[k], eps[k])
     return sums
+
+
+def _segment_sums(a, b, whole, terms, lower, rows):
+    """(rows x checkpoints) sums of terms(a, b, lower) over the arcs of one
+    block from whole[k - 1] to whole[k] (from 0 for k = 0).
+
+    One np.add.reduceat sums the non-empty segments, which tile the block's
+    first whole[-1] arcs; the terms fill its input _CHUNK arcs at a time.
+    reduceat adds a segment's first term to the pairwise sum of the rest,
+    np.sum zero to the pairwise sum of all: a zero column ahead of each
+    segment makes the two agree bit for bit.
+    """
+    n = whole[-1]
+    a, b = a[:n], b[:n]
+    cuts = np.concatenate(([0], whole))
+    sizes = np.diff(cuts)
+    full = np.flatnonzero(sizes)
+    at = np.arange(n) + np.repeat(np.arange(1, full.size + 1), sizes[full])  # past the zero columns
+    padded = np.zeros((rows, n + full.size))
+    for lo in range(0, n, _CHUNK):
+        hi = lo + _CHUNK
+        padded[:, at[lo:hi]] = terms(a[lo:hi], b[lo:hi], lower)
+    part = np.zeros((rows, whole.size))
+    part[:, full] = np.add.reduceat(padded, cuts[full] + np.arange(full.size), axis=1)
+    return part
+
+
+def _reblock(blocks):
+    """The arcs of blocks of any size, in new blocks of _BLOCK arcs, the
+    last one shorter."""
+    pieces, count = [], 0  # fewer than _BLOCK arcs not yet given out
+
+    def joined():
+        return pieces[0] if len(pieces) == 1 else tuple(np.concatenate(ends) for ends in zip(*pieces))
+
+    for a, b in blocks:
+        while count + a.size >= _BLOCK:
+            n = _BLOCK - count
+            pieces.append((a[:n], b[:n]))
+            block, pieces, count, a, b = joined(), [], 0, a[n:], b[n:]
+            yield block
+        pieces.append((a, b))
+        count += a.size
+    if count:
+        yield joined()
 
 
 def _cantor_candidates(weight, depth, eps_min):
@@ -281,40 +328,44 @@ def _cantor_e_integral(weight, depth, eps):
 def _set_arcs(weight, bset, eps):
     """The arcs of one set kind and its E-parts, per checkpoint.
 
-    Returns (a, b, e_part, alt_e): the arcs as (a, b_eff) arrays sorted by
-    decreasing b, with a below the cut and b at or above the smallest
-    checkpoint; the part of e_and_short that no listed arc carries; and the
-    integral of dt/(t w) over E.  The two E-parts coincide except on the
-    Cantor set, which lists only its non-short gaps: there e_part is the
-    integral over [e, cut] less the listed gaps, and alt_e the integral over
-    F_depth.
+    Returns (blocks, e_part, alt_e).  blocks gives the arcs as (a, b_eff)
+    blocks sorted by decreasing b, with a below the cut and b at or above
+    the smallest checkpoint.  A point sequence's blocks are computed as they
+    are taken, so they can be taken once and its whole arc list never
+    exists.  e_part is the part of e_and_short that no listed arc carries,
+    and alt_e the integral of dt/(t w) over E.  The two E-parts coincide
+    except on the Cantor set, which lists only its non-short gaps: there
+    e_part is the integral over [e, cut] less the listed gaps, and alt_e the
+    integral over F_depth.
     """
     cut = weight.pure_cut
     eps_min = float(eps[-1])
+
+    def kept(a, b):
+        keep = (a < cut * (1.0 - 1e-15)) & (b >= eps_min)
+        return a[keep], np.minimum(b[keep], cut)
+
     if bset.kind == "cantor":
-        a, b = _cantor_candidates(weight, bset.depth, eps_min)
-    elif bset.kind not in ("full", "arc", "point") and eps_min < math.exp(-_U_MAX) * 0.5:
+        a, b = kept(*_cantor_candidates(weight, bset.depth, eps_min))
+        nonshort = _arc_class(a, b, wts.effective_w(weight, b)) != 0
+        order = np.argsort(-b[nonshort])
+        a, b = a[nonshort][order], b[nonshort][order]
+
+        def tw1(a, b, lower):
+            return wts.inv_tw_integral(weight, 1.0, np.maximum(a, lower), b)[None]
+
+        e_part = wts.inv_tw_integral(weight, 1.0, eps, cut) - _checkpoint_sums(eps, [(a, b)], tw1, 1)[0]
+        return [(a, b)], e_part, _cantor_e_integral(weight, bset.depth, eps)
+    if bset.kind not in ("full", "arc", "point") and eps_min < math.exp(-_U_MAX) * 0.5:
         raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
-    else:
-        a, b = bnd.arc_arrays(bset, eps_min * 0.5)
+    blocks = (kept(a, b) for a, b in bnd.arc_blocks(bset, eps_min * 0.5, _CHUNK))
+
     # interval kinds: E meets the pure region in (0, e_hi]
     e_hi = cut if bset.kind == "full" else min(float(bset.b), cut) if bset.kind == "arc" else 0.0
-    keep = (a < cut * (1.0 - 1e-15)) & (b >= eps_min)
-    a, b = a[keep], np.minimum(b[keep], cut)
-    if bset.kind != "cantor":
-        e_part = np.zeros(eps.size)
-        if e_hi > 0.0:
-            e_part = wts.inv_tw_integral(weight, 1.0, np.minimum(eps, e_hi), e_hi)
-        return a, b, e_part, e_part
-    nonshort = _arc_class(a, b, wts.effective_w(weight, b)) != 0
-    order = np.argsort(-b[nonshort])
-    a, b = a[nonshort][order], b[nonshort][order]
-
-    def tw1(idx, lower):
-        return wts.inv_tw_integral(weight, 1.0, np.maximum(a[idx], lower), b[idx])[None]
-
-    e_part = wts.inv_tw_integral(weight, 1.0, eps, cut) - _checkpoint_sums(eps, a, b, tw1)[0]
-    return a, b, e_part, _cantor_e_integral(weight, bset.depth, eps)
+    e_part = np.zeros(eps.size)
+    if e_hi > 0.0:
+        e_part = wts.inv_tw_integral(weight, 1.0, np.minimum(eps, e_hi), e_hi)
+    return blocks, e_part, e_part
 
 
 def criterion_partials(weight: wts.WeightSpec, bset: bnd.BoundarySet, checkpoints) -> CriterionReport:
@@ -322,13 +373,13 @@ def criterion_partials(weight: wts.WeightSpec, bset: bnd.BoundarySet, checkpoint
     eps = np.asarray(list(checkpoints), dtype=float)
     cut = weight.pure_cut
     _validate_checkpoints(eps, cut)
-    a, b, e_part, alt_e = _set_arcs(weight, bset, eps)
+    blocks, e_part, alt_e = _set_arcs(weight, bset, eps)
 
-    def by_class(idx, lower):
-        cls, value, unified = arc_terms(weight, a[idx], b[idx], lower)
+    def by_class(a, b, lower):
+        cls, value, unified = arc_terms(weight, a, b, lower)
         return np.stack([np.where(cls == c, value, 0.0) for c in range(3)] + [unified])
 
-    short, inter, long_s, arc_sum = _checkpoint_sums(eps, a, b, by_class)
+    short, inter, long_s, arc_sum = _checkpoint_sums(eps, blocks, by_class, len(ARC_CLASSES) + 1)
     # short gaps the set does not list enter the unified arc sum through
     # their integral, e_part - alt_e (zero unless the set is Cantor); the
     # running maximum keeps the rounding of alt_e from making it dip

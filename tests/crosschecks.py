@@ -324,18 +324,32 @@ def divergence_verdict_numpy(partials, checkpoints) -> DivergenceVerdict:
     return DivergenceVerdict("inconclusive", "power", q_hat, resid)
 
 
+def sequence_arcs_from_point_list(bset, cutoff):
+    """(a, b) of the window arcs of a point-sequence set with b > cutoff,
+    from the whole list of its points down to one below the cutoff (the
+    enumeration boundary.arc_blocks does block by block)."""
+    angle, index, first = boundary._sequence_rule(bset)
+    pts = angle(np.arange(first, int(math.ceil(index(math.log(1.0 / cutoff)))) + 2))
+    pts = np.concatenate(([1.0], pts[(0.0 < pts) & (pts < 1.0)]))  # the anchor once, on geometric too
+    pts = pts[: np.count_nonzero(pts >= cutoff) + 1]
+    a, b = pts[1:], pts[:-1]
+    n = np.count_nonzero(b > cutoff)
+    return a[:n], b[:n]
+
+
 def checkpoint_sums_by_segment(eps, a, b, terms, block):
-    """criterion._checkpoint_sums with one np.sum per segment between
-    checkpoints, whole-arc terms in blocks of `block` arcs."""
+    """criterion._checkpoint_sums on the whole arrays (a, b), with one np.sum
+    per segment between checkpoints, whole-arc terms in blocks of `block` arcs."""
     n_in = np.searchsorted(-b, -eps, side="right")
     n_whole = np.searchsorted(-a, -eps, side="right")
     bounds = np.concatenate(([0], n_whole))
     segments = 0.0
     for lo in range(0, max(bounds[-1], 1), block):
-        part = terms(slice(lo, min(lo + block, bounds[-1])), eps[-1])
+        hi = min(lo + block, bounds[-1])
+        part = terms(a[lo:hi], b[lo:hi], eps[-1])
         cuts = np.clip(bounds - lo, 0, part.shape[1])
         segments = segments + np.array([np.sum(part[:, i:j], axis=1) for i, j in zip(cuts[:-1], cuts[1:])]).T
     sums = np.cumsum(segments, axis=1)
     k = np.flatnonzero(n_whole < n_in)
-    sums[:, k] += terms(n_whole[k], eps[k])
+    sums[:, k] += terms(a[n_whole[k]], b[n_whole[k]], eps[k])
     return sums

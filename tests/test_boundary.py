@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crosschecks import sequence_arcs_from_point_list
+from cyclicity import boundary
 from cyclicity.boundary import (
     Arc,
     BoundarySet,
     arc_arrays,
+    arc_blocks,
     cantor_gaps,
     cantor_measure,
     complementary_arcs,
@@ -101,6 +104,44 @@ class TestComplementaryArcs:
         assert b.min() > 1e-290 and a.min() < 1e-290
         with pytest.raises(CapacityError, match="floor"):
             arc_arrays(bset, 1e-300)
+
+    @given(st.sampled_from([("geometric", None), ("doubly_exp", None)]
+                           + [("beta", x) for x in (0.0, 0.1, 0.25, 0.4, 0.5)]),
+           st.booleans(),
+           st.one_of(st.just(1.0), st.floats(min_value=-290.0, max_value=0.0).map(lambda x: 10.0**x)),
+           st.sampled_from([1, 7, 8192, 1 << 16]))
+    @settings(max_examples=60, deadline=None)
+    @example(("beta", 0.5), False, 1e-290, 8192)  # the longest listing, 55 blocks
+    def test_blocks_are_the_point_list_arcs(self, kind, mirror, cutoff, size):
+        # the blocks, each from its own index range, join into the arcs of
+        # the whole point list, in value and dtype
+        bset = BoundarySet(kind[0], beta=kind[1], mirror=mirror)
+        blocks = list(arc_blocks(bset, cutoff, size))
+        assert all(a.size == b.size == size for a, b in blocks[:-1])
+        assert all(0 < a.size == b.size <= size for a, b in blocks[-1:])
+        want_a, want_b = sequence_arcs_from_point_list(bset, cutoff)
+        assert all(a.dtype == b.dtype == want_a.dtype for a, b in blocks)
+        assert np.array_equal(np.concatenate([want_a[:0], *(a for a, _ in blocks)]), want_a)
+        assert np.array_equal(np.concatenate([want_b[:0], *(b for _, b in blocks)]), want_b)
+        a, b = arc_arrays(bset, cutoff)
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+
+    @pytest.mark.parametrize("bset", [BoundarySet("geometric"), BoundarySet("doubly_exp"),
+                                      BoundarySet("beta", beta=0.5)], ids=lambda b: b.kind)
+    def test_blocks_refuse_the_floor_on_the_call(self, bset):
+        with pytest.raises(CapacityError, match="floor"):
+            arc_blocks(bset, 1e-300, 7)
+        with pytest.raises(UsageError):
+            arc_blocks(bset, 0.0, 7)
+
+    def test_arc_list_capacity(self, monkeypatch):
+        # 101 geometric arcs have b > 2^-100.5
+        monkeypatch.setattr(boundary, "_MAX_ARC_LIST", 101)
+        assert arc_arrays(BoundarySet("geometric"), 2.0**-100.5)[0].size == 101
+        monkeypatch.setattr(boundary, "_MAX_ARC_LIST", 100)
+        with pytest.raises(CapacityError, match="arc list capacity exceeded"):
+            arc_arrays(BoundarySet("geometric"), 2.0**-100.5)
+        assert sum(a.size for a, _ in arc_blocks(BoundarySet("geometric"), 2.0**-100.5, 7)) == 101
 
     def test_cantor_capacity(self):
         with pytest.raises(CapacityError):

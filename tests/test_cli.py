@@ -368,6 +368,17 @@ class TestCommands:
         short = res["e_and_short"][-1] - res["alt_e_integral"][-1]
         assert sums["short"] == pytest.approx(short, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("bset", [GEO, '{"kind":"doubly_exp"}', '{"kind":"beta","beta":0.0}',
+                                      '{"kind":"beta","beta":0.25}', '{"kind":"beta","beta":0.4}'])
+    def test_arc_listing_above_the_window_is_empty(self, capsys, tmp_path, bset):
+        # no window arc has b > 1: a cutoff above the window lists no arc (on
+        # beta sets it once took a fractional power of the negative log(1/cutoff))
+        arcs = tmp_path / "arcs.csv"
+        code, _, err = run(capsys, "criterion", "analyze", "--weight", W1, "--set", bset,
+                           "--checkpoints", "12", "--arcs-out", str(arcs), "--arcs-cutoff", "2")
+        assert code == EXIT_OK, err
+        assert arcs.read_text() == "a,b,class,contribution\n"
+
     @pytest.mark.parametrize("bset", [CANTOR14, GEO])
     def test_criterion_csv_columns_are_the_json_arrays(self, capsys, bset):
         # the same eight columns, token for token; the checkpoints are named eps in the CSV

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from crosschecks import checkpoint_sums_by_segment, condition_partials_quad, divergence_verdict_numpy
 from cyclicity import criterion
-from cyclicity.boundary import Arc, BoundarySet, complementary_arcs
+from cyclicity.boundary import Arc, BoundarySet, arc_arrays, complementary_arcs
 from cyclicity.criterion import (
     DEFAULT_MARGIN,
     KAPPA,
@@ -527,7 +528,12 @@ class TestEstimatorAgainstReference:
 
 
 class TestCheckpointSums:
-    """The block reduction of _checkpoint_sums against one np.sum per segment."""
+    """The one-pass block reduction of _checkpoint_sums against one np.sum per segment."""
+
+    @staticmethod
+    def blocks(a, b, size=5):
+        # the engine cuts its own blocks, whatever the size of those it is given
+        return ((a[lo:lo + size], b[lo:lo + size]) for lo in range(0, a.size, size))
 
     @staticmethod
     def case():
@@ -541,8 +547,9 @@ class TestCheckpointSums:
                         0.5 * (a[27] + b[27]), 0.5 * a[29], 0.25 * a[29], 0.1 * a[29]])
         vals = rng.uniform(0.0, 1.0, (2, a.size))
 
-        def terms(idx, lower):
-            return np.stack([vals[0, idx], vals[1, idx] * (b[idx] - np.maximum(a[idx], lower))])
+        def terms(a_arcs, b_arcs, lower):
+            idx = np.searchsorted(-b, -b_arcs)  # each arc's place in the case
+            return np.stack([vals[0, idx], vals[1, idx] * (b_arcs - np.maximum(a_arcs, lower))])
 
         return eps, a, b, terms
 
@@ -550,7 +557,7 @@ class TestCheckpointSums:
     def test_bit_identical(self, monkeypatch, block):
         eps, a, b, terms = self.case()
         monkeypatch.setattr(criterion, "_BLOCK", block)
-        got = criterion._checkpoint_sums(eps, a, b, terms)
+        got = criterion._checkpoint_sums(eps, self.blocks(a, b), terms, 2)
         want = checkpoint_sums_by_segment(eps, a, b, terms, block)
         assert got.shape == (2, eps.size)
         assert np.array_equal(got, want)
@@ -566,20 +573,60 @@ class TestCheckpointSums:
         eps = np.array([a[149], 0.5 * (a[1000] + b[1000]), a[1399], b[3900], a[3999], 0.5 * a[3999]])
         vals = rng.lognormal(0.0, 3.0, (2, a.size))
 
-        def terms(idx, lower):
-            return np.stack([vals[0, idx], vals[1, idx] * (b[idx] - np.maximum(a[idx], lower))])
+        def terms(a_arcs, b_arcs, lower):
+            idx = np.searchsorted(-b, -b_arcs)
+            return np.stack([vals[0, idx], vals[1, idx] * (b_arcs - np.maximum(a_arcs, lower))])
 
         monkeypatch.setattr(criterion, "_BLOCK", block)
-        got = criterion._checkpoint_sums(eps, a, b, terms)
+        got = criterion._checkpoint_sums(eps, self.blocks(a, b, 777), terms, 2)
         assert np.array_equal(got, checkpoint_sums_by_segment(eps, a, b, terms, block))
 
     def test_no_whole_arc(self):
-        # every arc straddles or lies below the checkpoints: one empty block
+        # every arc straddles or lies below the checkpoints: no block has a whole arc
         eps, a, b, terms = self.case()
         eps = np.array([1.5, 1.2, 0.5 * (a[0] + b[0])])
-        got = criterion._checkpoint_sums(eps, a, b, terms)
+        got = criterion._checkpoint_sums(eps, self.blocks(a, b), terms, 2)
         assert np.array_equal(got, checkpoint_sums_by_segment(eps, a, b, terms, 1 << 16))
         assert np.array_equal(got[:, :2], np.zeros((2, 2)))
+
+    def test_no_arcs(self):
+        eps, _, _, terms = self.case()
+        assert np.array_equal(criterion._checkpoint_sums(eps, iter(()), terms, 2), np.zeros((2, eps.size)))
+
+
+class TestEngineMemory:
+    def test_beta_half_streams_its_arcs(self):
+        # about 4 * 10^5 arcs reach the deepest checkpoint; the engine holds
+        # one block of them at a time, where the whole list took 16 MB
+        weight, bset = WeightSpec("log_power", alpha=1.5), BoundarySet("beta", beta=0.5)
+        eps = default_checkpoints(weight, bset)
+        tracemalloc.start()
+        try:
+            report = criterion_partials(weight, bset, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+        # the same columns from the whole arc list, summed in blocks of _BLOCK arcs
+        cut = weight.pure_cut
+        a, b = arc_arrays(bset, eps[-1] * 0.5)
+        keep = (a < cut * (1.0 - 1e-15)) & (b >= eps[-1])
+        a, b = a[keep], np.minimum(b[keep], cut)
+        assert a.size > 4 * criterion._BLOCK
+
+        def by_class(a, b, lower):
+            cls, value, unified = criterion.arc_terms(weight, a, b, lower)
+            return np.stack([np.where(cls == c, value, 0.0) for c in range(3)] + [unified])
+
+        short, inter, long_s, arc_sum = checkpoint_sums_by_segment(eps, a, b, by_class, criterion._BLOCK)
+        e_and_short = np.zeros(eps.size) + short
+        want = [eps, e_and_short, inter, long_s, e_and_short + inter + long_s, np.zeros(eps.size),
+                inv_tw_integral(weight, 2.0, eps, cut), arc_sum + np.zeros(eps.size)]
+        got = [report.checkpoints, report.e_and_short, report.intermediate_sum, report.long_sum, report.total,
+               report.alt_e_integral, report.alt_gs_integral, report.alt_arc_sum]
+        for column, expected in zip(got, want):
+            assert column.tobytes() == expected.tobytes()
 
 
 def _weights_and_sets():
