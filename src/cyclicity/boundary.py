@@ -23,6 +23,7 @@ arc_blocks is the one arc enumerator for every kind: it gives the arcs in
 blocks of a chosen size, and a point sequence computes each block from its
 own range of point indices, so its memory is bounded by the block size and
 not by the arc count (about 4 * 10^5 arcs on beta = 1/2 near the floor).
+The criterion engine and its per-arc listing take the arcs block by block.
 arc_arrays is all of them in one block, capped at _MAX_ARC_LIST arcs, and
 complementary_arcs its list-of-Arc view.
 

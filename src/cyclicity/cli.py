@@ -89,11 +89,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj)
 
 
-def csv_text(header, rows) -> str:
+def csv_rows(rows) -> str:
+    """CSV lines of rows, each ending in a newline."""
     floats = (np.floating, float)
-    lines = [",".join(header)]
-    lines.extend(",".join([_float_token(v) if isinstance(v, floats) else str(v) for v in row]) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(",".join([_float_token(v) if isinstance(v, floats) else str(v) for v in row]) + "\n"
+                   for row in rows)
+
+
+def csv_text(header, rows) -> str:
+    return ",".join(header) + "\n" + csv_rows(rows)
 
 
 def config_hash(payload: dict) -> str:
@@ -107,12 +111,14 @@ def json_report(command: str, config: dict, results) -> str:
                            "config": config, "results": results}) + "\n"
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text, out: str | None) -> None:
+    """Write text, a string or an iterable of strings, to out (stdout for None or -)."""
+    chunks = [text] if isinstance(text, str) else text
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +198,6 @@ def build_parser() -> _Parser:
     pwc.add_argument("--grid-from", type=_finite, default=1e-2)
     pwc.add_argument("--grid-to", type=_finite, default=1e-8)
     pwc.add_argument("--points", type=int, default=25)
-    pwc.add_argument("--format", choices=("json",), default="json")
 
     pg = leaf(sub, "gamma", _cmd_gamma, "solve the implicit boundary equation", "weight", "set")
     pg.add_argument("--theta", type=_finite, required=True)
@@ -356,10 +361,15 @@ def _cmd_keldysh(args) -> int:
     return EXIT_OK
 
 
-def _arc_listing(weight, bset, eps, cutoff) -> str:
-    """The per-arc CSV: the window arcs with b above cutoff and a below the cut."""
+def _arc_listing(weight, bset, eps, cutoff):
+    """The per-arc CSV of the window arcs with b above cutoff and a below
+    the cut, as its header and then one string per block of arcs.
+
+    Every refusal of the cutoff is raised on this call, before any text is made.
+    """
+    lower = float(eps.min())
     if cutoff is None:
-        cutoff = float(eps.min())
+        cutoff = lower
         if bset.kind == "cantor":
             # a full enumeration down to the deepest checkpoint is exponential
             cutoff = max(cutoff, 3.0 ** -min(bset.depth, 11))
@@ -368,12 +378,17 @@ def _arc_listing(weight, bset, eps, cutoff) -> str:
         # it or are exponentially many slivers of the listed ones
         gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
         bset = bnd.BoundarySet("cantor", depth=gen_cap, mirror=bset.mirror)
-    a, b = bnd.arc_arrays(bset, cutoff)
-    keep = a < weight.pure_cut
-    a, b = a[keep], b[keep]
-    cls, contrib, _ = crit.arc_terms(weight, a, b, float(eps.min()))
-    rows = zip(a.tolist(), b.tolist(), (crit.ARC_CLASSES[c] for c in cls.tolist()), contrib.tolist())
-    return csv_text(("a", "b", "class", "contribution"), rows)
+    blocks = bnd.arc_blocks(bset, cutoff, crit.ARC_BLOCK)
+
+    def text():
+        yield "a,b,class,contribution\n"
+        for a, b in blocks:
+            keep = a < weight.pure_cut
+            a, b = a[keep], b[keep]
+            cls, contrib, _ = crit.arc_terms(weight, a, b, lower)
+            yield csv_rows(zip(a.tolist(), b.tolist(), (crit.ARC_CLASSES[c] for c in cls.tolist()), contrib.tolist()))
+
+    return text()
 
 
 def _cmd_criterion_analyze(args) -> int:
@@ -396,7 +411,7 @@ def _cmd_criterion_analyze(args) -> int:
                        alt_verdict=alt.verdict, forms_agree=verdict.verdict == alt.verdict)
         config = {"weight": weight.to_json(), "set": bset.to_json(), "checkpoints": args.checkpoints}
         text = json_report("criterion analyze", config, results)
-    # the listing is made before anything is written, so a refused cutoff writes nothing
+    # the listing's cutoff is checked before anything is written, so a refused cutoff writes nothing
     arcs = None if args.arcs_out is None else _arc_listing(weight, bset, eps, args.arcs_cutoff)
     _write_out(text, args.out)
     if arcs is not None:

@@ -24,11 +24,11 @@ The report also carries the equivalent three-quantity form: the integral of
 dt/(t w) over E, the global integral of dt/(t w^2), and the unified arc sum
 of log[1 + (1 - a/b) w(b)] / w(b)^2; both forms must yield the same verdict.
 
-Every arc sum is one pass over the set's arcs in blocks of _BLOCK arcs.  A
-point sequence's arcs come from boundary.arc_blocks as the pass goes, so the
-engine's memory is bounded by one block and not by the arc count (about
-4 * 10^5 arcs on beta = 1/2 down to e^-630); the block cuts also fix the
-bits of the sums.
+Every arc sum is one pass over the set's arcs, block by block.  A point
+sequence's arcs come from boundary.arc_blocks in blocks of ARC_BLOCK arcs as
+the pass goes, so the engine's memory is bounded by one block and not by the
+arc count (about 4 * 10^5 arcs on beta = 1/2 down to e^-630); the block cuts
+also fix the bits of the sums.
 
 Partial sums are decided by fitting their growth in u = log(1/eps): bounded,
 logarithmic (c + b log u), or a power c + b u^q, with q estimated from the
@@ -70,11 +70,10 @@ DEFAULT_MARGIN = 0.05
 # deepest log(1/eps) reachable before the point-sequence rules underflow float64
 _U_MAX = 650.0
 
-# arcs per block of the criterion engine's one pass (bounds its memory; the
-# block cuts fix the bits of the sums), and per block taken from the arc
-# enumerator and per call of the arc terms
-_BLOCK = 1 << 16
-_CHUNK = 1 << 13
+# arcs per block taken from the arc enumerator by the criterion engine and by
+# the per-arc listing; bounds their memory, and the engine's block cuts fix
+# the bits of its sums
+ARC_BLOCK = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -180,76 +179,36 @@ def _validate_checkpoints(eps: np.ndarray, cut: float) -> None:
 def _checkpoint_sums(eps, blocks, terms, rows):
     """Per-checkpoint sums of arc terms in one pass over blocks of arcs.
 
-    blocks yields the arcs as (a, b) arrays of any size, disjoint and sorted
-    by decreasing b across the blocks.  At checkpoint e the arcs with b >= e
+    blocks yields the arcs as (a, b) arrays, disjoint and sorted by
+    decreasing b across the blocks.  At checkpoint e the arcs with b >= e
     form a leading run, of which at most the last straddles e (a < e).
     terms(a, b, lower) gives the (rows x arcs) terms of the arcs (a, b),
-    integrals starting at max(a, lower).  The arcs are cut again into blocks
-    of _BLOCK arcs; the whole arcs of each (a >= e_min) are summed segment
-    by segment between checkpoints, and each checkpoint's straddling arc is
-    kept as the pass reaches it.  All the straddling arcs are scored, with
-    lower = e, in one call at the end.  Returns (rows x checkpoints).
+    integrals starting at max(a, lower).  Each block's whole arcs (a >= e_min)
+    are scored in one call and summed by one np.sum per non-empty segment
+    between checkpoints; each checkpoint's straddling arc is kept as the pass
+    reaches it, and all of them are scored, with lower = e, in one call at
+    the end.  Returns (rows x checkpoints).
 
-    Memory is bounded by one block and its reduction array, not by the arc
-    count.  The sums depend on where the blocks are cut, and cutting them
-    here, at every _BLOCK arcs, fixes their bits whatever blocks come in.
+    Memory is bounded by one block, not by the arc count.  The sums depend
+    on where the blocks are cut, so the blocks fix their bits.
     """
     segments = np.zeros((rows, eps.size))
     straddle_a, straddle_b = np.zeros(eps.size), np.zeros(eps.size)  # the arc straddling each checkpoint, if any
-    for a, b in _reblock(blocks):
+    for a, b in blocks:
         whole = np.searchsorted(-a, -eps, side="right")  # arcs of the block with a >= e
         k = np.flatnonzero(whole < np.searchsorted(-b, -eps, side="right"))
         straddle_a[k], straddle_b[k] = a[whole[k]], b[whole[k]]
-        segments = segments + _segment_sums(a, b, whole, terms, eps[-1], rows)
+        n = whole[-1]
+        if n:
+            part = terms(a[:n], b[:n], eps[-1])
+            cuts = [0, *whole.tolist()]
+            for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if hi > lo:  # np.add.reduce is np.sum without its Python wrapper
+                    segments[:, j] += np.add.reduce(part[:, lo:hi], axis=1)
     sums = np.cumsum(segments, axis=1)
     k = np.flatnonzero(straddle_b)  # a straddling arc has b >= e > 0
     sums[:, k] += terms(straddle_a[k], straddle_b[k], eps[k])
     return sums
-
-
-def _segment_sums(a, b, whole, terms, lower, rows):
-    """(rows x checkpoints) sums of terms(a, b, lower) over the arcs of one
-    block from whole[k - 1] to whole[k] (from 0 for k = 0).
-
-    One np.add.reduceat sums the non-empty segments, which tile the block's
-    first whole[-1] arcs; the terms fill its input _CHUNK arcs at a time.
-    reduceat adds a segment's first term to the pairwise sum of the rest,
-    np.sum zero to the pairwise sum of all: a zero column ahead of each
-    segment makes the two agree bit for bit.
-    """
-    n = whole[-1]
-    a, b = a[:n], b[:n]
-    cuts = np.concatenate(([0], whole))
-    sizes = np.diff(cuts)
-    full = np.flatnonzero(sizes)
-    at = np.arange(n) + np.repeat(np.arange(1, full.size + 1), sizes[full])  # past the zero columns
-    padded = np.zeros((rows, n + full.size))
-    for lo in range(0, n, _CHUNK):
-        hi = lo + _CHUNK
-        padded[:, at[lo:hi]] = terms(a[lo:hi], b[lo:hi], lower)
-    part = np.zeros((rows, whole.size))
-    part[:, full] = np.add.reduceat(padded, cuts[full] + np.arange(full.size), axis=1)
-    return part
-
-
-def _reblock(blocks):
-    """The arcs of blocks of any size, in new blocks of _BLOCK arcs, the
-    last one shorter."""
-    pieces, count = [], 0  # fewer than _BLOCK arcs not yet given out
-
-    def joined():
-        return pieces[0] if len(pieces) == 1 else tuple(np.concatenate(ends) for ends in zip(*pieces))
-
-    for a, b in blocks:
-        while count + a.size >= _BLOCK:
-            n = _BLOCK - count
-            pieces.append((a[:n], b[:n]))
-            block, pieces, count, a, b = joined(), [], 0, a[n:], b[n:]
-            yield block
-        pieces.append((a, b))
-        count += a.size
-    if count:
-        yield joined()
 
 
 def _cantor_candidates(weight, depth, eps_min):
@@ -358,7 +317,7 @@ def _set_arcs(weight, bset, eps):
         return [(a, b)], e_part, _cantor_e_integral(weight, bset.depth, eps)
     if bset.kind not in ("full", "arc", "point") and eps_min < math.exp(-_U_MAX) * 0.5:
         raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
-    blocks = (kept(a, b) for a, b in bnd.arc_blocks(bset, eps_min * 0.5, _CHUNK))
+    blocks = (kept(a, b) for a, b in bnd.arc_blocks(bset, eps_min * 0.5, ARC_BLOCK))
 
     # interval kinds: E meets the pure region in (0, e_hi]
     e_hi = cut if bset.kind == "full" else min(float(bset.b), cut) if bset.kind == "arc" else 0.0
@@ -611,16 +570,10 @@ def theorem_scan_point(theorem: str, alpha: float, beta: float = 0.0, depth: int
         report = criterion_partials(weight, bset, eps)
         verdict = report.verdict()
     oracle = threshold_oracle(theorem, alpha, beta)
-    in_band = abs(alpha - threshold_value(theorem, beta)) < DEFAULT_MARGIN if theorem != "teo2" else (
-        abs(alpha * (1.0 - beta) - 1.0) < DEFAULT_MARGIN
-    )
     return {
         "alpha": alpha,
-        "beta": beta,
         "fitted_exponent": verdict.exponent,
         "verdict": verdict.verdict,
-        "model": verdict.model,
         "oracle": oracle,
-        "in_band": in_band,
         "agree": verdict.verdict == oracle,
     }

@@ -337,18 +337,24 @@ def sequence_arcs_from_point_list(bset, cutoff):
     return a[:n], b[:n]
 
 
-def checkpoint_sums_by_segment(eps, a, b, terms, block):
-    """criterion._checkpoint_sums on the whole arrays (a, b), with one np.sum
-    per segment between checkpoints, whole-arc terms in blocks of `block` arcs."""
+def checkpoint_sums_by_segment(eps, blocks, terms):
+    """criterion._checkpoint_sums on the whole arrays (a, b) of the blocks:
+    whole-arc terms block by block, one np.sum per segment between
+    checkpoints within each block, segments cut from the whole arrays."""
+    blocks = list(blocks)
+    a, b = (np.concatenate([np.empty(0), *(block[i] for block in blocks)]) for i in (0, 1))
     n_in = np.searchsorted(-b, -eps, side="right")
     n_whole = np.searchsorted(-a, -eps, side="right")
     bounds = np.concatenate(([0], n_whole))
-    segments = 0.0
-    for lo in range(0, max(bounds[-1], 1), block):
-        hi = min(lo + block, bounds[-1])
-        part = terms(a[lo:hi], b[lo:hi], eps[-1])
-        cuts = np.clip(bounds - lo, 0, part.shape[1])
-        segments = segments + np.array([np.sum(part[:, i:j], axis=1) for i, j in zip(cuts[:-1], cuts[1:])]).T
+    segments = np.zeros((terms(a[:0], b[:0], eps[-1]).shape[0], eps.size))  # the terms of no arc give the rows
+    lo = 0
+    for block_a, _ in blocks:
+        hi = min(lo + block_a.size, bounds[-1])
+        if hi > lo:
+            part = terms(a[lo:hi], b[lo:hi], eps[-1])
+            cuts = np.clip(bounds - lo, 0, part.shape[1])
+            segments = segments + np.array([np.sum(part[:, i:j], axis=1) for i, j in zip(cuts[:-1], cuts[1:])]).T
+        lo += block_a.size
     sums = np.cumsum(segments, axis=1)
     k = np.flatnonzero(n_whole < n_in)
     sums[:, k] += terms(a[n_whole[k]], b[n_whole[k]], eps[k])

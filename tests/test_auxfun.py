@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_mpmath, herglotz_arc_integral_quad, singular_inner
@@ -141,6 +141,7 @@ class TestHerglotz:
     @settings(max_examples=200, deadline=None)
     def test_additive_over_a_split(self, lo, length, split, r, phase):
         z, hi, mid = r * cmath.exp(1j * phase), lo + length, lo + split * length
+        assume(hi - lo <= 2.0 * math.pi)  # lo + 2 pi may round to an arc one ulp longer than 2 pi
         whole = herglotz_arc_integral(z, lo, hi)
         parts = herglotz_arc_integral(z, lo, mid) + herglotz_arc_integral(z, mid, hi)
         assert abs(parts - whole) <= 1e-12 * max(1.0, abs(whole))

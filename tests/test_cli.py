@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclicity import __version__
+from cyclicity import __version__, criterion
 from cyclicity.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NUMERIC,
@@ -368,6 +368,20 @@ class TestCommands:
         short = res["e_and_short"][-1] - res["alt_e_integral"][-1]
         assert sums["short"] == pytest.approx(short, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("bset", ['{"kind":"beta","beta":0.25}', CANTOR14])
+    def test_arc_listing_bytes_do_not_depend_on_its_blocks(self, capsys, tmp_path, monkeypatch, bset):
+        # the listing is written block by block: blocks of 7 arcs give the
+        # bytes of the default blocks, here written to stdout by "-"
+        argv = ("criterion", "analyze", "--weight", W1, "--set", bset, "--checkpoints", "12",
+                "--out", str(tmp_path / "report.json"))
+        code, default, _ = run(capsys, *argv, "--arcs-out", "-")
+        assert code == EXIT_OK
+        monkeypatch.setattr(criterion, "ARC_BLOCK", 7)
+        code, _, _ = run(capsys, *argv, "--arcs-out", str(tmp_path / "arcs.csv"))
+        assert code == EXIT_OK
+        assert default.count("\n") > 50 * 7
+        assert (tmp_path / "arcs.csv").read_text() == default
+
     @pytest.mark.parametrize("bset", [GEO, '{"kind":"doubly_exp"}', '{"kind":"beta","beta":0.0}',
                                       '{"kind":"beta","beta":0.25}', '{"kind":"beta","beta":0.4}'])
     def test_arc_listing_above_the_window_is_empty(self, capsys, tmp_path, bset):
@@ -462,6 +476,8 @@ class TestRefusals:
         "arcs-cutoff-zero": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "0"),
         "arcs-cutoff-nan": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "nan"),
         "arcs-cutoff-inf": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "inf"),
+        "arcs-over-capacity": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"cantor","depth":30}',
+                               "--arcs-cutoff", "1e-14"),
         # a config field of the wrong JSON type, once a TypeError traceback or a silent misreading
         "set-depth-float": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"cantor","depth":14.0}'),
         "set-beta-string": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"beta","beta":"0.25"}'),

@@ -531,9 +531,8 @@ class TestCheckpointSums:
     """The one-pass block reduction of _checkpoint_sums against one np.sum per segment."""
 
     @staticmethod
-    def blocks(a, b, size=5):
-        # the engine cuts its own blocks, whatever the size of those it is given
-        return ((a[lo:lo + size], b[lo:lo + size]) for lo in range(0, a.size, size))
+    def blocks(a, b, size):
+        return [(a[lo:lo + size], b[lo:lo + size]) for lo in range(0, a.size, size)]
 
     @staticmethod
     def case():
@@ -553,18 +552,18 @@ class TestCheckpointSums:
 
         return eps, a, b, terms
 
-    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 16])
-    def test_bit_identical(self, monkeypatch, block):
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 7, 1 << 16])
+    def test_bit_identical(self, size):
         eps, a, b, terms = self.case()
-        monkeypatch.setattr(criterion, "_BLOCK", block)
-        got = criterion._checkpoint_sums(eps, self.blocks(a, b), terms, 2)
-        want = checkpoint_sums_by_segment(eps, a, b, terms, block)
+        blocks = self.blocks(a, b, size)
+        got = criterion._checkpoint_sums(eps, iter(blocks), terms, 2)
+        want = checkpoint_sums_by_segment(eps, blocks, terms)
         assert got.shape == (2, eps.size)
         assert np.array_equal(got, want)
         assert np.all(np.diff(got, axis=1) >= 0.0)
 
-    @pytest.mark.parametrize("block", [300, 1000, 1 << 16])
-    def test_long_segments(self, monkeypatch, block):
+    @pytest.mark.parametrize("size", [300, 777, 1000, 1 << 16])
+    def test_long_segments(self, size):
         # segments of 150 to 2,500 arcs: np.sum splits them pairwise above
         # 128 terms, and the blocks fall both inside and around segments
         rng = np.random.default_rng(5)
@@ -577,21 +576,23 @@ class TestCheckpointSums:
             idx = np.searchsorted(-b, -b_arcs)
             return np.stack([vals[0, idx], vals[1, idx] * (b_arcs - np.maximum(a_arcs, lower))])
 
-        monkeypatch.setattr(criterion, "_BLOCK", block)
-        got = criterion._checkpoint_sums(eps, self.blocks(a, b, 777), terms, 2)
-        assert np.array_equal(got, checkpoint_sums_by_segment(eps, a, b, terms, block))
+        blocks = self.blocks(a, b, size)
+        got = criterion._checkpoint_sums(eps, iter(blocks), terms, 2)
+        assert np.array_equal(got, checkpoint_sums_by_segment(eps, blocks, terms))
 
     def test_no_whole_arc(self):
         # every arc straddles or lies below the checkpoints: no block has a whole arc
         eps, a, b, terms = self.case()
         eps = np.array([1.5, 1.2, 0.5 * (a[0] + b[0])])
-        got = criterion._checkpoint_sums(eps, self.blocks(a, b), terms, 2)
-        assert np.array_equal(got, checkpoint_sums_by_segment(eps, a, b, terms, 1 << 16))
+        blocks = self.blocks(a, b, 5)
+        got = criterion._checkpoint_sums(eps, iter(blocks), terms, 2)
+        assert np.array_equal(got, checkpoint_sums_by_segment(eps, blocks, terms))
         assert np.array_equal(got[:, :2], np.zeros((2, 2)))
 
     def test_no_arcs(self):
         eps, _, _, terms = self.case()
         assert np.array_equal(criterion._checkpoint_sums(eps, iter(()), terms, 2), np.zeros((2, eps.size)))
+        assert np.array_equal(checkpoint_sums_by_segment(eps, [], terms), np.zeros((2, eps.size)))
 
 
 class TestEngineMemory:
@@ -608,18 +609,22 @@ class TestEngineMemory:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-        # the same columns from the whole arc list, summed in blocks of _BLOCK arcs
-        cut = weight.pure_cut
+        # the same columns from the whole arc list, cut into the engine's
+        # blocks of ARC_BLOCK arcs, each then cut to the pure region
+        cut, size = weight.pure_cut, criterion.ARC_BLOCK
+        blocks = []
         a, b = arc_arrays(bset, eps[-1] * 0.5)
-        keep = (a < cut * (1.0 - 1e-15)) & (b >= eps[-1])
-        a, b = a[keep], np.minimum(b[keep], cut)
-        assert a.size > 4 * criterion._BLOCK
+        for lo in range(0, a.size, size):
+            a_blk, b_blk = a[lo:lo + size], b[lo:lo + size]
+            keep = (a_blk < cut * (1.0 - 1e-15)) & (b_blk >= eps[-1])
+            blocks.append((a_blk[keep], np.minimum(b_blk[keep], cut)))
+        assert sum(a_blk.size > 0 for a_blk, _ in blocks) > 4
 
         def by_class(a, b, lower):
             cls, value, unified = criterion.arc_terms(weight, a, b, lower)
             return np.stack([np.where(cls == c, value, 0.0) for c in range(3)] + [unified])
 
-        short, inter, long_s, arc_sum = checkpoint_sums_by_segment(eps, a, b, by_class, criterion._BLOCK)
+        short, inter, long_s, arc_sum = checkpoint_sums_by_segment(eps, blocks, by_class)
         e_and_short = np.zeros(eps.size) + short
         want = [eps, e_and_short, inter, long_s, e_and_short + inter + long_s, np.zeros(eps.size),
                 inv_tw_integral(weight, 2.0, eps, cut), arc_sum + np.zeros(eps.size)]
@@ -711,7 +716,9 @@ class TestScan:
     def test_teo3_rows(self):
         for alpha in (1.0, 1.2, 1.4, 1.6, 1.8, 2.0):
             row = theorem_scan_point("teo3", alpha)
-            assert row["in_band"] or row["agree"], row
+            assert set(row) == {"alpha", "fitted_exponent", "verdict", "oracle", "agree"}
+            in_band = abs(alpha - threshold_value("teo3")) < DEFAULT_MARGIN
+            assert in_band or row["agree"], row
             if alpha <= 1.4:
                 true_q = 1.0 - alpha * (1.0 - KAPPA / 2.0)
                 assert row["fitted_exponent"] == pytest.approx(true_q, abs=0.05)
