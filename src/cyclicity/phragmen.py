@@ -188,8 +188,9 @@ def sigma(profile: DomainProfile, rho: float) -> float:
 # walk-on-spheres harmonic measure
 
 
-def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Lower bound for the distance to the lateral boundary (vectorized)."""
+def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray,
+                       xx: np.ndarray) -> np.ndarray:
+    """Lower bound for the distance to the lateral boundary (vectorized); xx is x * x."""
     if profile.phi in ("const1", "const"):
         c = profile.phi_at(0.0)
         if profile.variant == "sector":  # r sin(beta - theta), exact as beta = pi/2 - c <= pi/2
@@ -210,8 +211,8 @@ def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray) -> 
         return np.maximum(x - np.abs(y), 0.0) * math.sqrt(0.5)
     # phi = x^2: distance to the tangent line at (x, x^2), which supports the
     # convex set {y >= x^2}; 0.25 + x^2 stays finite where x^2 does
-    gap = np.maximum(x * x - np.abs(y), 0.0)
-    return 0.5 * gap / np.sqrt(0.25 + x * x)
+    gap = np.maximum(xx - np.abs(y), 0.0)
+    return 0.5 * gap / np.sqrt(0.25 + xx)
 
 
 @dataclass(frozen=True)
@@ -224,28 +225,46 @@ class HarmonicMeasureEstimate:
     capped_paths: int
 
 
-def _simulate_block(profile: DomainProfile, z0: complex, rho: float, n: int,
-                    seed: int, block_index: int, tol: float):
-    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block_index,))))
-    x = np.full(n, z0.real)  # positions of the walkers still alive
-    y = np.full(n, z0.imag)
-    hits = 0
-    for _ in range(_WOS_MAX_STEPS):
-        if not x.size:
-            break
-        d_side = _boundary_distance(profile, x, y)
-        d_circ = rho - np.sqrt(x * x + y * y)
+def _walk(profile: DomainProfile, z0: complex, rho: float, paths: int, seed: int, tol: float):
+    """(hits, capped) of harmonic_measure_mc's walk: the live walkers of
+    consecutive blocks share one set of arrays, in block order, so the
+    oldest block's walkers lead them."""
+    x = y = np.empty(0)
+    owner = np.empty(0, dtype=np.intp)  # block index of each live walker
+    window = []  # (block index, generator, clock at admission) of the blocks with live walkers
+    admitted = hits = capped = clock = 0
+    while True:
+        while x.size < _BLOCK and admitted * _BLOCK < paths:
+            n = min(_BLOCK, paths - admitted * _BLOCK)
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(admitted,))))
+            window.append((admitted, rng, clock))
+            x = np.concatenate((x, np.full(n, z0.real)))
+            y = np.concatenate((y, np.full(n, z0.imag)))
+            owner = np.concatenate((owner, np.full(n, admitted)))
+            admitted += 1
+        if not window:
+            return hits, capped
+        xx = x * x
+        d_side = _boundary_distance(profile, x, y, xx)
+        d_circ = rho - np.sqrt(xx + y * y)
         step = np.minimum(d_side, d_circ)
         absorbed = step < tol
-        hits += int(np.count_nonzero(d_circ[absorbed] <= d_side[absorbed]))
-        keep = ~absorbed
-        x, y, step = x[keep], y[keep], step[keep]
-        gx, gy = rng.standard_normal((2, x.size))
-        step /= np.sqrt(gx * gx + gy * gy)
-        x += step * gx
-        y += step * gy
-    # walkers left after _WOS_MAX_STEPS count as lateral-boundary hits
-    return hits, int(x.size)
+        hits += int(np.count_nonzero(absorbed & (d_circ <= d_side)))
+        keep = np.flatnonzero(~absorbed)
+        x, y, step, owner = x.take(keep), y.take(keep), step.take(keep), owner.take(keep)
+        live = np.bincount(owner, minlength=admitted).tolist()
+        window = [w for w in window if live[w[0]]]
+        if window:
+            gx, gy = np.concatenate([rng.standard_normal((2, live[b])) for b, rng, _ in window], axis=1)
+            step /= np.sqrt(gx * gx + gy * gy)
+            x += step * gx
+            y += step * gy
+        clock += 1
+        # walkers left after _WOS_MAX_STEPS steps of their block count as lateral-boundary hits
+        while window and clock - window[0][2] >= _WOS_MAX_STEPS:
+            n = live[window.pop(0)[0]]
+            capped += n
+            x, y, owner = x[n:], y[n:], owner[n:]
 
 
 def harmonic_measure_mc(profile: DomainProfile, z0: complex, rho: float,
@@ -254,10 +273,12 @@ def harmonic_measure_mc(profile: DomainProfile, z0: complex, rho: float,
 
     Walk-on-spheres with absorption tolerance 1e-4 * rho; deterministic for a
     given seed: every block of 4096 paths draws its normal pairs from its own
-    SFC64 generator, seeded by SeedSequence(seed, spawn_key=(block,)), and
-    the blocks are reduced in block order.  Each step keeps only the walkers
-    still alive, so its cost scales with the live walkers rather than the
-    block size.  rho and rho^2 must be finite.
+    SFC64 generator, seeded by SeedSequence(seed, spawn_key=(block,)).  The
+    blocks step together through one window of at most 2 * 4096 - 1 live
+    walkers, the next block entering whenever fewer than 4096 are live, and
+    each block draws the sizes, in the order, that it would draw alone.
+    Walkers still live after 100,000 steps count as lateral-boundary hits
+    and as capped_paths.  rho and rho^2 must be finite.
     """
     z0 = complex(z0)
     rho = float(rho)
@@ -270,12 +291,7 @@ def harmonic_measure_mc(profile: DomainProfile, z0: complex, rho: float,
         raise DomainError(f"z0={z0!r} is not inside the domain")
     if abs(z0) >= rho / 2.0:
         raise DomainError("need |z0| < rho/2")
-    tol = _WOS_TOL_FACTOR * rho
-    hits = capped = 0
-    for i in range((paths + _BLOCK - 1) // _BLOCK):
-        h, c = _simulate_block(profile, z0, rho, min(_BLOCK, paths - i * _BLOCK), seed, i, tol)
-        hits += h
-        capped += c
+    hits, capped = _walk(profile, z0, rho, paths, seed, _WOS_TOL_FACTOR * rho)
     p = hits / paths
     se = math.sqrt(max(p * (1.0 - p), 1.0 / paths) / paths)
     return HarmonicMeasureEstimate(mean=p, standard_error=se, paths=paths,

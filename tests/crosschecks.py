@@ -2,7 +2,8 @@
 asymptotic predictors set against the toolkit's closed forms and solvers,
 and the paper's objects that no command evaluates (the singular inner
 function, the classical condition integrands, the profile height y(x) and
-the growth-divergence integrand)."""
+the growth-divergence integrand), and the walk-on-spheres estimate run
+one block after another, the reference of the windowed walk."""
 
 import cmath
 import math
@@ -16,7 +17,7 @@ from cyclicity.auxfun import PrivalovShadow, herglotz_arc_integral
 from cyclicity.criterion import DEFAULT_MARGIN, DivergenceVerdict
 from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.geometry import increasing_root
-from cyclicity.phragmen import DomainProfile
+from cyclicity.phragmen import DomainProfile, HarmonicMeasureEstimate, _boundary_distance
 
 CONDITION_KINDS = ("nikolski", "gs", "c_beta")
 
@@ -359,3 +360,36 @@ def checkpoint_sums_by_segment(eps, blocks, terms):
     k = np.flatnonzero(n_whole < n_in)
     sums[:, k] += terms(a[n_whole[k]], b[n_whole[k]], eps[k])
     return sums
+
+
+def simulate_per_block(profile: DomainProfile, z0: complex, rho: float, paths: int, seed: int,
+                       block: int, max_steps: int) -> HarmonicMeasureEstimate:
+    """phragmen.harmonic_measure_mc with its blocks of `block` paths walked one
+    after another, each until its last walker stops or max_steps steps."""
+    z0, rho = complex(z0), float(rho)
+    tol = 1e-4 * rho
+    hits = capped = 0
+    for block_index in range((paths + block - 1) // block):
+        n = min(block, paths - block_index * block)
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block_index,))))
+        x = np.full(n, z0.real)  # positions of the walkers still alive
+        y = np.full(n, z0.imag)
+        for _ in range(max_steps):
+            if not x.size:
+                break
+            d_side = _boundary_distance(profile, x, y, x * x)
+            d_circ = rho - np.sqrt(x * x + y * y)
+            step = np.minimum(d_side, d_circ)
+            absorbed = step < tol
+            hits += int(np.count_nonzero(d_circ[absorbed] <= d_side[absorbed]))
+            keep = ~absorbed
+            x, y, step = x[keep], y[keep], step[keep]
+            gx, gy = rng.standard_normal((2, x.size))
+            step /= np.sqrt(gx * gx + gy * gy)
+            x += step * gx
+            y += step * gy
+        # walkers left after max_steps count as lateral-boundary hits
+        capped += int(x.size)
+    p = hits / paths
+    se = math.sqrt(max(p * (1.0 - p), 1.0 / paths) / paths)
+    return HarmonicMeasureEstimate(mean=p, standard_error=se, paths=paths, seed=seed, rho=rho, capped_paths=capped)

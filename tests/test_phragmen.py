@@ -17,7 +17,7 @@ from cyclicity.phragmen import (
     sigma,
 )
 
-from crosschecks import log_sigma_mpmath, pl_divergence_integrand, pl_divergence_partials
+from crosschecks import log_sigma_mpmath, pl_divergence_integrand, pl_divergence_partials, simulate_per_block
 
 HP = DomainProfile("sector", "const", value=0.0)
 WEDGE = DomainProfile("cartesian", "x")
@@ -33,6 +33,12 @@ ALL_PROFILES = [WEDGE, X2, STRIP, DomainProfile("cartesian", "const", value=0.5)
 
 def _profile_id(p):
     return f"{p.variant}-{p.phi}-{p.value}"
+
+
+# (profile, z0, rho) of the windowed-walk cross-check: every kind of distance bound
+WINDOW_CASES = [(HP, 1.0, 4.0), (WEDGE, 1.0, 4.0), (X2, 1.0, 4.0),
+                (DomainProfile("cartesian", "const", value=1.0), 0.5, 4.0),
+                (DomainProfile("sector", "const1"), 1.5, 4.0), (DomainProfile("sector", "invlog"), 5.0, 12.0)]
 
 
 class TestArcLength:
@@ -215,7 +221,8 @@ class TestMonteCarlo:
         (WEDGE, 16.0, 20_000, 5, 0.0061, 0.0005505810567028256),
     ], ids=["x2-rho4", "x2-rho16", "half-plane-rho8", "wedge-rho16"])
     def test_pinned_estimates(self, prof, rho, paths, seed, mean, se):
-        # exact values: the per-block draw order is part of the reported result
+        # exact values: each block of 4096 paths draws from its own generator,
+        # and the window that steps the blocks together keeps every block's draws
         est = harmonic_measure_mc(prof, 1.0 + 0.0j, rho, paths, seed=seed)
         assert est == HarmonicMeasureEstimate(mean=mean, standard_error=se, paths=paths,
                                                seed=seed, rho=rho, capped_paths=0)
@@ -225,6 +232,28 @@ class TestMonteCarlo:
         est = harmonic_measure_mc(WEDGE, 1.0 + 0.0j, 4.0, 10_000, seed=11)
         assert est.mean == 0.0181
         assert est.capped_paths == 5248
+
+    @pytest.mark.parametrize("block, max_steps", [(4096, 100_000), (64, 100_000), (4096, 10)],
+                             ids=["default", "block-64", "cap-10"])
+    @pytest.mark.parametrize("seed", [3, 2026])
+    @pytest.mark.parametrize("paths", [10_000, 12_289, 40_961])
+    @pytest.mark.parametrize("prof, z0, rho", WINDOW_CASES, ids=[_profile_id(c[0]) for c in WINDOW_CASES])
+    def test_window_is_the_per_block_walk(self, monkeypatch, prof, z0, rho, paths, seed, block, max_steps):
+        # the window steps many blocks at once, but every block draws exactly
+        # as it does alone, so the estimate is the block-by-block walk's
+        monkeypatch.setattr(phragmen, "_BLOCK", block)
+        monkeypatch.setattr(phragmen, "_WOS_MAX_STEPS", max_steps)
+        seen, distance = [], phragmen._boundary_distance
+
+        def watched(profile, x, *rest):  # one call per step, on every walker in the window
+            seen.append(x.size)
+            return distance(profile, x, *rest)
+
+        monkeypatch.setattr(phragmen, "_boundary_distance", watched)
+        est = harmonic_measure_mc(prof, z0, rho, paths, seed)
+        assert est == simulate_per_block(prof, z0, rho, paths, seed, block, max_steps)
+        # some step walked two blocks at once, and none more than 2 block - 1 walkers
+        assert block < max(seen) <= 2 * block - 1
 
     @pytest.mark.parametrize("variant, z0, rho", [("cartesian", 0.5, 4.0), ("sector", 2.0, 8.0)])
     def test_const1_is_const_at_level_1(self, variant, z0, rho):
@@ -324,7 +353,7 @@ class TestBoundaryDistance:
     @settings(max_examples=300, deadline=None)
     def test_lower_bound_against_exact(self, profile, a, u):
         x, y = _interior_point(profile, a, u)
-        got = float(phragmen._boundary_distance(profile, np.array([x]), np.array([y]))[0])
+        got = float(phragmen._boundary_distance(profile, np.array([x]), np.array([y]), np.array([x * x]))[0])
         exact = float(_exact_lateral_distance(profile, x, y))
         r = math.hypot(x, y)
         # a lower bound up to the rounding of the coordinates, which near the
