@@ -337,25 +337,27 @@ def distance_to_set(bset: BoundarySet, z):
     return float(d) if d.ndim == 0 else d
 
 
-def kink_angles(bset: BoundarySet, floor: float) -> np.ndarray:
-    """Angles theta with floor <= |theta| < pi where dist(e^{i theta}, E) has a corner.
+def kink_angles(bset: BoundarySet, floor: float, sign: float) -> np.ndarray:
+    """Angles t with floor <= t < pi where t -> dist(e^{i sign t}, E) has a
+    corner, ascending and without repeats.
 
     These are the ends of E's complementary arcs and the arcs' midpoints.
-    The window arcs come from arc_arrays; a Cantor set with more than
-    _MAX_KINK_GAPS gaps raises CapacityError before they are enumerated.
-    The outer gap from the window end 1 round to 0 has its midpoint at
-    0.5 - pi, or at pi for a mirrored set.
+    The window arcs come from arc_arrays down to max(floor, _ENUM_FLOOR),
+    where even beta = 1/2 has far fewer than _MAX_ARC_LIST, so no capacity
+    limit is raised.  A Cantor set with more than _MAX_KINK_GAPS gaps lists
+    no kinks.  The outer gap from the window end 1 round to 0 has its
+    midpoint at pi - 0.5 on the negative side, or at pi for a mirrored set,
+    whose two sides have the same kinks.
     """
-    if bset.kind in ("full", "point"):
+    if bset.kind in ("full", "point") or (bset.kind == "cantor" and 2**bset.depth > _MAX_KINK_GAPS):
         return np.empty(0)
     if bset.kind == "arc":
         mid = 0.5 * (bset.a + bset.b) + math.pi
-        pts = np.array([bset.a, bset.b, mid - 2.0 * math.pi if mid > math.pi else mid])
+        pts = sign * np.array([bset.a, bset.b, mid - 2.0 * math.pi if mid > math.pi else mid])
+    elif sign < 0.0 and not bset.mirror:
+        pts = np.array([math.pi - 0.5])
     else:
-        if bset.kind == "cantor" and 2**bset.depth > _MAX_KINK_GAPS:
-            raise CapacityError(f"cantor depth {bset.depth} has more than {_MAX_KINK_GAPS} gaps")
-        a, b = arc_arrays(bset, floor)
+        a, b = arc_arrays(bset, max(floor, _ENUM_FLOOR))
         pts = np.concatenate([a, b, 0.5 * (a + b)])
-        pts = np.concatenate([pts, -pts]) if bset.mirror else np.append(pts, 0.5 - math.pi)
     pts = np.unique(pts)
-    return pts[(np.abs(pts) >= floor) & (np.abs(pts) < math.pi)]
+    return pts[(pts >= floor) & (pts < math.pi)]

@@ -21,7 +21,7 @@ version, config_hash, config, results} in canonical JSON (sorted keys,
 %.12g floats); a CSV report is a declared header and its rows.  The CSV of
 criterion analyze has the columns of the JSON arrays of its results, with
 the checkpoints named eps.  Every float flag, every number in a JSON
-argument and every --samples angle must be finite.
+argument, every --samples angle and both --z0 coordinates must be finite.
 """
 
 from __future__ import annotations
@@ -141,6 +141,11 @@ def _finite(text: str) -> float:
     return x
 
 
+def _finite_list(text: str) -> list[float]:
+    """The argparse type of a comma-separated list of finite numbers; empty items are skipped."""
+    return [_finite(t) for t in text.split(",") if t]
+
+
 def _load_json_arg(text: str, what: str) -> dict:
     def finite(token: str, kind=float):  # NaN, Infinity, 1e999 and integers past the float range
         if not math.isfinite(float(token)):
@@ -214,7 +219,7 @@ def build_parser() -> _Parser:
     ps.add_argument("--rho", type=_finite, required=True)
 
     ph = leaf(sub, "hm-mc", _cmd_hm_mc, "Monte Carlo harmonic measure", "profile")
-    ph.add_argument("--z0", default="1,0", help="interior start point re,im")
+    ph.add_argument("--z0", type=_finite_list, default="1,0", help="interior start point re,im")
     ph.add_argument("--rho", type=_finite, required=True)
     ph.add_argument("--paths", type=int, default=100_000)
     ph.add_argument("--seed", type=int, required=True)
@@ -226,7 +231,8 @@ def build_parser() -> _Parser:
     pav.add_argument("--A", type=_finite, default=None)
     pav.add_argument("--grid", type=int, default=12)
     pak = leaf(pas, "keldysh", _cmd_keldysh, "outer witness amplitude search", "weight", "set")
-    pak.add_argument("--samples", default="1e-2,1e-3,1e-4", help="comma-separated boundary angles")
+    pak.add_argument("--samples", type=_finite_list, default="1e-2,1e-3,1e-4",
+                     help="comma-separated boundary angles")
     pak.add_argument("--max-power", type=int, default=10)
 
     pca = leaf(group("criterion", "cyclicity criterion"), "analyze", _cmd_criterion_analyze,
@@ -303,11 +309,9 @@ def _cmd_sigma(args) -> int:
 
 def _cmd_hm_mc(args) -> int:
     profile = _profile(args)
-    try:
-        re_s, im_s = args.z0.split(",")
-        z0 = complex(float(re_s), float(im_s))
-    except ValueError as exc:
-        raise UsageError("--z0 must be re,im") from exc
+    if len(args.z0) != 2:
+        raise UsageError("--z0 must be re,im")
+    z0 = complex(*args.z0)
     est = phr.harmonic_measure_mc(profile, z0, args.rho, args.paths, args.seed)
     config = {"profile": profile.to_json(), "z0": [z0.real, z0.imag], "rho": args.rho,
               "paths": args.paths, "seed": args.seed}
@@ -346,16 +350,10 @@ def _cmd_verify_lemma(args) -> int:
 
 def _cmd_keldysh(args) -> int:
     weight, bset = _weight(args), _bset(args)
-    try:
-        thetas = [float(t) for t in args.samples.split(",") if t]
-    except ValueError as exc:
-        raise UsageError("--samples must be comma-separated angles") from exc
-    if not thetas:
+    if not args.samples:
         raise UsageError("need at least one sample angle")
-    if not all(map(math.isfinite, thetas)):
-        raise UsageError("--samples must be finite angles")
-    amp = aux.witness_amplitude_search(weight, bset, thetas, max_power=args.max_power)
-    config = {"weight": weight.to_json(), "set": bset.to_json(), "samples": thetas,
+    amp = aux.witness_amplitude_search(weight, bset, args.samples, max_power=args.max_power)
+    config = {"weight": weight.to_json(), "set": bset.to_json(), "samples": args.samples,
               "max_power": args.max_power}
     _write_out(json_report("aux keldysh", config, {"amplitude": amp}), args.out)
     return EXIT_OK

@@ -67,7 +67,8 @@ THEOREMS = ("teo2", "teo3", "nikolski", "gs")
 
 DEFAULT_MARGIN = 0.05
 
-# deepest log(1/eps) reachable before the point-sequence rules underflow float64
+# depth in log(1/eps) of the default checkpoint schedule off the Cantor set;
+# the floor of the arc enumeration itself is boundary's (1e-290, u ~ 667)
 _U_MAX = 650.0
 
 # arcs per block taken from the arc enumerator by the criterion engine and by
@@ -315,8 +316,6 @@ def _set_arcs(weight, bset, eps):
 
         e_part = wts.inv_tw_integral(weight, 1.0, eps, cut) - _checkpoint_sums(eps, [(a, b)], tw1, 1)[0]
         return [(a, b)], e_part, _cantor_e_integral(weight, bset.depth, eps)
-    if bset.kind not in ("full", "arc", "point") and eps_min < math.exp(-_U_MAX) * 0.5:
-        raise CapacityError(f"point-sequence enumeration floor exceeded; smallest usable eps is exp(-{_U_MAX})")
     blocks = (kept(a, b) for a, b in bnd.arc_blocks(bset, eps_min * 0.5, ARC_BLOCK))
 
     # interval kinds: E meets the pure region in (0, e_hi]

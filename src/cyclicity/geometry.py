@@ -39,7 +39,7 @@ import numpy as np
 
 from . import boundary as bnd
 from . import weights as wts
-from .errors import CapacityError, DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError
 
 _GAMMA_FLOOR = 1e-300
 _THETA_FLOOR = 1e-300  # below this theta itself is not representable
@@ -258,7 +258,8 @@ def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     with a sign change in v (in theta its absolute tolerance is coarse beside
     a small cut), oriented by the sign of phi at its lower end.  dist < |theta|
     (1 is in E), so phi < 0 below the root t0 of theta + theta^2 Lambda(cut)
-    = cut, and only the kinks above t0 bracket.
+    = cut, and only the kinks above t0 bracket.  kinks are those of
+    boundary.kink_angles on this side: ascending, without repeats, below pi.
     """
     cut, lam_cut = spec.pure_cut, float(wts.eval_lambda(spec, spec.pure_cut))
 
@@ -266,7 +267,7 @@ def _cut_crossings(spec: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
         return bnd.distance_to_set(bset, np.exp(1j * sign * t)) + t * t * lam_cut - cut
 
     t0 = min(math.pi, max(floor, 2.0 * cut / (1.0 + math.sqrt(1.0 + 4.0 * lam_cut * cut))))
-    ends = np.unique(np.concatenate(([t0], kinks[kinks > t0], [math.pi])))
+    ends = np.concatenate(([t0], kinks[kinks > t0], [math.pi]))
     f = phi(ends)
     k = np.flatnonzero((f[:-1] < 0.0) != (f[1:] < 0.0))
     orient = np.where(f[k + 1] < 0.0, 1.0, -1.0)  # ends[k + 1] is the lower end in v
@@ -284,18 +285,15 @@ def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     """Panel edges in v = log(1/|theta|) over [v_lo, v_hi] for the angles of one sign.
 
     Uniform panels at most _PANEL_WIDTH wide, the given breaks, the kinks
-    of theta -> dist(e^{i theta}, E) on that side (the first in each cell of
-    width _KINK_SPACING in v: deep point sequences have thousands), and every
-    angle where gamma + dist crosses the pure cut of Lambda.  A set whose
-    kinks raise CapacityError (a deep Cantor set) gets no kink breaks.  The
-    rule's error estimate shows what either leaves unresolved.
+    of theta -> dist(e^{i theta}, E) on that side (the deepest in each cell
+    of width _KINK_SPACING in v: deep point sequences have thousands), and
+    every angle where gamma + dist crosses the pure cut of Lambda.  Which
+    kinks exist down to which depth is boundary.kink_angles' to say (a
+    deep Cantor set has none listed); the rule's error estimate shows what
+    the breaks leave unresolved.
     """
-    try:
-        kinks = bnd.kink_angles(bset, math.exp(-v_hi))
-    except CapacityError:
-        kinks = np.empty(0)
-    kinks = np.abs(kinks[np.sign(kinks) == sign])
-    v_kinks = -np.log(kinks)
+    kinks = bnd.kink_angles(bset, math.exp(-v_hi), sign)
+    v_kinks = -np.log(kinks)  # descending, so each cell's first is its deepest
     v_kinks = v_kinks[np.unique(np.floor(v_kinks / _KINK_SPACING), return_index=True)[1]]
     crossings = _cut_crossings(weight, bset, sign, kinks, math.exp(-v_hi))
     inner = np.concatenate([v_kinks, crossings, np.asarray(breaks, dtype=float)])

@@ -16,9 +16,10 @@ Walk-on-spheres steps move by g/|g| for a standard normal pair g (an exactly
 uniform angle, no trigonometry) over inscribed-disc radii that are exact for
 half planes, constant-opening sectors, the wedge |y| <= x and the half strips
 |y| <= c (const1 is const at level 1), and lower bounds otherwise: the
-distance to the tangent line at (x, x^2) for the profile x^2, a trig-based
-static-sector bound for invlog.  A lower bound keeps the walk law exact, it
-only costs steps.
+distance to the tangent line at (x, x^2) for the profile x^2, and for invlog
+the distance to the static sector beyond a radius between the walker and
+where the opening reaches its angle.  A lower bound keeps the walk law
+exact, it only costs steps.
 
 The JSON config of a DomainProfile nests its value as params: {"value": x},
 as every echoed config and its hash do.
@@ -198,14 +199,14 @@ def _boundary_distance(profile: DomainProfile, x: np.ndarray, y: np.ndarray,
         return np.minimum(x, c - np.abs(y))
     if profile.variant == "sector":
         r = np.hypot(x, y)
-        theta = np.abs(np.arctan2(y, x))
-        # invlog: opening widens with R; inside the annulus R > r/2 the domain
-        # contains the static sector with the opening at r/2, and the rest of
-        # the boundary is at least r/2 away
-        lower = np.maximum(profile.r_min() * 1.0001, r / 2.0)
-        beta_lo = math.pi / 2 - 1.0 / np.log(np.maximum(lower, 1.0 + 1e-9))
-        ang = r * np.sin(np.clip(beta_lo - theta, 0.0, math.pi / 2))
-        return np.minimum(ang, np.maximum(r - lower, 0.0))
+        gap, log_r = math.pi / 2 - np.abs(np.arctan2(y, x)), np.log(r)
+        # invlog: the opening beta(R) = pi/2 - 1/log R widens with R and meets
+        # the walker's angle at R_theta = exp(1/gap) < r; beyond rho0, halfway
+        # from R_theta to r, the domain holds the static sector of opening
+        # beta(rho0) > theta (R_theta is clipped at r, keeping exp finite)
+        rho0 = 0.5 * (r + np.exp(log_r / np.maximum(gap * log_r, 1.0)))
+        ang = r * np.sin(np.minimum(gap - 1.0 / np.log(rho0), math.pi / 2))
+        return np.minimum(ang, r - rho0)
     if profile.phi == "x":
         # the wedge |y| <= x: distance to the nearer of the lines y = +-x
         return np.maximum(x - np.abs(y), 0.0) * math.sqrt(0.5)

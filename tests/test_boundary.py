@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -262,14 +263,40 @@ class TestKinkAngles:
         bset = BoundarySet("beta", beta=0.5)
         a, b = arc_arrays(bset, 1e-200)
         assert a.size > 100_000
-        kinks = kink_angles(bset, 1e-200)
+        kinks = kink_angles(bset, 1e-200, 1.0)
         assert np.all(np.isin(b, kinks)) and np.all(np.isin(0.5 * (a + b), kinks))
-        assert np.abs(kinks).min() >= 1e-200 and 0.5 - math.pi in kinks
+        assert kinks[0] >= 1e-200 and np.all(np.diff(kinks) > 0.0) and kinks[-1] < math.pi
+        # the outer gap from 1 round to 0 has the one kink of the negative side
+        assert kink_angles(bset, 1e-200, -1.0).tolist() == [math.pi - 0.5]
 
-    def test_deep_cantor_refused(self):
-        assert kink_angles(BoundarySet("cantor", depth=5), 1e-3).size > 3 * 2**4
-        with pytest.raises(CapacityError):
-            kink_angles(BoundarySet("cantor", depth=20), 1e-3)
+    def test_listed_down_to_the_enumeration_floor(self):
+        # a floor below boundary's own lists the arcs down to that one, not none
+        bset = BoundarySet("beta", beta=0.5)
+        deep, floor = kink_angles(bset, 1e-300, 1.0), kink_angles(bset, boundary._ENUM_FLOOR, 1.0)
+        assert floor.size > 400_000
+        np.testing.assert_array_equal(deep[deep >= boundary._ENUM_FLOOR], floor)
+
+    def test_deep_cantor_lists_none(self):
+        assert kink_angles(BoundarySet("cantor", depth=5), 1e-3, 1.0).size > 3 * 2**4
+        assert kink_angles(BoundarySet("cantor", depth=13), 1e-3, 1.0).size > 0  # 2^13 gaps
+        for sign in (1.0, -1.0):
+            assert kink_angles(BoundarySet("cantor", depth=14), 1e-3, sign).size == 0
+            assert kink_angles(BoundarySet("cantor", depth=20, mirror=True), 1e-3, sign).size == 0
+
+    @pytest.mark.parametrize("bset", [BoundarySet("geometric"), BoundarySet("doubly_exp"),
+                                      BoundarySet("beta", beta=0.25), BoundarySet("cantor", depth=6)],
+                             ids=lambda b: b.kind)
+    def test_mirrored_sides_agree(self, bset):
+        mirrored = dataclasses.replace(bset, mirror=True)
+        pos, neg = (kink_angles(mirrored, 1e-30, sign) for sign in (1.0, -1.0))
+        np.testing.assert_array_equal(pos, neg)
+        np.testing.assert_array_equal(pos, kink_angles(bset, 1e-30, 1.0))
+
+    def test_arc_sides(self):
+        # E = [-0.2, 0.3]: the outer gap runs from 0.3 round to -0.2, its midpoint at 0.05 - pi
+        bset = BoundarySet("arc", a=-0.2, b=0.3)
+        assert kink_angles(bset, 1e-3, 1.0).tolist() == [0.3]
+        assert kink_angles(bset, 1e-3, -1.0).tolist() == [0.2, -(0.05 + math.pi - 2.0 * math.pi)]
 
 
 class TestMeasure:

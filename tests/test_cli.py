@@ -464,6 +464,8 @@ class TestRefusals:
         "scan-alpha-from-nan": ("scan", "--theorem", "gs", "--alpha-from", "nan", "--alpha-to", "1.0",
                                 "--step", "0.5"),
         "keldysh-samples-nan": ("aux", "keldysh", "--weight", W2, "--set", PT, "--samples", "1e-2,nan"),
+        "hm-mc-z0-nan": ("hm-mc", "--profile", HP, "--z0", "nan,0", "--rho", "16", "--seed", "1"),
+        "hm-mc-z0-one-coordinate": ("hm-mc", "--profile", HP, "--z0", "1", "--rho", "16", "--seed", "1"),
         "weight-scale-nan": ("weights", "check", "--weight", '{"family":"log_power","alpha":1.0,"scale":NaN}'),
         "weight-scale-overflow": ("weights", "check", "--weight",
                                   '{"family":"log_power","alpha":1.0,"scale":1e999}'),
@@ -507,6 +509,9 @@ class TestRefusals:
         assert "finite" in err
         _, _, err = run(capsys, "gamma", "--weight", W1, "--set", PT, "--theta", "x")
         assert err == "error: argument --theta: invalid float value: 'x'\n"
+        # the list flags read each item as a float flag does
+        _, _, err = run(capsys, "hm-mc", "--profile", HP, "--z0", "1,inf", "--rho", "16", "--seed", "1")
+        assert err == "error: argument --z0: 'inf' is not a finite number\n"
 
     def test_infinite_scan_end_is_refused_in_time(self, tmp_path):
         # an unbounded alpha range once looped forever: a regression fails here instead of hanging

@@ -294,6 +294,17 @@ class TestReports:
         edge = math.log(w_cut) / w_cut**2 if w_cut > 1.0 else 0.0
         assert np.allclose(rep.long_sum, gs + edge, rtol=1e-10)
 
+    @pytest.mark.parametrize("bset", [BoundarySet("geometric"), BoundarySet("doubly_exp"),
+                                      BoundarySet("beta", beta=0.25)], ids=lambda b: b.kind)
+    def test_point_sequence_reaches_the_enumeration_floor(self, bset):
+        # the arcs are enumerated down to half the smallest checkpoint, and
+        # boundary's floor (1e-290) is the only one that refuses
+        weight = WeightSpec("log_power", alpha=1.5)
+        rep = criterion_partials(weight, bset, np.geomspace(0.5 * weight.pure_cut, 3e-290, 12))
+        assert np.all(np.isfinite(rep.total)) and np.all(np.diff(rep.total) >= 0.0)
+        with pytest.raises(CapacityError, match="floor is 1e-290"):
+            criterion_partials(weight, bset, np.geomspace(0.5 * weight.pure_cut, 1.9e-290, 12))
+
     def test_adding_arcs_never_decreases(self):
         weight = WeightSpec("from_w", p=0.5)
         eps = 1e-6

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from crosschecks import cut_crossings_bisection, profile_y_predictor, solve_profile_y
 from cyclicity import boundary, geometry, weights
 from cyclicity.boundary import BoundarySet
-from cyclicity.errors import CapacityError, DomainError, NumericError, UsageError
+from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.geometry import (
     GammaSolution,
     gamma_criterion_partial,
@@ -192,10 +192,9 @@ class TestCutCrossings:
     def test_against_bisection(self, alpha, bset):
         spec = WeightSpec("log_power", alpha=alpha)
         floor = 1e-3 * spec.pure_cut
-        all_kinks = boundary.kink_angles(bset, floor)
         found = 0
         for sign in (1.0, -1.0):
-            kinks = np.abs(all_kinks[np.sign(all_kinks) == sign])
+            kinks = boundary.kink_angles(bset, floor, sign)
             expect = cut_crossings_bisection(spec, bset, sign, kinks, floor)
             v = geometry._cut_crossings(spec, bset, sign, kinks, floor)
             np.testing.assert_allclose(np.exp(-v), expect, rtol=1e-13, atol=0.0)
@@ -331,25 +330,6 @@ class TestGammaCriterionPartial:
         assert all(d1 > d2 for d1, d2 in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3
 
-    def test_arc_capacity_drops_break_points(self, monkeypatch):
-        spec = WeightSpec("log_power", alpha=1.0)
-        geo_set = BoundarySet("geometric")
-        expected = gamma_criterion_partial(spec, geo_set, 1e-4, 1e-2)
-        kinks = boundary.kink_angles(geo_set, 1e-4)
-        kinks = -np.log(kinks[kinks > 0.0])
-        kinks = kinks[(kinks > -math.log(1e-2)) & (kinks < -math.log(1e-4))]
-        assert kinks.size > 0
-
-        def overflow(bset, cutoff):
-            raise CapacityError("arc list capacity exceeded")
-
-        monkeypatch.setattr(boundary, "arc_arrays", overflow)
-        edges = geometry.panel_edges(spec, geo_set, 1.0, -math.log(1e-2), -math.log(1e-4))
-        assert not np.any(np.isin(kinks, edges))
-        got = gamma_criterion_partial(spec, geo_set, 1e-4, 1e-2)
-        assert abs(got.value - expected.value) <= got.error
-        assert got.error > expected.error
-
     def test_dense_set_kink_breaks_thinned(self):
         # every arc of beta = 0.5 is listed, but at most one kink break per
         # cell of width _KINK_SPACING in v reaches the panels
@@ -358,6 +338,20 @@ class TestGammaCriterionPartial:
         uniform = math.ceil(599.0 / geometry._PANEL_WIDTH) + 1
         cells = 599.0 / geometry._KINK_SPACING
         assert 0.9 * cells < edges.size - uniform < cells + 8
+
+    def test_kink_breaks_above_the_enumeration_floor_kept(self):
+        # no arc is listed below v = 667.7 (boundary's floor 1e-290), but a rule
+        # reaching past it keeps every kink break of a rule that stops short
+        # of it (a capacity fallback once dropped them all)
+        spec, bset = WeightSpec("log_power", alpha=3.0), BoundarySet("beta", beta=0.25)
+
+        def breaks(v_hi):
+            edges = geometry.panel_edges(spec, bset, 1.0, 1.0, v_hi)
+            return edges[~np.isin(edges, geometry.uniform_panels(1.0, v_hi))]
+
+        deep, shallow = breaks(680.0), breaks(667.0)
+        assert deep.size > 0.95 * 667.0 / geometry._KINK_SPACING
+        assert np.all(np.isin(shallow[shallow < 666.75], deep))
 
     @pytest.mark.parametrize("error", [DomainError, RuntimeError])
     def test_other_arc_errors_propagate(self, monkeypatch, error):

@@ -255,6 +255,12 @@ class TestMonteCarlo:
         # some step walked two blocks at once, and none more than 2 block - 1 walkers
         assert block < max(seen) <= 2 * block - 1
 
+    def test_invlog_near_r_min_reaches_the_circle(self):
+        # from z0 = 3 the boundary is about 1 away; a bound of 0 wherever
+        # theta >= beta(r/2) once absorbed every walker at its first step
+        est = harmonic_measure_mc(DomainProfile("sector", "invlog"), 3.0 + 0.0j, 16.0, 10_000, seed=1)
+        assert est.mean > 0.0 and est.capped_paths == 0
+
     @pytest.mark.parametrize("variant, z0, rho", [("cartesian", 0.5, 4.0), ("sector", 2.0, 8.0)])
     def test_const1_is_const_at_level_1(self, variant, z0, rho):
         # both spellings of one domain take the same steps
@@ -332,6 +338,32 @@ def _exact_lateral_distance(profile, x, y):
         return min(dists)
 
 
+def _invlog_distance(x, y):
+    """Distance from (x, y) to the invlog sector's boundary R e^{+-i beta(R)},
+    beta(R) = pi/2 - 1/log R, R >= r_min (where beta = 0), at 40 digits.
+
+    The nearest of 40,001 curve points, from R = r_min on a geometric grid
+    in R - r_min, brackets the minimum, which golden-section search refines.
+    """
+    r_min = DomainProfile("sector", "invlog").r_min()
+    grid = r_min + np.concatenate([[0.0], np.geomspace(1e-12, 4.0 * math.hypot(x, y) + 10.0, 40_000)])
+    beta = np.concatenate([[0.0], math.pi / 2 - 1.0 / np.log(grid[1:])])
+    i = int(np.argmin(np.hypot(x - grid * np.cos(beta), abs(y) - grid * np.sin(beta))))
+    with mpmath.workdps(40):
+        px, py, rm = mpmath.mpf(x), abs(mpmath.mpf(y)), mpmath.exp(2 / mpmath.pi)
+
+        def dist(R):
+            b = mpmath.pi / 2 - 1 / mpmath.log(R) if R > rm else mpmath.mpf(0)
+            return mpmath.hypot(px - R * mpmath.cos(b), py - R * mpmath.sin(b))
+
+        lo, hi = max(mpmath.mpf(grid[max(i - 1, 0)]), rm), mpmath.mpf(grid[min(i + 1, grid.size - 1)])
+        g = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(120):
+            a, c = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, c) if dist(a) < dist(c) else (a, hi)
+        return min(dist((lo + hi) / 2), dist(rm))
+
+
 def _interior_point(profile, a, u):
     """A point of the domain from a radial or horizontal coordinate a and a
     fraction u in (-1, 1) of the cross-section."""
@@ -367,3 +399,16 @@ class TestBoundaryDistance:
             assert abs(got - exact) <= 8.0 * np.finfo(float).eps * r
             if exact >= r / 8.0:  # cancellation costs at most 3 bits
                 assert abs(got - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5, -0.9, 0.99])
+    @pytest.mark.parametrize("r", [1.9, 1.95, 2.0, 2.5, 3.0, 5.0, 10.0, 30.0, 100.0])
+    def test_invlog_bound_against_exact(self, r, frac):
+        # from just above r_min = e^(2/pi) ~ 1.896 outward, on the axis and
+        # up to a hundredth of the opening from the curve: a positive lower
+        # bound everywhere (once 0 wherever theta >= beta(r/2)), and not loose
+        profile = DomainProfile("sector", "invlog")
+        theta = frac * (math.pi / 2 - 1.0 / math.log(r))
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        got = float(phragmen._boundary_distance(profile, np.array([x]), np.array([y]), np.array([x * x]))[0])
+        exact = float(_invlog_distance(x, y))
+        assert 0.25 * exact <= got <= exact
