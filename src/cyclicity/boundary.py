@@ -167,17 +167,19 @@ def cantor_walk(depth: int, children, owner=None):
     return num, owner
 
 
-def _gap_walk(depth: int, pick, walk_on, limit: int, overflow: str):
-    """(num, gen) of the gaps (num, num + 1) / 3^gen that pick(g, num) takes
-    below the generation-g intervals; walk_on(g, num) says which go on."""
+def _gap_walk(depth: int, step, limit: int, overflow: str):
+    """(num, gen) of the gaps (num, num + 1) / 3^gen taken by step(g, num), which
+    picks, among the live generation-g intervals [num, num + 1] / 3^g, whose gap
+    (3 num + 1, 3 num + 2) / 3^(g + 1) is taken and whose children go on."""
     nums, gens = [], []
 
     def children(g, num, _owner):
-        nums.append(3 * num[pick(g, num)] + 1)
+        take, walk_on = step(g, num)
+        nums.append(3 * num[take] + 1)
         gens.append(np.full(nums[-1].size, g + 1))
         if sum(map(len, nums)) > limit:
             raise CapacityError(overflow)
-        return (walk_on(g, num),) * 2
+        return walk_on, walk_on
 
     cantor_walk(depth, children)
     return np.concatenate(nums), np.concatenate(gens)
@@ -185,19 +187,15 @@ def _gap_walk(depth: int, pick, walk_on, limit: int, overflow: str):
 
 def cantor_gaps(depth: int, cutoff: float):
     """(num, gen): the gaps (num, num + 1) / 3^gen of F_depth with b > cutoff."""
-    return _gap_walk(depth, lambda g, n: (3 * n + 2) * 3.0 ** -(g + 1) > cutoff,
-                     lambda g, n: (n + 1) * 3.0**-g > cutoff, _MAX_ARC_LIST,
-                     "cantor arc enumeration exceeds the list capacity; use a larger cutoff")
+    return _gap_walk(depth, lambda g, n: ((3 * n + 2) * 3.0 ** -(g + 1) > cutoff, (n + 1) * 3.0**-g > cutoff),
+                     _MAX_ARC_LIST, "cantor arc enumeration exceeds the list capacity; use a larger cutoff")
 
 
-def cantor_nonshort_candidates(depth: int, b_max):
-    """(num, gen): the generation-g gaps with b <= b_max[g - 1], where
-    b_max[g - 1] bounds the generation-g gaps that may be non-short."""
-    cap = np.maximum(np.asarray(b_max, dtype=float), 0.0)
-    reach = np.maximum.accumulate(cap[::-1])[::-1] * (1.0 + 1e-9)  # bounds every later generation
-    return _gap_walk(depth, lambda g, n: 3 * n + 2 <= cap[g] / 3.0 ** -(g + 1),
-                     lambda g, n: n * 3.0**-g <= reach[g], 200_000,
-                     "non-short candidate enumeration exploded; threshold bound is wrong")
+def cantor_nonshort_candidates(depth: int, step):
+    """(num, gen) of the gaps that step takes, as in _gap_walk: the criterion's
+    walk for a Cantor set's non-short gaps, refused past 200,000 gaps."""
+    return _gap_walk(depth, step, 200_000,
+                     "cantor non-short gap list exceeds its capacity of 200000; use a smaller depth")
 
 
 def cantor_locate(depth: int, theta):

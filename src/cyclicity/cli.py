@@ -360,8 +360,8 @@ def _cmd_keldysh(args) -> int:
 
 
 def _arc_listing(weight, bset, eps, cutoff):
-    """The per-arc CSV of the window arcs with b above cutoff and a below
-    the cut, as its header and then one string per block of arcs.
+    """The per-arc CSV of the window arcs with b above cutoff that the
+    criterion scores, as its header and then one string per block of arcs.
 
     Every refusal of the cutoff is raised on this call, before any text is made.
     """
@@ -382,7 +382,7 @@ def _arc_listing(weight, bset, eps, cutoff):
     def text():
         yield "a,b,class,contribution\n"
         for a, b in blocks:
-            keep = a < weight.pure_cut
+            keep = crit.is_scored(weight, a)
             a, b = a[keep], b[keep]
             cls, contrib, _ = crit.arc_terms(weight, a, b, lower)
             # one format over the block's rows: the cells of csv_rows, without its per-cell type test

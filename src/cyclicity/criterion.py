@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import boundary as bnd
-from . import geometry as geo
 from . import weights as wts
 from .errors import CapacityError, DomainError, UsageError
 
@@ -88,6 +87,11 @@ def _arc_class(a, b, w_b):
     """
     q = a / b
     return np.where(q <= 0.5, 2, np.where(1.0 - q < 2.0 / w_b, 0, 1))
+
+
+def is_scored(weight: wts.WeightSpec, a):
+    """Which arcs (a, b) the engine and its per-arc listing score: a below the pure cut by more than rounding."""
+    return a < weight.pure_cut * (1.0 - 1e-15)
 
 
 def arc_terms(weight: wts.WeightSpec, a, b, lower):
@@ -212,37 +216,34 @@ def _checkpoint_sums(eps, blocks, terms, rows):
     return sums
 
 
-def _cantor_candidates(weight, depth, eps_min):
-    """Gaps of F_depth that may be non-short, as (a, b) arrays (needs eps_min >= 3^-depth).
+def _cantor_nonshort(weight, depth, eps_min):
+    """The scored gaps of F_depth with b >= eps_min that _arc_class finds
+    non-short, as (a, b_eff) arrays (needs eps_min >= 3^-depth).
 
-    (den/b) * w_eff(b) is strictly decreasing in b, so every generation-g
-    gap with b above the root b*(g) of (den/b) w_eff(b) = 2 is short.  b* is
-    e^s for the root s of the increasing s + log 2 - log(den w_eff(e^s)) from
-    the first gap to the cut, or the end where it has one sign there; the
-    walk lists the gaps up to b* * 1.001.
+    The walk tests each gap with _arc_class.  A gap (a, b) inside a
+    generation-g interval [x, x + 3^-g], x > 0, has 1 - a/b_eff < 3^-(g+1)/x
+    and w_eff(b_eff) <= w_eff(x), w_eff decreasing; so it goes on only from
+    x = 0 (long gaps) and from intervals below the cut whose bound
+    (3^-(g+1)/x) w_eff(x) reaches 2 within a 1.001 margin for rounding.
     """
     cut = weight.pure_cut
     if eps_min < 3.0**-depth:
         need = int(math.ceil(math.log(1.0 / eps_min) / math.log(3.0)))
         raise CapacityError(f"cantor depth {depth} insufficient for eps={eps_min!r}; need depth >= {need}")
     den = np.array([3.0**-g for g in range(depth + 1)])  # Python's 3.0**-g; numpy's power can differ by an ulp
-    first = 2.0 * den[1:]  # right end of each generation's first gap
 
-    def f(s, den):
-        return s + math.log(2.0) - np.log(den * wts.effective_w(weight, np.exp(s)))
+    def step(g, num):  # one effective_w call per generation
+        a, b = (3 * num + 1) * den[g + 1], (3 * num + 2) * den[g + 1]
+        k = np.flatnonzero(is_scored(weight, a) & (b >= eps_min))
+        a, b, x = a[k], np.minimum(b[k], cut), num * den[g]
+        inner = (num > 0) & (x < cut)
+        w = wts.effective_w(weight, np.concatenate((b, x[inner])))
+        walk_on = num == 0
+        walk_on[inner] = den[g + 1] * w[k.size:] * 1.001 >= 2.0 * x[inner]
+        return k[_arc_class(a, b, w[:k.size]) != 0], walk_on
 
-    lo, hi = np.log(np.minimum(first, cut)), np.full(depth, math.log(cut))
-    f_lo, f_hi = f(lo, den[1:]), f(hi, den[1:])
-    s_star = np.where(f_lo >= 0.0, lo, hi)
-    k = np.flatnonzero((f_lo < 0.0) & (f_hi >= 0.0))
-    s_star[k] = geo.increasing_root(f, lo[k], hi[k], f_lo[k], f_hi[k], den[1:][k])
-    caps = np.where(first < cut, np.minimum(np.exp(s_star) * 1.001, cut), 0.0)
-    num, gen = bnd.cantor_nonshort_candidates(depth, caps)
-    a, b = num * den[gen], (num + 1) * den[gen]
-    # arcs are disjoint, so at most one gap straddles the cut; its inner part
-    # is scored like any other arc
-    gap_a, gap_b, _ = bnd.cantor_locate(depth, np.array([cut]))
-    return np.append(a, gap_a[gap_a < cut]), np.append(b, gap_b[gap_a < cut])
+    num, gen = bnd.cantor_nonshort_candidates(depth, step)
+    return num * den[gen], np.minimum((num + 1) * den[gen], cut)
 
 
 def _cantor_e_integral(weight, depth, eps):
@@ -294,28 +295,27 @@ def _set_arcs(weight, bset, eps):
     are taken, so they can be taken once and its whole arc list never
     exists.  e_part is the part of e_and_short that no listed arc carries,
     and alt_e the integral of dt/(t w) over E.  The two E-parts coincide
-    except on the Cantor set, which lists only its non-short gaps: there
-    e_part is the integral over [e, cut] less the listed gaps, and alt_e the
-    integral over F_depth.
+    except on the Cantor set, which lists only its non-short gaps (those of
+    _cantor_nonshort, sorted): there e_part is the integral over [e, cut]
+    less the listed gaps, and alt_e the integral over F_depth.
     """
     cut = weight.pure_cut
     eps_min = float(eps[-1])
-
-    def kept(a, b):
-        keep = (a < cut * (1.0 - 1e-15)) & (b >= eps_min)
-        return a[keep], np.minimum(b[keep], cut)
-
     if bset.kind == "cantor":
-        a, b = kept(*_cantor_candidates(weight, bset.depth, eps_min))
-        nonshort = _arc_class(a, b, wts.effective_w(weight, b)) != 0
-        order = np.argsort(-b[nonshort])
-        a, b = a[nonshort][order], b[nonshort][order]
+        a, b = _cantor_nonshort(weight, bset.depth, eps_min)
+        order = np.argsort(-b)
+        a, b = a[order], b[order]
 
         def tw1(a, b, lower):
             return wts.inv_tw_integral(weight, 1.0, np.maximum(a, lower), b)[None]
 
         e_part = wts.inv_tw_integral(weight, 1.0, eps, cut) - _checkpoint_sums(eps, [(a, b)], tw1, 1)[0]
         return [(a, b)], e_part, _cantor_e_integral(weight, bset.depth, eps)
+
+    def kept(a, b):
+        keep = is_scored(weight, a) & (b >= eps_min)
+        return a[keep], np.minimum(b[keep], cut)
+
     blocks = (kept(a, b) for a, b in bnd.arc_blocks(bset, eps_min * 0.5, ARC_BLOCK))
 
     # interval kinds: E meets the pure region in (0, e_hi]

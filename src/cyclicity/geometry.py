@@ -225,7 +225,8 @@ def log_rule(edges):
     other's nodes): sum(f(v) * fine) is the integral, and the same sum
     with fine - coarse gives its error estimate (see rule_sum).
     """
-    e = np.unique(np.asarray(edges, dtype=float))
+    e = np.sort(np.asarray(edges, dtype=float))  # np.unique would import numpy.ma
+    e = np.concatenate((e[:1], e[1:][e[1:] != e[:-1]]))
     mid, half = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
     (x2, w2), (x1, w1) = (_gauss(n) for n in (_RULE_ORDER, _RULE_ORDER // 2))
     n2 = x2.size * mid.size

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cyclicity import __version__, criterion
+from cyclicity.boundary import BoundarySet
 from cyclicity.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_NUMERIC,
@@ -25,6 +26,7 @@ from cyclicity.cli import (
     json_report,
     run_command,
 )
+from cyclicity.weights import WeightSpec
 
 W1 = '{"family":"log_power","alpha":1.0}'
 W2 = '{"family":"log_power","alpha":2.0}'
@@ -368,6 +370,20 @@ class TestCommands:
         short = res["e_and_short"][-1] - res["alt_e_integral"][-1]
         assert sums["short"] == pytest.approx(short, rel=1e-9, abs=1e-12)
 
+    def test_arc_listing_has_only_the_arcs_the_engine_scores(self, capsys, tmp_path):
+        # the cut lies a rounding step above the point 1/8, so the arc (1/8, 1/4)
+        # is not scored; the listing once wrote it as a row "0.125,0.25,short,0"
+        weight = WeightSpec("from_w", p=0.4, t_cut=0.12500000000000003)
+        arcs = tmp_path / "arcs.csv"
+        code, _, _ = run(capsys, "criterion", "analyze", "--weight", json.dumps(weight.to_json()), "--set", GEO,
+                         "--checkpoints", "12", "--out", str(tmp_path / "report.json"), "--arcs-out", str(arcs))
+        assert code == EXIT_OK
+        listed = [float(line.split(",")[0]) for line in arcs.read_text().splitlines()[1:]]
+        bset = BoundarySet("geometric")
+        blocks, _, _ = criterion._set_arcs(weight, bset, criterion.default_checkpoints(weight, bset, 12))
+        scored = np.concatenate([a for a, _ in blocks])
+        assert len(listed) == scored.size and listed[0] == scored[0] == 0.0625
+
     @pytest.mark.parametrize("bset", ['{"kind":"beta","beta":0.25}', CANTOR14])
     def test_arc_listing_bytes_do_not_depend_on_its_blocks(self, capsys, tmp_path, monkeypatch, bset):
         # the listing is written block by block: blocks of 7 arcs give the
@@ -480,6 +496,10 @@ class TestRefusals:
         "arcs-cutoff-inf": ("criterion", "analyze", "--weight", W1, "--set", CANTOR14, "--arcs-cutoff", "inf"),
         "arcs-over-capacity": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"cantor","depth":30}',
                                "--arcs-cutoff", "1e-14"),
+        # a large generator w leaves over 200,000 gaps non-short
+        "cantor-nonshort-over-capacity": ("criterion", "analyze", "--weight",
+                                          '{"family":"log_power","alpha":10,"scale":1e-3}',
+                                          "--set", '{"kind":"cantor","depth":38}'),
         # a config field of the wrong JSON type, once a TypeError traceback or a silent misreading
         "set-depth-float": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"cantor","depth":14.0}'),
         "set-beta-string": ("criterion", "analyze", "--weight", W1, "--set", '{"kind":"beta","beta":"0.25"}'),
@@ -503,6 +523,10 @@ class TestRefusals:
         code, out, err = run(capsys, *argv, *extra, "--out", str(tmp_path / "report"))
         assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_cantor_nonshort_refusal_names_the_capacity(self, capsys):
+        _, _, err = run(capsys, *self.CASES["cantor-nonshort-over-capacity"])
+        assert err.startswith("error: ") and "capacity" in err
 
     def test_float_flags_say_finite(self, capsys):
         _, _, err = run(capsys, *self.CASES["gamma-theta-nan"])

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from crosschecks import checkpoint_sums_by_segment, condition_partials_quad, divergence_verdict_numpy
 from cyclicity import criterion
-from cyclicity.boundary import Arc, BoundarySet, arc_arrays, complementary_arcs
+from cyclicity.boundary import Arc, BoundarySet, arc_arrays, cantor_gaps, complementary_arcs
 from cyclicity.criterion import (
     DEFAULT_MARGIN,
     KAPPA,
@@ -149,11 +149,10 @@ def _brute_cantor_sums(weight, depth, eps_values):
 
 
 class TestCantorEngineExact:
-    # each generation's cap b* is an interior root or, where the sign does
-    # not change on its bracket, an end: 1.3 at scale 1 has interior roots and
-    # all-short generations, 2.5 at scale 0.1 one generation with b* = cut,
-    # 1.3 at scale 10 only all-short generations, and 3 at scale 0.01 a
-    # generation with b* = cut and non-short gaps past its first
+    # 1.3 at scale 1 has generations with both short and non-short gaps and
+    # all-short generations, 2.5 at scale 0.1 one generation non-short up to
+    # the cut, 1.3 at scale 10 only all-short generations, and 3 at scale 0.01
+    # a generation non-short up to the cut with non-short gaps past its first
     @pytest.mark.parametrize("alpha, scale", [(1.3, 1.0), (2.5, 0.1), (1.3, 10.0), (3.0, 0.01)])
     def test_against_brute_force(self, alpha, scale):
         weight = WeightSpec("log_power", alpha=alpha, scale=scale)
@@ -180,6 +179,25 @@ class TestCantorEngineExact:
         np.testing.assert_allclose(rep.alt_e_integral, e_fn, rtol=1e-8)
         assert np.all(np.diff(rep.alt_e_integral) >= 0.0)
         assert np.all(np.diff(rep.alt_arc_sum) >= 0.0)
+
+    @given(st.sampled_from(("log_power", "from_w", "const_w")), st.floats(min_value=0.3, max_value=10.0),
+           st.floats(min_value=-3.0, max_value=3.0), st.sampled_from((0.5, 0.05, math.exp(-2.0), math.exp(-3.0))),
+           st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=13))
+    @settings(max_examples=150, deadline=None)
+    def test_walk_lists_exactly_the_nonshort_gaps(self, family, exponent, log_scale, t_cut, depth, eps_gen):
+        # the walk's bound only prunes: of all the gaps, with the same float
+        # ends, it lists those scored, kept and found non-short by _arc_class
+        exp = {"log_power": {"alpha": exponent}, "from_w": {"p": exponent}, "const_w": {}}[family]
+        weight = WeightSpec(family, t_cut=t_cut, scale=10.0**log_scale, **exp)
+        eps_min = 3.0 ** -min(eps_gen, depth)
+        num, gen = cantor_gaps(depth, 0.0)
+        den = np.array([3.0**-g for g in range(depth + 1)])
+        a, b = num * den[gen], (num + 1) * den[gen]
+        keep = criterion.is_scored(weight, a) & (b >= eps_min)
+        a, b = a[keep], np.minimum(b[keep], weight.pure_cut)
+        nonshort = criterion._arc_class(a, b, effective_w(weight, b)) != 0
+        got = criterion._cantor_nonshort(weight, depth, eps_min)
+        assert sorted(zip(*(x.tolist() for x in got))) == sorted(zip(a[nonshort].tolist(), b[nonshort].tolist()))
 
     def test_insufficient_depth(self):
         weight = WeightSpec("log_power", alpha=1.0)

@@ -233,11 +233,14 @@ class TestMonteCarlo:
         assert est.mean == 0.0181
         assert est.capped_paths == 5248
 
-    @pytest.mark.parametrize("block, max_steps", [(4096, 100_000), (64, 100_000), (4096, 10)],
-                             ids=["default", "block-64", "cap-10"])
-    @pytest.mark.parametrize("seed", [3, 2026])
-    @pytest.mark.parametrize("paths", [10_000, 12_289, 40_961])
-    @pytest.mark.parametrize("prof, z0, rho", WINDOW_CASES, ids=[_profile_id(c[0]) for c in WINDOW_CASES])
+    # 64-path blocks skip 40,961 paths on the invlog sector: 12,289 paths already
+    # end in a one-path block there, and walking 641 blocks one by one took 4 s
+    @pytest.mark.parametrize("prof, z0, rho, paths, seed, block, max_steps", [
+        pytest.param(prof, z0, rho, paths, seed, block, max_steps,
+                     id=f"{_profile_id(prof)}-{paths}-{seed}-{name}")
+        for prof, z0, rho in WINDOW_CASES for paths in (10_000, 12_289, 40_961) for seed in (3, 2026)
+        for name, block, max_steps in (("default", 4096, 100_000), ("block-64", 64, 100_000), ("cap-10", 4096, 10))
+        if (prof.phi, paths, block) != ("invlog", 40_961, 64)])
     def test_window_is_the_per_block_walk(self, monkeypatch, prof, z0, rho, paths, seed, block, max_steps):
         # the window steps many blocks at once, but every block draws exactly
         # as it does alone, so the estimate is the block-by-block walk's
