@@ -121,11 +121,10 @@ def arc_terms(weight: wts.WeightSpec, a, b, lower):
 
 def classify_arc(arc: bnd.Arc, weight: wts.WeightSpec) -> str:
     """Class tag of a complementary arc; arcs straddling the cut are scored
-    by their inner part (a, pure_cut)."""
-    cut = weight.pure_cut
-    if arc.a >= cut:
-        raise UsageError("arc lies entirely outside the pure region")
-    b_eff = min(arc.b, cut)
+    by their inner part (a, pure_cut), and arcs that is_scored skips are refused."""
+    if not is_scored(weight, arc.a):
+        raise UsageError("arc does not start below the pure cut; the criterion does not score it")
+    b_eff = min(arc.b, weight.pure_cut)
     return ARC_CLASSES[int(_arc_class(arc.a, b_eff, wts.effective_w(weight, b_eff)))]
 
 

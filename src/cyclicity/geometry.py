@@ -6,13 +6,17 @@ boundary radius 1 - gamma(theta), where gamma solves
     gamma = theta^2 * Lambda(gamma + dist(e^{i theta}, E)).
 
 g(gamma) = gamma - theta^2 Lambda(gamma + d) is strictly increasing (Lambda
-is decreasing), so the root is unique; it is bracketed and found by
-Chandrupatla's method (inverse quadratic interpolation safeguarded by
-bisection) in x = log gamma, with u = log(1/|theta|) in place of theta^2
-(the lower bracket sits at 1e-300, where g is hopeless to evaluate in
-linear space).  The root-finder runs on arrays of angles, freezing each as
-it converges; solve_gamma is its one-angle case.  Every solution carries a
-residual certificate.
+is decreasing), so the root is unique; it is found by Chandrupatla's method
+(inverse quadratic interpolation safeguarded by bisection) in x = log gamma,
+with u = log(1/|theta|) in place of theta^2 (gamma may be as small as
+1e-300, where g is hopeless to evaluate in linear space).  The bracket comes
+from one fixed-point step: in x the equation reads x = T(x) with T
+decreasing, so x and T(x) lie on opposite sides of the root, and two
+evaluations from the guess gamma + d = |theta| bracket it tightly.
+Where they do not, the bracket falls back to [1e-300, 1 - 1e-12], whose
+ends decide the refusals.  The root-finder runs on arrays of angles,
+freezing each as it converges; solve_gamma is its one-angle case.  Every
+solution carries a residual certificate.
 
 Integrals of gamma-dependent data over theta use one fixed-node rule:
 composite Gauss-Legendre in v = log(1/|theta|) at 20 and 10 points per
@@ -139,13 +143,32 @@ def _gamma_equation(spec: wts.WeightSpec, x, u, d):
 def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray:
     """x = log gamma of gamma = e^(-2u) Lambda(gamma + d), elementwise (1-d arrays).
 
-    _gamma_equation is increasing in x; increasing_root finds its root in
-    the bracket [log 1e-300, log(1 - 1e-12)] to a bracket at most
-    1e-14 + 4e-16 |log gamma| wide.  Converged elements are frozen.
+    _gamma_equation is h(x) = x - T(x) with T(x) = log Lambda(min(e^x + d, 2))
+    - 2u decreasing, so x and T(x) lie on opposite sides of the root.  The
+    bracket starts from x0 = log Lambda(min(|theta|, 2)) - 2u, T where
+    gamma + d = |theta| (1 is in E, so d <= |theta|), and x1 = x0 - h(x0),
+    both clamped to [log 1e-300, log(1 - 1e-12)].  Where the pair does not
+    strictly bracket, that side falls back to its global end, whose sign
+    decides the refusals as if the whole bracket had been evaluated.  That
+    happens at a clamped end and where |h(x0)| is below an ulp of x0, so
+    that x1 == x0: x0 is the root itself for const_w on the full circle and
+    wherever Lambda's argument is held at 2.  increasing_root then narrows
+    the bracket to at most 1e-14 + 4e-16 |log gamma|; converged elements are
+    frozen.
     """
-    lo = np.full(u.shape, math.log(_GAMMA_FLOOR))
-    hi = np.full(u.shape, math.log(1.0 - 1e-12))
-    h_lo, h_hi = _gamma_equation(spec, lo, u, d), _gamma_equation(spec, hi, u, d)
+    h = functools.partial(_gamma_equation, spec)
+    ends = (math.log(_GAMMA_FLOOR), math.log(1.0 - 1e-12))
+    x0 = np.clip(np.log(wts.eval_lambda(spec, np.minimum(np.exp(-u), 2.0))) - 2.0 * u, *ends)
+    h0 = h(x0, u, d)
+    x1 = np.clip(x0 - h0, *ends)
+    h1 = h(x1, u, d)
+    swap = x1 < x0
+    lo, h_lo = np.where(swap, x1, x0), np.where(swap, h1, h0)
+    hi, h_hi = np.where(swap, x0, x1), np.where(swap, h0, h1)
+    for x, hx, bad, end in ((lo, h_lo, ~(h_lo < 0.0), ends[0]), (hi, h_hi, ~(h_hi > 0.0), ends[1])):
+        if np.count_nonzero(bad):
+            x[bad] = end
+            hx[bad] = h(x[bad], u[bad], d[bad])
     if np.any(h_lo >= 0.0):
         raise NumericError("lower bracket failed; weight is not admissible at this theta")
     if np.any(h_hi <= 0.0):
@@ -153,7 +176,7 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
             "no root with gamma < 1; Lambda is too large at scale 1 "
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
-    return increasing_root(functools.partial(_gamma_equation, spec), lo, hi, h_lo, h_hi, u, d)
+    return increasing_root(h, lo, hi, h_lo, h_hi, u, d)
 
 
 def _residual(spec: wts.WeightSpec, x, u, d):
@@ -211,10 +234,29 @@ def to_halfplane(w: complex) -> HalfplaneCoords:
     return HalfplaneCoords(R=1.0 / abs(one_minus), phi=cmath.phase(one_minus))
 
 
+# the positive Gauss-Legendre nodes on [-1, 1] and their weights, ascending,
+# for the two orders log_rule uses: the bits of numpy.polynomial.legendre.
+# leggauss, whose rule is symmetric.  Literal tables spare every process that
+# module's import and eigvalsh call
+_GAUSS_HALF = {
+    20: (("0x1.3973df98b86b0p-4", "0x1.d281636928bc0p-3", "0x1.7eaccf15652c4p-2", "0x1.05905c13f7ff7p-1",
+          "0x1.45a8d3fa710dbp-1", "0x1.7e1f37346a54ep-1", "0x1.ada0bd5efd6e7p-1", "0x1.d31064173fd92p-1",
+          "0x1.ed8dba7bd769fp-1", "0x1.fc7b5a0c71ce1p-1"),
+         ("0x1.38d6c490a3380p-3", "0x1.31819b52c59a4p-3", "0x1.230348f34a542p-3", "0x1.0db2c5db26e08p-3",
+          "0x1.e41ff31573b56p-4", "0x1.a1817a317a834p-4", "0x1.5519fe196e247p-4", "0x1.00b467df7e461p-4",
+          "0x1.4c9b5ea53b638p-5", "0x1.209680274e74ep-6")),
+    10: (("0x1.30e507891e27ap-3", "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f3p-1",
+          "0x1.f2a3e062af2d8p-1"),
+         ("0x1.2e9de7014d6eep-2", "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3", "0x1.32138c878efdep-3",
+          "0x1.1115f8b62dc1fp-4")),
+}
+
+
 @functools.cache
 def _gauss(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], for n in _GAUSS_HALF."""
+    x, w = (np.array([float.fromhex(h) for h in half]) for half in _GAUSS_HALF[n])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def log_rule(edges):

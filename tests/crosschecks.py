@@ -6,13 +6,14 @@ the growth-divergence integrand), and the walk-on-spheres estimate run
 one block after another, the reference of the windowed walk."""
 
 import cmath
+import functools
 import math
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from cyclicity import boundary, weights
+from cyclicity import boundary, geometry, weights
 from cyclicity.auxfun import PrivalovShadow, herglotz_arc_integral
 from cyclicity.criterion import DEFAULT_MARGIN, DivergenceVerdict
 from cyclicity.errors import DomainError, NumericError, UsageError
@@ -193,6 +194,26 @@ def cut_crossings_bisection(spec, bset, sign: float, kinks, floor: float) -> np.
         same = (phi(mid) < 0.0) == (f_lo < 0.0)
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def log_gamma_global_bracket(spec, u, d):
+    """geometry._log_gamma started from the whole bracket [log 1e-300, log(1 - 1e-12)].
+
+    The solver's former start: both global ends are evaluated for every
+    angle, they alone decide the refusals, and increasing_root runs from
+    there to the same stopping rule.
+    """
+    lo = np.full(u.shape, math.log(1e-300))
+    hi = np.full(u.shape, math.log(1.0 - 1e-12))
+    h_lo, h_hi = geometry._gamma_equation(spec, lo, u, d), geometry._gamma_equation(spec, hi, u, d)
+    if np.any(h_lo >= 0.0):
+        raise NumericError("lower bracket failed; weight is not admissible at this theta")
+    if np.any(h_hi <= 0.0):
+        raise NumericError(
+            "no root with gamma < 1; Lambda is too large at scale 1 "
+            "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
+        )
+    return increasing_root(functools.partial(geometry._gamma_equation, spec), lo, hi, h_lo, h_hi, u, d)
 
 
 def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:

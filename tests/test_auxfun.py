@@ -405,10 +405,12 @@ class TestWitnessRule:
     def test_error_estimate_covers_a_finer_rule(self, monkeypatch, alpha, bset):
         # the rule at orders 20/10 against orders 40/20 on panels a quarter
         # as wide: the coarse result's error estimate covers the difference
+        # (the toolkit tabulates orders 20 and 10 only; leggauss gives 40)
         weight = normalized_for_lambda1(WeightSpec("log_power", alpha=alpha))
         sol = geometry.solve_gamma_array(weight, bset, [1e-2, 1e-3, 1e-4])
         ws = (1.0 - sol.gamma) * np.exp(1j * sol.theta)
         coarse = auxfun._witness_poisson(weight, bset, ws)
+        monkeypatch.setattr(geometry, "_gauss", np.polynomial.legendre.leggauss)
         monkeypatch.setattr(geometry, "_RULE_ORDER", 40)
         monkeypatch.setattr(geometry, "_PANEL_WIDTH", 2.0)
         fine = auxfun._witness_poisson(weight, bset, ws)

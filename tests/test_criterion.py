@@ -19,6 +19,7 @@ from cyclicity.criterion import (
     criterion_partials,
     default_checkpoints,
     divergence_verdict,
+    is_scored,
     theorem_scan_point,
     threshold_oracle,
     threshold_value,
@@ -59,6 +60,17 @@ class TestClassify:
             a = b * rng.uniform(0.01, 0.999)
             tags = [classify_arc(Arc(a, b), w)]
             assert len(tags) == 1 and tags[0] in ("short", "intermediate", "long")
+
+    def test_arcs_the_engine_skips_are_refused(self):
+        # a lies below the pure cut only by rounding, so is_scored skips the
+        # arc; classifying or scoring it alone would disagree with the engine
+        w = WeightSpec("from_w", p=0.4, t_cut=0.12500000000000003)
+        arc = Arc(0.125, 0.25)
+        assert arc.a < w.pure_cut and not is_scored(w, arc.a)
+        with pytest.raises(UsageError, match="does not score"):
+            classify_arc(arc, w)
+        with pytest.raises(UsageError, match="does not score"):
+            arc_contribution(arc, "short", w)
 
 
 class TestContribution:

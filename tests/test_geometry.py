@@ -1,12 +1,15 @@
 import cmath
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from crosschecks import cut_crossings_bisection, profile_y_predictor, solve_profile_y
+from crosschecks import cut_crossings_bisection, log_gamma_global_bracket, profile_y_predictor, solve_profile_y
 from cyclicity import boundary, geometry, weights
 from cyclicity.boundary import BoundarySet
 from cyclicity.errors import DomainError, NumericError, UsageError
@@ -22,6 +25,57 @@ from cyclicity.weights import WeightSpec, eval_lambda
 
 FULL = BoundarySet("full")
 POINT = BoundarySet("point")
+LOG_FLOOR, LOG_TOP = math.log(1e-300), math.log(1.0 - 1e-12)  # the solver's global bracket in log gamma
+
+# inputs on which the solver's two-point start does not bracket on some side
+# and falls back to the global end there (const_w and the point set near pi
+# start on the exact root, so x1 == x0) or starts at a clamped end
+FALLBACKS = {
+    "const_w": (WeightSpec("const_w"), FULL, 1e-3),
+    "clamped-floor": (WeightSpec("log_power", alpha=4.0), FULL, 1e-290),
+    "x1-equals-x0": (normalized_for_lambda1(WeightSpec("log_power", alpha=2.0)), POINT, -3.1),
+}
+
+
+def solve_from_global_bracket(weight, bset, thetas):
+    """solve_gamma_array started from the whole bracket, as the solver once was."""
+    with mock.patch.object(geometry, "_log_gamma", log_gamma_global_bracket):
+        return solve_gamma_array(weight, bset, thetas)
+
+
+def outcome(solve, weight, bset, thetas):
+    """A solver's GammaSolution, or the type and message of its refusal."""
+    try:
+        return solve(weight, bset, thetas)
+    except (DomainError, NumericError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def weights_any(draw):
+    family = draw(st.sampled_from(["log_power", "from_w", "const_w"]))
+    exponent = draw(st.floats(0.2, 10.0))
+    spec = WeightSpec(family, alpha=exponent if family == "log_power" else None,
+                      p=exponent / 2.0 if family == "from_w" else None,
+                      scale=math.exp(draw(st.floats(math.log(0.1), math.log(10.0)))))
+    return normalized_for_lambda1(spec) if draw(st.booleans()) else spec
+
+
+@st.composite
+def sets_any(draw):
+    kind = draw(st.sampled_from(boundary.KINDS))
+    mirror = draw(st.booleans())
+    if kind == "beta":
+        return BoundarySet(kind, beta=draw(st.floats(0.0, 0.5)), mirror=mirror)
+    if kind == "cantor":
+        return BoundarySet(kind, depth=draw(st.integers(1, 38)), mirror=mirror)
+    if kind == "arc":
+        return BoundarySet(kind, a=-draw(st.floats(0.0, 1.0)), b=draw(st.floats(1e-3, 1.0)), mirror=mirror)
+    return BoundarySet(kind, mirror=mirror)
+
+
+angles = st.tuples(st.floats(math.log(1e-290), math.log(math.pi)), st.sampled_from([-1.0, 1.0])).map(
+    lambda v: v[1] * min(math.exp(v[0]), math.pi))
 
 
 class TestSolveGamma:
@@ -101,18 +155,66 @@ class TestSolveGamma:
         # every element, so a result does not depend on how angles are batched
         rng = np.random.default_rng(17)
         thetas = np.exp(rng.uniform(np.log(1e-290), np.log(0.1), 40)) * rng.choice([-1.0, 1.0], 40)
-        for bset in (FULL, POINT, BoundarySet("geometric"), BoundarySet("beta", beta=0.25),
-                     BoundarySet("cantor", depth=12)):
-            sols = solve_gamma_array(WeightSpec("log_power", alpha=2.0), bset, thetas)
-            assert sols.gamma.shape == thetas.shape
-            for k, theta in enumerate(thetas.tolist()):
-                one = solve_gamma(WeightSpec("log_power", alpha=2.0), bset, theta)
+        cases = [(WeightSpec("log_power", alpha=2.0), bset, thetas)
+                 for bset in (FULL, POINT, BoundarySet("geometric"), BoundarySet("beta", beta=0.25),
+                              BoundarySet("cantor", depth=12))]
+        # each fallback case among angles that bracket at once
+        cases += [(spec, bset, np.append(thetas, theta)) for spec, bset, theta in FALLBACKS.values()]
+        for spec, bset, angles in cases:
+            sols = solve_gamma_array(spec, bset, angles)
+            assert sols.gamma.shape == angles.shape
+            for k, theta in enumerate(angles.tolist()):
+                one = solve_gamma(spec, bset, theta)
                 assert (one.gamma, one.residual, one.dist_at_theta) == (
                     sols.gamma[k], sols.residual[k], sols.dist_at_theta[k])
 
+    @settings(max_examples=300, deadline=None)
+    @given(weight=weights_any(), bset=sets_any(), thetas=st.lists(angles, min_size=1, max_size=4))
+    def test_bracket_start_matches_the_global_bracket(self, weight, bset, thetas):
+        # the certified two-point bracket changes where the root-finder
+        # starts, not what it returns or refuses: gamma agrees with the
+        # global-bracket solve to the stopping rule's width, every residual
+        # certificate holds, and a refusal is the same error
+        got = outcome(solve_gamma_array, weight, bset, thetas)
+        ref = outcome(solve_from_global_bracket, weight, bset, thetas)
+        if isinstance(ref, tuple) or isinstance(got, tuple):
+            assert got == ref
+            return
+        np.testing.assert_allclose(got.gamma, ref.gamma, rtol=2e-13, atol=0.0)
+        assert np.all(got.residual <= 1e-12 * np.maximum(got.gamma, 1e-300))
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_fallback_to_the_global_end(self, case):
+        # the start reaches a global end of the bracket, and the result is
+        # the global-bracket solve's
+        spec, bset, theta = FALLBACKS[case]
+        equation, seen = geometry._gamma_equation, []
+
+        def recorded(*args):
+            seen.extend(np.asarray(args[1]).tolist())
+            return equation(*args)
+
+        with mock.patch.object(geometry, "_gamma_equation", recorded):
+            got = solve_gamma(spec, bset, theta)
+        ends = {LOG_FLOOR, LOG_TOP} & set(seen)
+        assert ends == ({LOG_FLOOR} if case == "clamped-floor" else {LOG_FLOOR, LOG_TOP})
+        assert got.gamma == pytest.approx(solve_from_global_bracket(spec, bset, theta).gamma, rel=2e-13)
+
+    @pytest.mark.parametrize("spec, bset, theta, message", [
+        (WeightSpec("log_power", alpha=10.0), POINT, 1e-290, "lower bracket failed"),
+        (WeightSpec("log_power", alpha=1.0), FULL, 3.0, "no root with gamma < 1"),
+    ], ids=["floor", "top"])
+    def test_clamped_start_refuses_as_the_global_bracket(self, spec, bset, theta, message):
+        # the guess lies beyond a global end, is clamped to it and fails there
+        # with the global-bracket solve's error
+        ref = outcome(solve_from_global_bracket, spec, bset, [theta])
+        assert ref[0] is NumericError and ref[1].startswith(message)
+        assert outcome(solve_gamma_array, spec, bset, [theta]) == ref
+
     def test_lambda_evaluations_per_angle(self, monkeypatch):
-        # the acceptance-6 grid: about 10 evaluations an angle, with the two
-        # bracket ends and the residual certificate (bisection needs about 58)
+        # the acceptance-6 grid: about 9 evaluations an angle, with the two
+        # bracket ends, any global end the bracket falls back to and the
+        # residual certificate (bisection needs about 58)
         calls = []
 
         def counted(spec, t):
@@ -133,7 +235,7 @@ class TestSolveGamma:
                     solve_gamma(spec, bset, -theta if rng.uniform() < 0.5 else theta)
                     assert set(calls) == {1}
                     worst = max(worst, len(calls))
-        assert worst <= 20
+        assert worst <= 11
 
     def test_array_errors(self):
         spec = WeightSpec("log_power", alpha=1.0)
@@ -167,6 +269,17 @@ class TestSolveGamma:
         sol = solve_gamma(norm, FULL, math.pi)
         assert 0.0 < sol.gamma < 1.0
         assert eval_lambda(norm, 1.0) < 0.1
+
+
+class TestGaussTables:
+    @pytest.mark.parametrize("n", [geometry._RULE_ORDER, geometry._RULE_ORDER // 2])
+    def test_tables_are_leggauss_bits(self, n):
+        # the literal tables, mirrored from their positive halves, hold
+        # leggauss's rule bit for bit
+        x, w = geometry._gauss(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == ref_x.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
 
 
 class TestIncreasingRoot:
