@@ -55,6 +55,7 @@ _EXP_CAP = 700.0  # exp overflow guard
 _GUARD_CHECKPOINTS = 12  # cutoffs of the convergence guard
 _GUARD_U_MAX = 300.0  # deepest log(1/theta) the convergence guard integrates to
 _WITNESS_U = 667.0  # deepest log(1/|theta|) of the witness rule: theta ~ 2e-290
+_WITNESS_CELLS = 2**20  # cells of a samples x nodes witness kernel; nodes grow with samples
 _LOG_GAMMA_FLOOR = 690.0  # just inside log(1e300): the gamma solver's lower bracket
 
 
@@ -313,31 +314,32 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
     the Poisson part beyond the depth.
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
-    if np.any(np.abs(ws) >= 1.0):
+    modulus = np.hypot(ws.real, ws.imag)  # numpy's abs may be an ulp off, and 1 - |w|^2 cancels
+    if np.any(modulus >= 1.0):
         raise DomainError("witness evaluation needs |w| < 1")
     spec = geo.normalized_for_lambda1(weight)
     depth = _witness_depth(spec)
     tail = _witness_tail(spec, bset, depth)
-    breaks = []
-    for w in ws:
-        theta_w, delta = abs(cmath.phase(w)), 1.0 - abs(w)
-        steps = delta * 2.0 ** np.arange(-2, math.ceil(math.log2(2.0 * math.pi / delta)))
-        near = np.concatenate(([theta_w], theta_w + steps, theta_w - steps))
-        breaks.append(-np.log(near[(0.0 < near) & (near < math.pi)]))
-    breaks = np.concatenate(breaks)
+    theta_w, delta = np.abs(np.angle(ws)), 1.0 - modulus
+    count = np.ceil(np.log2(2.0 * math.pi / delta))  # steps delta * 2^k, k = -2 .. count - 1, per side
+    power = np.arange(-2.0, count.max())
+    steps = np.where(power < count[:, None], delta[:, None] * 2.0 ** power, math.nan)
+    near = np.concatenate((theta_w[:, None], theta_w[:, None] + steps, theta_w[:, None] - steps), axis=1)
+    breaks = -np.log(near[(0.0 < near) & (near < math.pi)])  # NaN fails both tests
     v_lo = math.log(1.0 / math.pi)
     pos, neg = (geo.log_rule(geo.panel_edges(spec, bset, sign, v_lo, depth, breaks)) for sign in (1.0, -1.0))
     theta = np.concatenate([np.exp(-pos[0]), -np.exp(-neg[0])])
     fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
     data = keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
-    e = np.exp(1j * theta)
-    value, error, beyond = [], [], []
-    for w in ws:
-        poisson = geo.rule_sum((1.0 - abs(w) ** 2) / np.abs(e - w) ** 2 * data, fine, coarse)
-        value.append(((e + w) / (e - w) * data * fine).sum() if herglotz else poisson.value)
-        error.append(poisson.error)
-        beyond.append(2.0 * (1.0 - abs(w) ** 2) / (abs(1.0 - w) - math.exp(-depth)) ** 2 * tail)
-    return WitnessIntegral(*(np.array(x) / (2.0 * math.pi) for x in (value, error, beyond)))
+    e, top = np.exp(1j * theta), 1.0 - modulus ** 2  # top: the kernels' 1 - |w|^2
+    rows, sums = max(1, _WITNESS_CELLS // theta.size), []
+    for k in range(0, ws.size, rows):
+        w = ws[k:k + rows, None]
+        poisson = geo.rule_sum(top[k:k + rows, None] / np.abs(e - w) ** 2 * data, fine, coarse)
+        sums.append((((e + w) / (e - w) * data * fine).sum(-1) if herglotz else poisson.value, poisson.error))
+    value, error = (np.concatenate(x) for x in zip(*sums))
+    beyond = 2.0 * top / (np.hypot((1.0 - ws).real, (1.0 - ws).imag) - math.exp(-depth)) ** 2 * tail
+    return WitnessIntegral(*(x / (2.0 * math.pi) for x in (value, error, beyond)))
 
 
 def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: float,

@@ -335,6 +335,13 @@ def distance_to_set(bset: BoundarySet, z):
     return float(d) if d.ndim == 0 else d
 
 
+def first_of_runs(x: np.ndarray, key: np.ndarray | None = None) -> np.ndarray:
+    """x less each element whose key (x by default) equals the one before:
+    np.unique's first indices on ordered keys, without its numpy.ma import."""
+    key = x if key is None else key
+    return np.concatenate((x[:1], x[1:][key[1:] != key[:-1]]))
+
+
 def kink_angles(bset: BoundarySet, floor: float, sign: float) -> np.ndarray:
     """Angles t with floor <= t < pi where t -> dist(e^{i sign t}, E) has a
     corner, ascending and without repeats.
@@ -357,5 +364,5 @@ def kink_angles(bset: BoundarySet, floor: float, sign: float) -> np.ndarray:
     else:
         a, b = arc_arrays(bset, max(floor, _ENUM_FLOOR))
         pts = np.concatenate([a, b, 0.5 * (a + b)])
-    pts = np.unique(pts)
+    pts = first_of_runs(np.sort(pts))
     return pts[(pts >= floor) & (pts < math.pi)]

@@ -18,7 +18,7 @@ headline verdict is inconclusive and --strict-verdict is set.
 Reports are byte-stable; timing goes to stderr only, and identical config
 and seed produce identical bytes.  A JSON report is the envelope {command,
 version, config_hash, config, results} in canonical JSON (sorted keys,
-%.12g floats); a CSV report is a declared header and its rows.  The CSV of
+%.12g floats); a CSV report is a declared header and its columns.  The CSV of
 criterion analyze has the columns of the JSON arrays of its results, with
 the checkpoints named eps.  Every float flag, every number in a JSON
 argument, every --samples angle and both --z0 coordinates must be finite.
@@ -27,7 +27,6 @@ argument, every --samples angle and both --z0 coordinates must be finite.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import functools
 import hashlib
@@ -89,15 +88,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj)
 
 
-def csv_rows(rows) -> str:
-    """CSV lines of rows, each ending in a newline."""
-    floats = (np.floating, float)
-    return "".join(",".join([_float_token(v) if isinstance(v, floats) else str(v) for v in row]) + "\n"
-                   for row in rows)
+def csv_lines(columns) -> str:
+    """CSV lines of equal-length columns, each ending in a newline: a float
+    column's cells as %.12g, any other column's as str, in one format call."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    cells = np.column_stack([c.astype(object) for c in columns]).ravel().tolist()
+    return (fmt * (len(cells) // len(columns))) % tuple(cells)
 
 
-def csv_text(header, rows) -> str:
-    return ",".join(header) + "\n" + csv_rows(rows)
+def csv_text(header, columns) -> str:
+    return ",".join(header) + "\n" + csv_lines(columns)
 
 
 def config_hash(payload: dict) -> str:
@@ -270,21 +271,14 @@ def _cmd_weights_check(args) -> int:
     return EXIT_OK
 
 
-_TRACE_HEADER = ("theta", "gamma", "residual", "R", "phi")
-
-
-def _trace_rows(weight, bset, thetas, normalize):
+def _trace_csv(weight, bset, thetas, normalize) -> str:
     sol = geo.solve_gamma_array(geo.normalized_for_lambda1(weight) if normalize else weight, bset, thetas)
-    rows = []
-    for theta, gamma, residual in zip(sol.theta.tolist(), sol.gamma.tolist(), sol.residual.tolist()):
-        hp = geo.to_halfplane((1.0 - gamma) * cmath.exp(1j * theta))
-        rows.append((theta, gamma, residual, hp.R, hp.phi))
-    return rows
+    hp = geo.to_halfplane((1.0 - sol.gamma) * np.exp(1j * sol.theta))
+    return csv_text(("theta", "gamma", "residual", "R", "phi"), (sol.theta, sol.gamma, sol.residual, hp.R, hp.phi))
 
 
 def _cmd_gamma(args) -> int:
-    rows = _trace_rows(_weight(args), _bset(args), [args.theta], args.normalize_lambda1)
-    _write_out(csv_text(_TRACE_HEADER, rows), args.out)
+    _write_out(_trace_csv(_weight(args), _bset(args), [args.theta], args.normalize_lambda1), args.out)
     return EXIT_OK
 
 
@@ -294,8 +288,7 @@ def _cmd_omega_trace(args) -> int:
     if args.points < 2:
         raise UsageError("need at least 2 points")
     thetas = np.geomspace(args.from_, args.to, args.points)
-    rows = _trace_rows(_weight(args), _bset(args), thetas, args.normalize_lambda1)
-    _write_out(csv_text(_TRACE_HEADER, rows), args.out)
+    _write_out(_trace_csv(_weight(args), _bset(args), thetas, args.normalize_lambda1), args.out)
     return EXIT_OK
 
 
@@ -326,25 +319,17 @@ def _cmd_verify_lemma(args) -> int:
     n = args.grid
     if n < 2:
         raise UsageError("--grid must be >= 2")
-    grid = [r * cmath.exp(1j * float(ang))
-            for r in 1.0 - np.geomspace(1e-8, 1e-1, n)
-            for ang in np.geomspace(1e-3, math.pi * 0.9, n)]
-    lams = [lam for lam, inside in zip(grid, aux.in_gamma_region(spec, grid)) if inside]
-    zs = [rr * cmath.exp(1j * float(az))
-          for rr in 1.0 - np.geomspace(1e-7, 0.5, n)
-          for az in np.linspace(0.0, math.pi, n)]
-    rows = []
-    sup_h = -math.inf
-    for lam in lams:
-        hs = aux.h_lambda(weight, bset, lam, zs).tolist()
-        sup_h = max(sup_h, *hs)
-        rows.extend((lam.real, lam.imag, z.real, z.imag, h, tag)
-                    for z, h, tag in zip(zs, hs, aux.case_tag(spec, lam, zs).tolist()))
-    _write_out(csv_text(("lambda_re", "lambda_im", "z_re", "z_im", "H", "case_tag"), rows),
-               args.out)
+    grid = np.outer(1.0 - np.geomspace(1e-8, 1e-1, n), np.exp(1j * np.geomspace(1e-3, math.pi * 0.9, n))).ravel()
+    lams = grid[aux.in_gamma_region(spec, grid)]
+    zs = np.outer(1.0 - np.geomspace(1e-7, 0.5, n), np.exp(1j * np.linspace(0.0, math.pi, n))).ravel()
+    h = np.array([aux.h_lambda(weight, bset, lam, zs) for lam in lams]).ravel()
+    tags = np.array([aux.case_tag(spec, lam, zs) for lam in lams]).ravel()
+    columns = (np.repeat(lams.real, zs.size), np.repeat(lams.imag, zs.size),
+               np.tile(zs.real, lams.size), np.tile(zs.imag, lams.size), h, tags)
+    _write_out(csv_text(("lambda_re", "lambda_im", "z_re", "z_im", "H", "case_tag"), columns), args.out)
     # stdout stays pure CSV when the grid goes there
     summary = sys.stderr if args.out in (None, "-") else sys.stdout
-    summary.write("SUP_H %s\n" % format_float(sup_h))
+    summary.write("SUP_H %s\n" % format_float(float(h.max(initial=-math.inf))))
     return EXIT_OK
 
 
@@ -377,7 +362,7 @@ def _arc_listing(weight, bset, eps, cutoff):
         gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
         bset = bnd.BoundarySet("cantor", depth=gen_cap, mirror=bset.mirror)
     blocks = bnd.arc_blocks(bset, cutoff, crit.ARC_BLOCK)
-    names = np.array(crit.ARC_CLASSES, dtype=object)
+    names = np.array(crit.ARC_CLASSES)
 
     def text():
         yield "a,b,class,contribution\n"
@@ -385,9 +370,7 @@ def _arc_listing(weight, bset, eps, cutoff):
             keep = crit.is_scored(weight, a)
             a, b = a[keep], b[keep]
             cls, contrib, _ = crit.arc_terms(weight, a, b, lower)
-            # one format over the block's rows: the cells of csv_rows, without its per-cell type test
-            cells = np.column_stack((a, b, names[cls], contrib)).ravel().tolist()
-            yield ("%.12g,%.12g,%s,%.12g\n" * a.size) % tuple(cells)
+            yield csv_lines((a, b, names[cls], contrib))
 
     return text()
 
@@ -405,7 +388,7 @@ def _cmd_criterion_analyze(args) -> int:
     names = [f.name for f in dataclasses.fields(report)]
     columns = [getattr(report, name) for name in names]
     if args.format == "csv":
-        text = csv_text(["eps", *names[1:]], zip(*columns))
+        text = csv_text(["eps", *names[1:]], columns)
     else:
         results = dict(zip(names, columns), verdict=verdict.verdict, model=verdict.model,
                        fitted_exponent=verdict.exponent, fit_residual=verdict.fit_residual,
@@ -434,7 +417,7 @@ def _cmd_scan(args) -> int:
         a += args.step
     header = ("alpha", "fitted_exponent", "verdict", "oracle", "agree")
     points = [crit.theorem_scan_point(args.theorem, alpha, beta=args.beta, depth=args.depth) for alpha in alphas]
-    _write_out(csv_text(header, ([point[name] for name in header] for point in points)), args.out)
+    _write_out(csv_text(header, [[point[name] for point in points] for name in header]), args.out)
     if args.strict_verdict and any(point["verdict"] == "inconclusive" for point in points):
         return EXIT_INCONCLUSIVE
     return EXIT_OK

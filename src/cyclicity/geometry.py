@@ -12,9 +12,9 @@ with u = log(1/|theta|) in place of theta^2 (gamma may be as small as
 1e-300, where g is hopeless to evaluate in linear space).  The bracket comes
 from one fixed-point step: in x the equation reads x = T(x) with T
 decreasing, so x and T(x) lie on opposite sides of the root, and two
-evaluations from the guess gamma + d = |theta| bracket it tightly.
-Where they do not, the bracket falls back to [1e-300, 1 - 1e-12], whose
-ends decide the refusals.  The root-finder runs on arrays of angles,
+evaluations from the guess gamma + d = |theta| bracket it tightly, or
+land on it exactly.  Where they do neither, the bracket falls back to
+[1e-300, 1 - 1e-12], whose ends decide the refusals.  The root-finder runs on arrays of angles,
 freezing each as it converges; solve_gamma is its one-angle case.  Every
 solution carries a residual certificate.
 
@@ -27,13 +27,12 @@ the 20-point sum and the error estimate the difference of the two plus a
 rounding allowance.  gamma_criterion_partial integrates gamma/theta^2 this
 way, for one cutoff or many.
 
-to_halfplane gives a point w the coordinates (R, phi) with
+to_halfplane gives points w the coordinates (R, phi) with
 1 - w = e^{i phi} / R.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -68,7 +67,7 @@ class GammaSolution:
 
 @dataclass(frozen=True)
 class HalfplaneCoords:
-    R: float
+    R: float  # R and phi are arrays for array input
     phi: float
 
 
@@ -147,21 +146,25 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
     - 2u decreasing, so x and T(x) lie on opposite sides of the root.  The
     bracket starts from x0 = log Lambda(min(|theta|, 2)) - 2u, T where
     gamma + d = |theta| (1 is in E, so d <= |theta|), and x1 = x0 - h(x0),
-    both clamped to [log 1e-300, log(1 - 1e-12)].  Where the pair does not
+    both clamped to [log 1e-300, log(1 - 1e-12)].  Where h(x1) == 0 strictly
+    inside those ends, x1 is the root and is returned as it is: x1 == x0
+    where h(x0) == 0, as for const_w on the full circle and wherever
+    Lambda's argument is held at 2.  Elsewhere, where the pair does not
     strictly bracket, that side falls back to its global end, whose sign
-    decides the refusals as if the whole bracket had been evaluated.  That
-    happens at a clamped end and where |h(x0)| is below an ulp of x0, so
-    that x1 == x0: x0 is the root itself for const_w on the full circle and
-    wherever Lambda's argument is held at 2.  increasing_root then narrows
-    the bracket to at most 1e-14 + 4e-16 |log gamma|; converged elements are
-    frozen.
+    decides the refusals as if the whole bracket had been evaluated; that
+    happens at a clamped end and where rounding leaves h(x1) on the side of
+    h(x0).
+    increasing_root then narrows the bracket to at most 1e-14 + 4e-16
+    |log gamma|; converged elements are frozen.
     """
     h = functools.partial(_gamma_equation, spec)
     ends = (math.log(_GAMMA_FLOOR), math.log(1.0 - 1e-12))
     x0 = np.clip(np.log(wts.eval_lambda(spec, np.minimum(np.exp(-u), 2.0))) - 2.0 * u, *ends)
     h0 = h(x0, u, d)
-    x1 = np.clip(x0 - h0, *ends)
-    h1 = h(x1, u, d)
+    root = np.clip(x0 - h0, *ends)
+    h1 = h(root, u, d)
+    rest = ~((h1 == 0.0) & (ends[0] < root) & (root < ends[1]))
+    x0, h0, x1, h1, u, d = (v[rest] for v in (x0, h0, root, h1, u, d))
     swap = x1 < x0
     lo, h_lo = np.where(swap, x1, x0), np.where(swap, h1, h0)
     hi, h_hi = np.where(swap, x0, x1), np.where(swap, h0, h1)
@@ -176,7 +179,8 @@ def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray
             "no root with gamma < 1; Lambda is too large at scale 1 "
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
-    return increasing_root(h, lo, hi, h_lo, h_hi, u, d)
+    root[rest] = increasing_root(h, lo, hi, h_lo, h_hi, u, d)
+    return root
 
 
 def _residual(spec: wts.WeightSpec, x, u, d):
@@ -225,13 +229,15 @@ def solve_gamma(weight: wts.WeightSpec, bset: bnd.BoundarySet, theta: float) -> 
     return GammaSolution(*(float(f) for f in (sol.theta, sol.gamma, sol.residual, sol.dist_at_theta)))
 
 
-def to_halfplane(w: complex) -> HalfplaneCoords:
-    """Coordinates (R, phi) with 1 - w = e^{i phi} / R."""
-    w = complex(w)
-    if w == 1.0:
+def to_halfplane(w) -> HalfplaneCoords:
+    """Coordinates (R, phi) with 1 - w = e^{i phi} / R; w may be an array, and a scalar gives floats.
+
+    R is 1/hypot(Re, Im) of 1 - w: Python's abs, where numpy's may be an ulp off."""
+    one_minus = 1.0 - np.asarray(w, dtype=complex)
+    if np.count_nonzero(one_minus == 0.0):
         raise DomainError("w = 1 has no half-plane image")
-    one_minus = 1.0 - w
-    return HalfplaneCoords(R=1.0 / abs(one_minus), phi=cmath.phase(one_minus))
+    big_r, phi = 1.0 / np.hypot(one_minus.real, one_minus.imag), np.arctan2(one_minus.imag, one_minus.real)
+    return HalfplaneCoords(float(big_r), float(phi)) if phi.ndim == 0 else HalfplaneCoords(big_r, phi)
 
 
 # the positive Gauss-Legendre nodes on [-1, 1] and their weights, ascending,
@@ -267,8 +273,7 @@ def log_rule(edges):
     other's nodes): sum(f(v) * fine) is the integral, and the same sum
     with fine - coarse gives its error estimate (see rule_sum).
     """
-    e = np.sort(np.asarray(edges, dtype=float))  # np.unique would import numpy.ma
-    e = np.concatenate((e[:1], e[1:][e[1:] != e[:-1]]))
+    e = bnd.first_of_runs(np.sort(np.asarray(edges, dtype=float)))
     mid, half = 0.5 * (e[1:] + e[:-1])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
     (x2, w2), (x1, w1) = (_gauss(n) for n in (_RULE_ORDER, _RULE_ORDER // 2))
     n2 = x2.size * mid.size
@@ -337,7 +342,7 @@ def panel_edges(weight: wts.WeightSpec, bset: bnd.BoundarySet, sign: float,
     """
     kinks = bnd.kink_angles(bset, math.exp(-v_hi), sign)
     v_kinks = -np.log(kinks)  # descending, so each cell's first is its deepest
-    v_kinks = v_kinks[np.unique(np.floor(v_kinks / _KINK_SPACING), return_index=True)[1]]
+    v_kinks = bnd.first_of_runs(v_kinks, np.floor(v_kinks / _KINK_SPACING))
     crossings = _cut_crossings(weight, bset, sign, kinks, math.exp(-v_hi))
     inner = np.concatenate([v_kinks, crossings, np.asarray(breaks, dtype=float)])
     return np.concatenate([uniform_panels(v_lo, v_hi), inner[(v_lo < inner) & (inner < v_hi)]])

@@ -2,8 +2,9 @@
 asymptotic predictors set against the toolkit's closed forms and solvers,
 and the paper's objects that no command evaluates (the singular inner
 function, the classical condition integrands, the profile height y(x) and
-the growth-divergence integrand), and the walk-on-spheres estimate run
-one block after another, the reference of the windowed walk."""
+the growth-divergence integrand), the walk-on-spheres estimate run
+one block after another, the reference of the windowed walk, and the
+witness integrals summed one sample at a time."""
 
 import cmath
 import functools
@@ -13,8 +14,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from cyclicity import boundary, geometry, weights
-from cyclicity.auxfun import PrivalovShadow, herglotz_arc_integral
+from cyclicity import auxfun, boundary, geometry, weights
+from cyclicity.auxfun import PrivalovShadow, WitnessIntegral, herglotz_arc_integral
 from cyclicity.criterion import DEFAULT_MARGIN, DivergenceVerdict
 from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.geometry import increasing_root
@@ -214,6 +215,39 @@ def log_gamma_global_bracket(spec, u, d):
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
     return increasing_root(functools.partial(geometry._gamma_equation, spec), lo, hi, h_lo, h_hi, u, d)
+
+
+def witness_poisson_per_sample(weight, bset, ws, herglotz: bool = False) -> WitnessIntegral:
+    """auxfun._witness_poisson with its breaks and its sums made one sample at a time.
+
+    The same rule and the same boundary data; each sample's breaks, kernel,
+    rule sum and tail come from its own scalars (np.angle and abs of the
+    numpy complex, whose bits are np.hypot's).
+    """
+    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
+    spec = geometry.normalized_for_lambda1(weight)
+    depth = auxfun._witness_depth(spec)
+    tail = auxfun._witness_tail(spec, bset, depth)
+    breaks = []
+    for w in ws:
+        theta_w, delta = abs(float(np.angle(w))), 1.0 - abs(w)
+        steps = delta * 2.0 ** np.arange(-2, math.ceil(math.log2(2.0 * math.pi / delta)))
+        near = np.concatenate(([theta_w], theta_w + steps, theta_w - steps))
+        breaks.append(-np.log(near[(0.0 < near) & (near < math.pi)]))
+    v_lo = math.log(1.0 / math.pi)
+    pos, neg = (geometry.log_rule(geometry.panel_edges(spec, bset, sign, v_lo, depth, np.concatenate(breaks)))
+                for sign in (1.0, -1.0))
+    theta = np.concatenate([np.exp(-pos[0]), -np.exp(-neg[0])])
+    fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
+    data = auxfun.keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
+    e = np.exp(1j * theta)
+    value, error, beyond = [], [], []
+    for w in ws:
+        poisson = geometry.rule_sum((1.0 - abs(w) ** 2) / np.abs(e - w) ** 2 * data, fine, coarse)
+        value.append(((e + w) / (e - w) * data * fine).sum() if herglotz else poisson.value)
+        error.append(poisson.error)
+        beyond.append(2.0 * (1.0 - abs(w) ** 2) / (abs(1.0 - w) - math.exp(-depth)) ** 2 * tail)
+    return WitnessIntegral(*(np.array(x) / (2.0 * math.pi) for x in (value, error, beyond)))
 
 
 def log_sigma_mpmath(profile: DomainProfile, rho: float) -> float:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from crosschecks import c_lambda_inv_quad, herglotz_arc_integral_mpmath, herglotz_arc_integral_quad, singular_inner
+from crosschecks import (
+    c_lambda_inv_quad,
+    herglotz_arc_integral_mpmath,
+    herglotz_arc_integral_quad,
+    singular_inner,
+    witness_poisson_per_sample,
+)
 from cyclicity import auxfun, geometry
 from cyclicity.auxfun import (
     GammaRegionSpec,
@@ -346,6 +352,15 @@ class TestKeldyshWitness:
             keldysh_outer(weight, FULL, 1.0, 0.1 + 0.0j)
         assert not gamma_integral_is_convergent(weight, FULL)
 
+    def test_w_on_the_circle_is_refused(self):
+        # |w| is hypot's: this w has numpy abs an ulp below 1 and hypot 1
+        weight = WeightSpec("log_power", alpha=2.0)
+        w = 0.652016263584366 + 0.7582049802141123j
+        assert np.abs(np.complex128(w)) < 1.0 == math.hypot(w.real, w.imag)
+        for bad in (w, 1.5j):
+            with pytest.raises(DomainError, match=r"\|w\| < 1"):
+                keldysh_outer(weight, POINT, 1.0, bad)
+
     def test_convergence_guard_accepts(self):
         assert gamma_integral_is_convergent(WeightSpec("log_power", alpha=2.0), POINT)
 
@@ -433,6 +448,35 @@ class TestWitnessRule:
         sol = geometry.solve_gamma_array(weight, bset, [1e-2, 1e-3, 1e-4])
         got = auxfun._witness_poisson(weight, bset, (1.0 - sol.gamma) * np.exp(1j * sol.theta))
         np.testing.assert_allclose(got.value, recorded, rtol=1e-8)
+
+    @pytest.mark.parametrize("alpha,bset", [(3.0, POINT), (2.5, FULL), (3.0, BoundarySet("geometric")),
+                                            (3.0, BoundarySet("beta", beta=0.25))])
+    def test_samples_by_nodes_is_the_per_sample_loop(self, monkeypatch, alpha, bset):
+        # rule sums over samples-by-nodes kernels of any height give, bit for
+        # bit, the values, error estimates, tails and Herglotz values of a
+        # loop over the samples
+        weight = WeightSpec("log_power", alpha=alpha)
+        sol = geometry.solve_gamma_array(normalized_for_lambda1(weight), bset, [1e-2, -1e-3, 1e-4, 2.5])
+        ws = np.concatenate([(1.0 - sol.gamma) * np.exp(1j * sol.theta), [0.15 + 0.1j, -0.6j]])
+        refs = [witness_poisson_per_sample(weight, bset, ws, herglotz=herglotz) for herglotz in (False, True)]
+        rule_sum, shapes = geometry.rule_sum, []
+
+        def recorded(f, fine, coarse):
+            shapes.append(f.shape)
+            return rule_sum(f, fine, coarse)
+
+        monkeypatch.setattr(geometry, "rule_sum", recorded)
+        auxfun._witness_poisson(weight, bset, ws)
+        nodes = shapes[0][1]
+        # kernels of all six samples, of one sample each, and of four and two
+        for cells, kernels in ((6 * nodes, [6]), (1, [1] * 6), (4 * nodes + 1, [4, 2])):
+            monkeypatch.setattr(auxfun, "_WITNESS_CELLS", cells)
+            for herglotz, ref in zip((False, True), refs):
+                shapes.clear()
+                got = auxfun._witness_poisson(weight, bset, ws, herglotz=herglotz)
+                assert [shape[0] for shape in shapes] == kernels
+                for name, x, y in zip(got._fields, got, ref):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, cells, herglotz)
 
     def test_no_cutoff_below_1e8(self):
         # the boundary data is solved, not dropped, down to theta ~ 1e-290

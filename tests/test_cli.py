@@ -22,6 +22,7 @@ from cyclicity.cli import (
     build_parser,
     canonical_json,
     config_hash,
+    csv_lines,
     csv_text,
     json_report,
     run_command,
@@ -276,14 +277,22 @@ class TestCanonicalJson:
 
 class TestCsvText:
     def test_cells(self):
-        rows = [(0.1, np.float64(1.0 / 3.0), "short", True, 3, np.float32(0.5)),
-                (-0.0, math.nan, "long", False, np.int64(-2), -math.inf)]
-        assert csv_text(("a", "b", "c", "d", "e", "f"), rows) == (
+        # a float column's cells as %.12g, any other column's as str
+        columns = ([0.1, -0.0], np.array([1.0 / 3.0, math.nan]), ["short", "long"], [True, False],
+                   [3, np.int64(-2)], np.array([0.5, -math.inf], dtype=np.float32))
+        assert csv_text(("a", "b", "c", "d", "e", "f"), columns) == (
             "a,b,c,d,e,f\n0.1,0.333333333333,short,True,3,0.5\n-0,nan,long,False,-2,-inf\n")
 
-    def test_mixed_column_and_no_rows(self):
-        assert csv_text(("x",), iter([(1.5,), ("tag",), (7,)])) == "x\n1.5\ntag\n7\n"
-        assert csv_text(("x", "y"), []) == "x,y\n"
+    def test_no_rows(self):
+        assert csv_text(("x", "y"), ([], np.empty(0))) == "x,y\n"
+        assert csv_lines((np.empty(0), np.array([], dtype=object))) == ""
+
+    def test_columns_are_their_cells(self):
+        # the one format call gives each cell's own %.12g or str
+        values = np.array([0.1, 5e-324, 1.7976931348623157e308, 123456789012345.0, -2.5e-300, 2.0])
+        tags = np.array(["short", "long", "intermediate"])[[0, 1, 2, 2, 1, 0]]
+        expect = "".join("%.12g,%s,%.12g\n" % (v, t, -v) for v, t in zip(values.tolist(), tags.tolist()))
+        assert csv_lines((values, tags, -values)) == expect
 
 
 class TestCommands:
@@ -470,6 +479,15 @@ class TestCommands:
         assert out.startswith("SUP_H ")
         assert float(out.split()[1]) <= 1e-9
         assert f.read_text().splitlines()[0] == "lambda_re,lambda_im,z_re,z_im,H,case_tag"
+
+
+    def test_aux_verify_lemma_empty_region(self, capsys):
+        # no lambda of the grid lies in the region: the header alone, and SUP_H is -inf
+        code, out, err = run(capsys, "aux", "verify-lemma", "--weight", W1, "--set", PT,
+                             "--a", "1e-9", "--grid", "4")
+        assert code == EXIT_OK
+        assert out == "lambda_re,lambda_im,z_re,z_im,H,case_tag\n"
+        assert err.startswith('SUP_H "-inf"\n')
 
 
 class TestRefusals:

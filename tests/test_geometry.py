@@ -28,11 +28,17 @@ POINT = BoundarySet("point")
 LOG_FLOOR, LOG_TOP = math.log(1e-300), math.log(1.0 - 1e-12)  # the solver's global bracket in log gamma
 
 # inputs on which the solver's two-point start does not bracket on some side
-# and falls back to the global end there (const_w and the point set near pi
-# start on the exact root, so x1 == x0) or starts at a clamped end
+# and falls back to the global end there: a start at a clamped end, or
+# rounding that leaves h(x1) on the side of h(x0)
 FALLBACKS = {
-    "const_w": (WeightSpec("const_w"), FULL, 1e-3),
     "clamped-floor": (WeightSpec("log_power", alpha=4.0), FULL, 1e-290),
+    "same-sign": (WeightSpec("log_power", alpha=2.5, scale=0.1), POINT, 7.952183377984458e-231),
+}
+# inputs whose start lands on the exact root, h(x0) == 0 and so x1 == x0:
+# const_w on the full circle, and the point set near pi, where Lambda's
+# argument is held at 2
+EXACT_STARTS = {
+    "const_w": (WeightSpec("const_w"), FULL, 1e-3),
     "x1-equals-x0": (normalized_for_lambda1(WeightSpec("log_power", alpha=2.0)), POINT, -3.1),
 }
 
@@ -158,8 +164,10 @@ class TestSolveGamma:
         cases = [(WeightSpec("log_power", alpha=2.0), bset, thetas)
                  for bset in (FULL, POINT, BoundarySet("geometric"), BoundarySet("beta", beta=0.25),
                               BoundarySet("cantor", depth=12))]
-        # each fallback case among angles that bracket at once
-        cases += [(spec, bset, np.append(thetas, theta)) for spec, bset, theta in FALLBACKS.values()]
+        # each fallback and exact-start case among angles that bracket at
+        # once, so that the solve runs the bracketing angles apart from them
+        cases += [(spec, bset, np.append(thetas, theta))
+                  for spec, bset, theta in {**FALLBACKS, **EXACT_STARTS}.values()]
         for spec, bset, angles in cases:
             sols = solve_gamma_array(spec, bset, angles)
             assert sols.gamma.shape == angles.shape
@@ -183,11 +191,9 @@ class TestSolveGamma:
         np.testing.assert_allclose(got.gamma, ref.gamma, rtol=2e-13, atol=0.0)
         assert np.all(got.residual <= 1e-12 * np.maximum(got.gamma, 1e-300))
 
-    @pytest.mark.parametrize("case", sorted(FALLBACKS))
-    def test_fallback_to_the_global_end(self, case):
-        # the start reaches a global end of the bracket, and the result is
-        # the global-bracket solve's
-        spec, bset, theta = FALLBACKS[case]
+    @staticmethod
+    def recorded_solve(spec, bset, theta):
+        """solve_gamma's solution and every log gamma at which it evaluated the equation."""
         equation, seen = geometry._gamma_equation, []
 
         def recorded(*args):
@@ -195,9 +201,27 @@ class TestSolveGamma:
             return equation(*args)
 
         with mock.patch.object(geometry, "_gamma_equation", recorded):
-            got = solve_gamma(spec, bset, theta)
-        ends = {LOG_FLOOR, LOG_TOP} & set(seen)
-        assert ends == ({LOG_FLOOR} if case == "clamped-floor" else {LOG_FLOOR, LOG_TOP})
+            return solve_gamma(spec, bset, theta), seen
+
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_fallback_to_the_global_end(self, case):
+        # the start reaches the lower global end of the bracket, and the
+        # result is the global-bracket solve's
+        spec, bset, theta = FALLBACKS[case]
+        got, seen = self.recorded_solve(spec, bset, theta)
+        assert {LOG_FLOOR, LOG_TOP} & set(seen) == {LOG_FLOOR}
+        assert got.gamma == pytest.approx(solve_from_global_bracket(spec, bset, theta).gamma, rel=2e-13)
+
+    @pytest.mark.parametrize("case", sorted(EXACT_STARTS))
+    def test_exact_start_is_the_root(self, case):
+        # a start on the exact root is returned as it is: three evaluations
+        # (the two start points and the residual certificate), no global
+        # end, a zero residual, and the global-bracket solve's gamma
+        spec, bset, theta = EXACT_STARTS[case]
+        got, seen = self.recorded_solve(spec, bset, theta)
+        assert len(seen) == 3 and len(set(seen)) == 1
+        assert not {LOG_FLOOR, LOG_TOP} & set(seen)
+        assert got.residual == 0.0 and got.gamma == math.exp(seen[0])
         assert got.gamma == pytest.approx(solve_from_global_bracket(spec, bset, theta).gamma, rel=2e-13)
 
     @pytest.mark.parametrize("spec, bset, theta, message", [
@@ -358,6 +382,20 @@ class TestHalfplane:
     def test_w_equals_one(self):
         with pytest.raises(DomainError):
             to_halfplane(1.0 + 0.0j)
+        with pytest.raises(DomainError):
+            to_halfplane(np.array([0.5, 1.0]))
+
+    def test_array_is_its_scalar_calls(self):
+        # bit for bit, and R is 1/abs(1 - w) as Python computes it
+        rng = np.random.default_rng(26)
+        w = np.concatenate([rng.uniform(-1.0, 1.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300),
+                            (1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 300))
+                            * np.exp(1j * rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-10.0, 0.49, 300))])
+        hp = to_halfplane(w)
+        scalar = [to_halfplane(x) for x in w.tolist()]
+        assert all(type(p.R) is float and type(p.phi) is float for p in scalar)
+        assert hp.R.tolist() == [p.R for p in scalar] == [1.0 / abs(1.0 - x) for x in w.tolist()]
+        assert hp.phi.tolist() == [p.phi for p in scalar]
 
 
 class TestProfileSolver:
