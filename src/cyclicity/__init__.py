@@ -19,7 +19,6 @@ from .criterion import (
 )
 from .auxfun import (
     GammaRegionSpec,
-    PrivalovShadow,
     c_lambda,
     h_lambda,
     in_gamma_region,

@@ -54,49 +54,12 @@ from .errors import DomainError, NumericError, UsageError
 _EXP_CAP = 700.0  # exp overflow guard
 _GUARD_CHECKPOINTS = 12  # cutoffs of the convergence guard
 _GUARD_U_MAX = 300.0  # deepest log(1/theta) the convergence guard integrates to
-_WITNESS_U = 667.0  # deepest log(1/|theta|) of the witness rule: theta ~ 2e-290
-_WITNESS_CELLS = 2**20  # cells of a samples x nodes witness kernel; nodes grow with samples
-_LOG_GAMMA_FLOOR = 690.0  # just inside log(1e300): the gamma solver's lower bracket
+_WITNESS_U = float(math.floor(-math.log(bnd._ENUM_FLOOR)))  # 667: the witness rule's deepest log(1/|theta|)
+_LOG_GAMMA_FLOOR = float(math.floor(-math.log(geo._GAMMA_FLOOR)))  # 690: the gamma solver's lower bracket
 
 
 # ---------------------------------------------------------------------------
 # the Privalov shadow
-
-
-@dataclass(frozen=True)
-class PrivalovShadow:
-    """Boundary arc of length 1-|lambda| centered at arg(lambda)."""
-
-    lam: complex
-
-    def __post_init__(self) -> None:
-        r = abs(self.lam)
-        if not (0.0 < r < 1.0):
-            raise DomainError("shadow needs 0 < |lambda| < 1")
-
-    @property
-    def center(self) -> float:
-        return cmath.phase(self.lam)
-
-    @property
-    def half_length(self) -> float:
-        return 0.5 * (1.0 - abs(self.lam))
-
-    @property
-    def lo(self) -> float:
-        return self.center - self.half_length
-
-    @property
-    def hi(self) -> float:
-        return self.center + self.half_length
-
-    def distance_from(self, z):
-        """Distance from z to the arc; z may be an array, and a scalar gives a float."""
-        zs = np.asarray(z, dtype=complex)
-        inside = np.mod(np.angle(zs) - self.lo, 2.0 * math.pi) <= self.hi - self.lo
-        ends = np.minimum(np.abs(zs - cmath.exp(1j * self.lo)), np.abs(zs - cmath.exp(1j * self.hi)))
-        d = np.where(inside, np.abs(np.abs(zs) - 1.0), ends)
-        return float(d) if d.ndim == 0 else d
 
 
 def herglotz_arc_integral(z, lo: float, hi: float):
@@ -143,19 +106,21 @@ def c_lambda(lam: complex) -> float:
 def log_f_lambda(lam: complex, z):
     """log f(z): Herglotz integral over the shadow, scaled by c_lambda.
 
+    The shadow is the arc phase(lambda) -/+ h, h = (1-|lambda|)/2; z's
+    distance to it is that of z e^{-i phase(lambda)} to the arc set [-h, h].
     z may be an array of points for the one lambda; a scalar z gives a complex.
     """
     lam = complex(lam)
     zs = np.asarray(z, dtype=complex)
     if np.count_nonzero(np.abs(zs) >= 1.0):
         raise DomainError("log_f_lambda needs |z| < 1")
-    if lam == 1.0:
-        raise DomainError("lambda = 1 is not allowed")
-    sh = PrivalovShadow(lam)
-    if np.count_nonzero(sh.distance_from(zs) < 1e-12):
+    c = c_lambda(lam)  # refuses all but 0 < |lambda| < 1
+    phase, h = cmath.phase(lam), 0.5 * (1.0 - abs(lam))
+    shadow = bnd.BoundarySet("arc", a=-h, b=h)  # the shadow turned to phase 0
+    if np.count_nonzero(bnd.distance_to_set(shadow, zs * cmath.exp(-1j * phase)) < 1e-12):
         raise NumericError("z is within 1e-12 of the shadow arc")
     ratio = (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
-    return c_lambda(lam) * ratio * herglotz_arc_integral(zs, sh.lo, sh.hi)
+    return c * ratio * herglotz_arc_integral(zs, phase - h, phase + h)
 
 
 def h_lambda(weight: wts.WeightSpec, bset: bnd.BoundarySet, lam: complex, z):
@@ -332,14 +297,13 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
     fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
     data = keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
     e, top = np.exp(1j * theta), 1.0 - modulus ** 2  # top: the kernels' 1 - |w|^2
-    rows, sums = max(1, _WITNESS_CELLS // theta.size), []
-    for k in range(0, ws.size, rows):
-        w = ws[k:k + rows, None]
-        poisson = geo.rule_sum(top[k:k + rows, None] / np.abs(e - w) ** 2 * data, fine, coarse)
-        sums.append((((e + w) / (e - w) * data * fine).sum(-1) if herglotz else poisson.value, poisson.error))
-    value, error = (np.concatenate(x) for x in zip(*sums))
+    value, error = [], []
+    for w, t in zip(ws, top):
+        poisson = geo.rule_sum(t / np.abs(e - w) ** 2 * data, fine, coarse)
+        value.append(((e + w) / (e - w) * data * fine).sum() if herglotz else poisson.value)
+        error.append(poisson.error)
     beyond = 2.0 * top / (np.hypot((1.0 - ws).real, (1.0 - ws).imag) - math.exp(-depth)) ** 2 * tail
-    return WitnessIntegral(*(x / (2.0 * math.pi) for x in (value, error, beyond)))
+    return WitnessIntegral(*(np.array(x) / (2.0 * math.pi) for x in (value, error, beyond)))
 
 
 def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: float,

@@ -69,7 +69,7 @@ class Arc:
 
 
 @dataclass(frozen=True)
-class BoundarySet(config.JsonConfig, what="set", required="kind"):
+class BoundarySet(config.JsonConfig, what="set"):
     kind: str
     beta: float | None = None
     depth: int | None = None

@@ -2,7 +2,8 @@
 
 A field's annotation is its JSON type: float takes a number (int or float,
 never a bool), int an integer (never a bool), bool true or false, str a
-string, and X | None also null.  The dataclass's __post_init__ checks values.
+string, and X | None also null.  A field without a default is required.
+The dataclass's __post_init__ checks values.
 """
 
 from __future__ import annotations
@@ -30,32 +31,37 @@ def _field_types(cls) -> dict:
     return types
 
 
-def check_types(cls, obj: dict, what: str) -> None:
-    """Refuse any value of obj whose type is not its field's JSON type."""
-    for name, value in obj.items():
-        accepted, desc = _field_types(cls)[name]
-        if type(value) not in accepted:  # exact types, so a bool is no int
-            raise UsageError(f"{what} config field {name!r} must be {desc}, not {json.dumps(value, default=repr)}")
+@functools.cache
+def _required(cls) -> tuple:
+    """The fields without a default, in declaration order, found once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING)
 
 
 class JsonConfig:
-    """Base of a config dataclass X(JsonConfig, what=name in messages, required=key)."""
+    """Base of a config dataclass X(JsonConfig, what=name in messages)."""
 
-    def __init_subclass__(cls, what: str, required: str, **kwargs):
+    def __init_subclass__(cls, what: str, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._what, cls._required = what, required
+        cls._what = what
 
     @classmethod
     def from_json(cls, obj):
-        """cls built from a JSON object whose keys are its fields, the required one among them."""
+        """cls built from a JSON object of its fields; refuses unknown keys, then a missing
+        required field, then a value that is not its field's JSON type."""
         if not isinstance(obj, dict):
             raise UsageError(f"{cls._what} config must be a JSON object")
-        unknown = set(obj) - set(_field_types(cls))
+        types = _field_types(cls)
+        unknown = set(obj) - set(types)
         if unknown:
             raise UsageError(f"unknown {cls._what} config fields: {sorted(unknown)}")
-        if cls._required not in obj:
-            raise UsageError(f"{cls._what} config requires {cls._required!r}")
-        check_types(cls, obj, cls._what)
+        for name in _required(cls):
+            if name not in obj:
+                raise UsageError(f"{cls._what} config requires {name!r}")
+        for name, value in obj.items():
+            accepted, desc = types[name]
+            if type(value) not in accepted:  # exact types, so a bool is no int
+                raise UsageError(f"{cls._what} config field {name!r} must be {desc}, not "
+                                 f"{json.dumps(value, default=repr)}")
         return cls(**obj)
 
     def to_json(self) -> dict:

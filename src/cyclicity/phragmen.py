@@ -46,7 +46,7 @@ _GRADES = 40  # sigma panels halving toward the lower end; the last is 2^-40 of 
 
 
 @dataclass(frozen=True)
-class DomainProfile:
+class DomainProfile(config.JsonConfig, what="profile"):
     variant: str
     phi: str
     value: float | None = None  # constant for phi == "const"
@@ -103,24 +103,22 @@ class DomainProfile:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        out: dict = {"variant": self.variant, "phi": self.phi}
-        if self.value is not None:
-            out["params"] = {"value": self.value}
+        out = super().to_json()
+        if "value" in out:
+            out["params"] = {"value": out.pop("value")}
         return out
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DomainProfile":
-        if not isinstance(obj, dict):
-            raise UsageError("profile config must be a JSON object")
-        unknown = set(obj) - {"variant", "phi", "params"}
-        if unknown:
-            raise UsageError(f"unknown profile config fields: {sorted(unknown)}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict) or set(params) - {"value"}:
-            raise UsageError("profile params may only carry 'value'")
-        fields = {k: v for k, v in obj.items() if k != "params"} | params
-        config.check_types(cls, fields, "profile")
-        return cls(fields.get("variant"), fields.get("phi"), fields.get("value"))
+    def from_json(cls, obj) -> "DomainProfile":
+        """The profile of {"variant", "phi", "params": {"value": x}}; value is read from params alone."""
+        if isinstance(obj, dict):
+            if "value" in obj:
+                raise UsageError(f"unknown profile config fields: {sorted(set(obj) - {'variant', 'phi', 'params'})}")
+            params = obj.get("params", {})
+            if not isinstance(params, dict) or set(params) - {"value"}:
+                raise UsageError("profile params may only carry 'value'")
+            obj = {k: v for k, v in obj.items() if k != "params"} | params
+        return super().from_json(obj)
 
 
 # ---------------------------------------------------------------------------

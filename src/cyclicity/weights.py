@@ -42,7 +42,7 @@ DEFAULT_T_CUT = math.exp(-2.0)
 
 
 @dataclass(frozen=True)
-class WeightSpec(config.JsonConfig, what="weight", required="family"):
+class WeightSpec(config.JsonConfig, what="weight"):
     """A weight family plus regularized-continuation parameters."""
 
     family: str

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from cyclicity import auxfun, boundary, geometry, weights
-from cyclicity.auxfun import PrivalovShadow, WitnessIntegral, herglotz_arc_integral
+from cyclicity.auxfun import WitnessIntegral, herglotz_arc_integral
 from cyclicity.criterion import DEFAULT_MARGIN, DivergenceVerdict
 from cyclicity.errors import DomainError, NumericError, UsageError
 from cyclicity.geometry import increasing_root
@@ -143,9 +143,10 @@ def herglotz_arc_integral_mpmath(z: complex, lo: float, hi: float) -> complex:
 
 
 def c_lambda_inv_quad(lam: complex) -> float:
-    """1/c_lambda as the Poisson integral over the shadow at lambda."""
-    sh = PrivalovShadow(lam)
-    return herglotz_arc_integral(lam, sh.lo, sh.hi).real
+    """1/c_lambda as the Poisson integral over the shadow at lambda, the arc
+    of length 1 - |lambda| centred at phase(lambda)."""
+    phase, half = cmath.phase(lam), 0.5 * (1.0 - abs(lam))
+    return herglotz_arc_integral(lam, phase - half, phase + half).real
 
 
 def profile_y_predictor(weight, x: float) -> float:

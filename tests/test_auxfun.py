@@ -17,7 +17,6 @@ from crosschecks import (
 from cyclicity import auxfun, geometry
 from cyclicity.auxfun import (
     GammaRegionSpec,
-    PrivalovShadow,
     c_lambda,
     case_tag,
     gamma_integral_is_convergent,
@@ -102,8 +101,14 @@ class TestShadowConstant:
             assert 1.0 / c_lambda(lam) >= 0.8
 
     def test_shadow_length(self):
-        sh = PrivalovShadow(0.6 * cmath.exp(0.5j))
-        assert sh.hi - sh.lo == pytest.approx(0.4, rel=1e-13)
+        # log f is c_lambda times the Herglotz integral over the arc of length
+        # 1 - |lambda| centred at phase(lambda), bit for bit
+        zs = lambda_grid(30, seed=8)
+        for lam in (0.6 * cmath.exp(0.5j), -0.9, 0.3j, 0.95 * cmath.exp(-3.0j)):
+            phase, half = cmath.phase(lam), 0.5 * (1.0 - abs(lam))
+            ratio = (1.0 - abs(lam) ** 2) / abs(1.0 - lam) ** 2
+            want = c_lambda(lam) * ratio * herglotz_arc_integral(zs, phase - half, phase + half)
+            assert log_f_lambda(lam, zs).tobytes() == want.tobytes()
 
 
 class TestHerglotz:
@@ -203,19 +208,28 @@ class TestFLambda:
                 assert log_f_lambda(lam, z).real <= cap + 1e-9
 
     def test_near_shadow_rejected(self):
-        lam = 0.9
-        sh = PrivalovShadow(lam)
-        z = cmath.exp(1j * sh.center) * (1.0 - 1e-14)
-        with pytest.raises(NumericError):
-            log_f_lambda(lam, z)
+        # a point by the shadow phase(lambda) -/+ h is refused, its mirror
+        # image in the real axis is not
+        for lam in (0.9, 0.8 * cmath.exp(1.0j), -0.5j):
+            phase, h = cmath.phase(lam), 0.5 * (1.0 - abs(lam))
+            with pytest.raises(NumericError):
+                log_f_lambda(lam, cmath.exp(1j * (phase + 0.5 * h)) * (1.0 - 1e-14))
+            if phase != 0.0:
+                assert math.isfinite(log_f_lambda(lam, cmath.exp(-1j * (phase + 0.5 * h)) * (1.0 - 1e-14)).real)
 
     def test_near_shadow_rejected_across_the_cut(self):
-        # the shadow of lambda = -0.9 spans angle pi; angles come in (-pi, pi]
-        sh = PrivalovShadow(-0.9)
-        z = 0.99 * cmath.exp(1j * (0.01 - math.pi))
-        assert sh.distance_from(z) == pytest.approx(0.01, rel=1e-12)
+        # the shadow of lambda = -0.9 spans angle pi; angles come in (-pi, pi].
+        # Turned to phase 0 it is the arc set [-0.05, 0.05]
+        lam, z = -0.9, 0.99 * cmath.exp(1j * (0.01 - math.pi))
+        shadow = BoundarySet("arc", a=-0.05, b=0.05)
+        assert distance_to_set(shadow, z * cmath.exp(-1j * cmath.phase(lam))) == pytest.approx(0.01, rel=1e-12)
         with pytest.raises(NumericError):
             log_f_lambda(-0.9, [0.2, (1.0 - 1e-13) * cmath.exp(1j * (0.01 - math.pi))])
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5j, -1.0 - 1e-9])
+    def test_lambda_outside_the_disc_refused(self, lam):
+        with pytest.raises(DomainError, match="0 < \\|lambda\\| < 1"):
+            log_f_lambda(lam, 0.2)
 
     def test_array_calls_match_scalar_calls(self):
         zs = lambda_grid(30, seed=5)
@@ -451,32 +465,24 @@ class TestWitnessRule:
 
     @pytest.mark.parametrize("alpha,bset", [(3.0, POINT), (2.5, FULL), (3.0, BoundarySet("geometric")),
                                             (3.0, BoundarySet("beta", beta=0.25))])
-    def test_samples_by_nodes_is_the_per_sample_loop(self, monkeypatch, alpha, bset):
-        # rule sums over samples-by-nodes kernels of any height give, bit for
-        # bit, the values, error estimates, tails and Herglotz values of a
-        # loop over the samples
+    def test_sums_are_the_per_sample_reference(self, alpha, bset):
+        # the values, error estimates, tails and Herglotz values are, bit for
+        # bit, those of the reference whose breaks and sums are made one
+        # sample at a time
         weight = WeightSpec("log_power", alpha=alpha)
         sol = geometry.solve_gamma_array(normalized_for_lambda1(weight), bset, [1e-2, -1e-3, 1e-4, 2.5])
         ws = np.concatenate([(1.0 - sol.gamma) * np.exp(1j * sol.theta), [0.15 + 0.1j, -0.6j]])
-        refs = [witness_poisson_per_sample(weight, bset, ws, herglotz=herglotz) for herglotz in (False, True)]
-        rule_sum, shapes = geometry.rule_sum, []
+        for herglotz in (False, True):
+            got = auxfun._witness_poisson(weight, bset, ws, herglotz=herglotz)
+            ref = witness_poisson_per_sample(weight, bset, ws, herglotz=herglotz)
+            for name, x, y in zip(got._fields, got, ref):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, herglotz)
 
-        def recorded(f, fine, coarse):
-            shapes.append(f.shape)
-            return rule_sum(f, fine, coarse)
-
-        monkeypatch.setattr(geometry, "rule_sum", recorded)
-        auxfun._witness_poisson(weight, bset, ws)
-        nodes = shapes[0][1]
-        # kernels of all six samples, of one sample each, and of four and two
-        for cells, kernels in ((6 * nodes, [6]), (1, [1] * 6), (4 * nodes + 1, [4, 2])):
-            monkeypatch.setattr(auxfun, "_WITNESS_CELLS", cells)
-            for herglotz, ref in zip((False, True), refs):
-                shapes.clear()
-                got = auxfun._witness_poisson(weight, bset, ws, herglotz=herglotz)
-                assert [shape[0] for shape in shapes] == kernels
-                for name, x, y in zip(got._fields, got, ref):
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (name, cells, herglotz)
+    def test_depths_restate_the_floors(self):
+        # the rule's depth and the solver's bracket are floor(-log) of the
+        # enumeration floor 1e-290 and the gamma floor 1e-300
+        assert type(auxfun._WITNESS_U) is float and auxfun._WITNESS_U == 667.0
+        assert type(auxfun._LOG_GAMMA_FLOOR) is float and auxfun._LOG_GAMMA_FLOOR == 690.0
 
     def test_no_cutoff_below_1e8(self):
         # the boundary data is solved, not dropped, down to theta ~ 1e-290

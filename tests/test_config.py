@@ -120,3 +120,23 @@ class TestTypeRefusals:
             BoundarySet.from_json({"beta": "x"})
         with pytest.raises(UsageError, match="profile params may only carry 'value'"):
             DomainProfile.from_json({"variant": "sector", "phi": "x", "params": {"value": "1", "v": 1}})
+
+    @pytest.mark.parametrize("cls, obj, message", [
+        (WeightSpec, {"alpha": 1.0}, "weight config requires 'family'"),
+        (BoundarySet, {"depth": 3}, "set config requires 'kind'"),
+        (DomainProfile, {"variant": "sector"}, "profile config requires 'phi'"),
+        (DomainProfile, {"phi": "x"}, "profile config requires 'variant'"),
+        (DomainProfile, {}, "profile config requires 'variant'"),
+    ])
+    def test_fields_without_a_default_are_required(self, cls, obj, message):
+        with pytest.raises(UsageError) as info:
+            cls.from_json(obj)
+        assert str(info.value) == message
+
+    def test_profile_value_only_in_params(self):
+        # a top-level value is an unknown field, as it was before profiles read their JSON as configs
+        for obj, unknown in (({"variant": "sector", "phi": "const", "value": 1}, "['value']"),
+                             ({"variant": "sector", "value": 1, "junk": 2}, "['junk', 'value']")):
+            with pytest.raises(UsageError) as info:
+                DomainProfile.from_json(obj)
+            assert str(info.value) == f"unknown profile config fields: {unknown}"
