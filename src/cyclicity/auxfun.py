@@ -268,10 +268,12 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
                      herglotz: bool = False) -> WitnessIntegral:
     """Poisson (or Herglotz) integrals of the unit-amplitude boundary data at each w.
 
-    One composite Gauss-Legendre rule in v = log(1/|theta|) per side of the
-    circle serves every w: geometry.panel_edges (uniform panels, kinks,
-    pure-cut crossings) plus panels graded by powers of 2 in
-    delta = 1 - |w| around each w's angle, from
+    The weight is the normalized one (geometry.normalized_for_lambda1) that
+    both witness entries build once and their guard takes.  One composite
+    Gauss-Legendre rule in v = log(1/|theta|) per side of the circle serves
+    every w: geometry.panel_edges (uniform panels, kinks, pure-cut
+    crossings) plus panels graded by powers of 2 in delta = 1 - |w| around
+    each w's angle, from
     |theta| = pi down to |theta| = e^-depth (about 1e-290), all solved in
     one array call.  The value stops at that depth: data and Poisson kernel
     are >= 0, so stopping only lowers it.  The error estimate is the
@@ -282,9 +284,8 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
     modulus = np.hypot(ws.real, ws.imag)  # numpy's abs may be an ulp off, and 1 - |w|^2 cancels
     if np.any(modulus >= 1.0):
         raise DomainError("witness evaluation needs |w| < 1")
-    spec = geo.normalized_for_lambda1(weight)
-    depth = _witness_depth(spec)
-    tail = _witness_tail(spec, bset, depth)
+    depth = _witness_depth(weight)
+    tail = _witness_tail(weight, bset, depth)
     theta_w, delta = np.abs(np.angle(ws)), 1.0 - modulus
     count = np.ceil(np.log2(2.0 * math.pi / delta))  # steps delta * 2^k, k = -2 .. count - 1, per side
     power = np.arange(-2.0, count.max())
@@ -292,10 +293,10 @@ def _witness_poisson(weight: wts.WeightSpec, bset: bnd.BoundarySet, ws,
     near = np.concatenate((theta_w[:, None], theta_w[:, None] + steps, theta_w[:, None] - steps), axis=1)
     breaks = -np.log(near[(0.0 < near) & (near < math.pi)])  # NaN fails both tests
     v_lo = math.log(1.0 / math.pi)
-    pos, neg = (geo.log_rule(geo.panel_edges(spec, bset, sign, v_lo, depth, breaks)) for sign in (1.0, -1.0))
+    pos, neg = (geo.log_rule(geo.panel_edges(weight, bset, sign, v_lo, depth, breaks)) for sign in (1.0, -1.0))
     theta = np.concatenate([np.exp(-pos[0]), -np.exp(-neg[0])])
     fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
-    data = keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
+    data = keldysh_log_boundary(weight, bset, theta) * np.abs(theta)
     e, top = np.exp(1j * theta), 1.0 - modulus ** 2  # top: the kernels' 1 - |w|^2
     value, error = [], []
     for w, t in zip(ws, top):
@@ -310,14 +311,15 @@ def keldysh_outer(weight: wts.WeightSpec, bset: bnd.BoundarySet, amplitude: floa
                   w: complex) -> complex:
     """Outer function with boundary modulus exp(amplitude * gamma(theta)/theta^2).
 
-    Requires the criterion integral to converge (see
-    gamma_integral_is_convergent); the boundary data is then integrable and
-    the Herglotz integral defines an outer function.
+    Requires the criterion integral of the normalized weight to converge
+    (see gamma_integral_is_convergent); the boundary data is then integrable
+    and the Herglotz integral defines an outer function.
     """
     if amplitude < 0.0:
         raise DomainError("amplitude must be nonnegative")
     if amplitude == 0.0:
         return complex(1.0, 0.0)
+    weight = geo.normalized_for_lambda1(weight)
     if not gamma_integral_is_convergent(weight, bset):
         raise DomainError("criterion integral diverges; no outer witness exists")
     lf = amplitude * complex(_witness_poisson(weight, bset, [w], herglotz=True).value[0])
@@ -330,15 +332,17 @@ def witness_amplitude_search(weight: wts.WeightSpec, bset: bnd.BoundarySet,
                              thetas, max_power: int = 10) -> int:
     """Smallest dyadic amplitude dominating the required boundary growth.
 
-    At each sampled boundary point w = (1 - gamma) e^{i theta} the witness
-    must satisfy log|F(w)| > (1-|w|^2)/|1-w|^2 + Lambda(dist(w, E)).  log|F|
+    The weight is normalized first (geometry.normalized_for_lambda1); the
+    guard, gamma and the witness all take that weight.  At each sampled
+    boundary point w = (1 - gamma) e^{i theta} the witness must satisfy
+    log|F(w)| > (1-|w|^2)/|1-w|^2 + Lambda(dist(w, E)).  log|F|
     is linear in the amplitude, so one Poisson integral per sample suffices;
     one rule serves all samples.  The search divides by the integral less
     its rule error estimate; stopping the rule at its depth only lowers it.
     """
+    weight = geo.normalized_for_lambda1(weight)
     if not gamma_integral_is_convergent(weight, bset):
         raise DomainError("criterion integral diverges; no outer witness exists")
-    weight = geo.normalized_for_lambda1(weight)
     sol = geo.solve_gamma_array(weight, bset, thetas)
     ws = (1.0 - sol.gamma) * np.exp(1j * sol.theta)
     poisson = _witness_poisson(weight, bset, ws)

@@ -14,7 +14,9 @@ geometric   angles 2^-n, n >= 0, accumulating at 0
 doubly_exp  angles 2^-(2^n), n >= 0, plus the window anchor 1
 beta        angles exp(-n^(1-beta)), n >= 1, plus the anchor 1, beta in [0, 1/2]
 cantor      the middle-thirds set at a finite generation depth (1..38);
-            its gap ends are integer numerators over 3^g, exact in int64
+            its gap ends are integer numerators over 3^g, exact in int64,
+            and every float end of a Cantor gap or interval, here and in
+            the criterion, is cantor_ends' correctly rounded num / 3^g
 
 The fields of BoundarySet are its JSON config: BoundarySet("cantor",
 depth=20) is {"kind": "cantor", "depth": 20}.  Each point-sequence kind has
@@ -47,6 +49,8 @@ from .errors import CapacityError, DomainError, UsageError
 KINDS = ("full", "arc", "point", "geometric", "doubly_exp", "beta", "cantor")
 
 MAX_CANTOR_DEPTH = 38  # 3^38 < 2^63, gap endpoints stay exact in 64-bit terms
+_EXACT_GEN = 33  # 3^33 < 2^53: up to here num and 3^gen are exact floats
+_POW3 = np.array([float(3**g) for g in range(_EXACT_GEN + 1)])
 _MAX_ARC_LIST = 1 << 21
 # deeper Cantor sets give the gamma quadrature no kink breaks; lifting the
 # bound would change its panels (geometry.panel_edges) on those sets
@@ -146,7 +150,34 @@ def _sequence_blocks(bset: BoundarySet, cutoff: float, size: int):
 
 
 # ---------------------------------------------------------------------------
-# Cantor machinery: every Cantor quantity comes from one walk, cantor_walk
+# Cantor machinery: every Cantor quantity comes from one walk, cantor_walk,
+# and every float end of a gap or interval from one rule, cantor_ends
+
+
+def cantor_ends(num: np.ndarray, gen):
+    """(num / 3^gen, (num + 1) / 3^gen), each correctly rounded: the float
+    ends of the Cantor gaps or intervals (num, num + 1) / 3^gen.
+
+    gen is one generation or an array like num.  Up to _EXACT_GEN, num and
+    3^gen are exact floats, so one IEEE division is the correctly rounded
+    quotient; deeper ends are quotients of Python ints.
+    """
+    if not isinstance(gen, np.ndarray) and gen <= _EXACT_GEN:  # divide by one exact scalar
+        return num / _POW3[gen], (num + 1) / _POW3[gen]
+    gen = np.broadcast_to(gen, num.shape)
+    den = _POW3[np.minimum(gen, _EXACT_GEN)]
+    ends = num / den, (num + 1) / den
+    deep = np.flatnonzero(gen > _EXACT_GEN)
+    exact = (3 ** gen[deep]).tolist()  # exact in int64
+    for end, k in zip(ends, (num[deep], num[deep] + 1)):
+        end[deep] = [n / d for n, d in zip(k.tolist(), exact)]
+    return ends
+
+
+def cantor_generation(x: float) -> int:
+    """The generation of the scale x: ceil(log(1/x) / log 3), the first g
+    with 3^-g <= x up to rounding."""
+    return int(math.ceil(math.log(1.0 / x) / math.log(3.0)))
 
 
 def cantor_walk(depth: int, children, owner=None):
@@ -187,8 +218,10 @@ def _gap_walk(depth: int, step, limit: int, overflow: str):
 
 def cantor_gaps(depth: int, cutoff: float):
     """(num, gen): the gaps (num, num + 1) / 3^gen of F_depth with b > cutoff."""
-    return _gap_walk(depth, lambda g, n: ((3 * n + 2) * 3.0 ** -(g + 1) > cutoff, (n + 1) * 3.0**-g > cutoff),
-                     _MAX_ARC_LIST, "cantor arc enumeration exceeds the list capacity; use a larger cutoff")
+    def step(g, num):  # a gap inside an interval ends below it, rounded too
+        return cantor_ends(3 * num + 1, g + 1)[1] > cutoff, cantor_ends(num, g)[1] > cutoff
+
+    return _gap_walk(depth, step, _MAX_ARC_LIST, "cantor arc enumeration exceeds the list capacity; use a larger cutoff")
 
 
 def cantor_nonshort_candidates(depth: int, step):
@@ -207,16 +240,16 @@ def cantor_locate(depth: int, theta):
     found = np.stack([flat, flat, 0.0 * flat])
 
     def children(g, num, owner):
-        den, x = 3.0 ** -(g + 1), flat[owner]
-        lo, hi = (3 * num + 1) * den, (3 * num + 2) * den
+        x = flat[owner]
+        lo, hi = cantor_ends(3 * num + 1, g + 1)
         gap = (lo < x) & (x < hi)
         found[:2, owner[gap]] = lo[gap], hi[gap]
-        found[2, owner[x >= lo]] += den * (2.0 / 3.0) ** (depth - g - 1)  # the left child lies below x
+        found[2, owner[x >= lo]] += 3.0 ** -(g + 1) * (2.0 / 3.0) ** (depth - g - 1)  # the left child lies below x
         return x < lo, x > hi
 
     num, owner = cantor_walk(depth, children, np.arange(flat.size))
-    den = 3.0**-depth
-    found[2, owner] += np.maximum(0.0, np.minimum(flat[owner], (num + 1) * den) - num * den)
+    lo, hi = cantor_ends(num, depth)
+    found[2, owner] += np.maximum(0.0, np.minimum(flat[owner], hi) - lo)
     return tuple(found.reshape((3,) + t.shape))
 
 
@@ -228,12 +261,6 @@ def cantor_measure(depth: int, x):
 
 # ---------------------------------------------------------------------------
 # complementary arcs
-
-
-def _cantor_ends(num: np.ndarray, gen: np.ndarray):
-    """(num, num + 1) / 3^gen, each the exact quotient of Python ints correctly rounded."""
-    den = (3**gen).tolist()  # exact in int64
-    return [np.array([n / d for n, d in zip(k.tolist(), den)], dtype=float) for k in (num, num + 1)]
 
 
 def arc_blocks(bset: BoundarySet, cutoff: float, size: int):
@@ -263,7 +290,7 @@ def arc_blocks(bset: BoundarySet, cutoff: float, size: int):
         a, b = np.array([float(bset.b) if bset.kind == "arc" else 0.0]), np.ones(1)
     else:
         num, gen = cantor_gaps(bset.depth, cutoff)
-        a, b = _cantor_ends(num, gen)
+        a, b = cantor_ends(num, gen)
         # the walk lists gaps by generation; a deep gap (3^g > 2^53) may have
         # coinciding float ends, and then no float angle lies inside it
         order = np.argsort(-b, kind="stable")

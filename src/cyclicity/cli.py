@@ -359,7 +359,7 @@ def _arc_listing(weight, bset, eps, cutoff):
     if bset.kind == "cantor":
         # list generations down to the cutoff scale; deeper gaps sit below
         # it or are exponentially many slivers of the listed ones
-        gen_cap = max(1, min(bset.depth, int(math.ceil(math.log(1.0 / cutoff) / math.log(3.0)))))
+        gen_cap = max(1, min(bset.depth, bnd.cantor_generation(cutoff)))
         bset = bnd.BoundarySet("cantor", depth=gen_cap, mirror=bset.mirror)
     blocks = bnd.arc_blocks(bset, cutoff, crit.ARC_BLOCK)
     names = np.array(crit.ARC_CLASSES)

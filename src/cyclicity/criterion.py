@@ -227,22 +227,21 @@ def _cantor_nonshort(weight, depth, eps_min):
     """
     cut = weight.pure_cut
     if eps_min < 3.0**-depth:
-        need = int(math.ceil(math.log(1.0 / eps_min) / math.log(3.0)))
+        need = bnd.cantor_generation(eps_min)
         raise CapacityError(f"cantor depth {depth} insufficient for eps={eps_min!r}; need depth >= {need}")
-    den = np.array([3.0**-g for g in range(depth + 1)])  # Python's 3.0**-g; numpy's power can differ by an ulp
 
     def step(g, num):  # one effective_w call per generation
-        a, b = (3 * num + 1) * den[g + 1], (3 * num + 2) * den[g + 1]
+        a, b = bnd.cantor_ends(3 * num + 1, g + 1)
         k = np.flatnonzero(is_scored(weight, a) & (b >= eps_min))
-        a, b, x = a[k], np.minimum(b[k], cut), num * den[g]
+        a, b, x = a[k], np.minimum(b[k], cut), bnd.cantor_ends(num, g)[0]
         inner = (num > 0) & (x < cut)
         w = wts.effective_w(weight, np.concatenate((b, x[inner])))
         walk_on = num == 0
-        walk_on[inner] = den[g + 1] * w[k.size:] * 1.001 >= 2.0 * x[inner]
+        walk_on[inner] = 3.0 ** -(g + 1) * w[k.size:] * 1.001 >= 2.0 * x[inner]
         return k[_arc_class(a, b, w[:k.size]) != 0], walk_on
 
-    num, gen = bnd.cantor_nonshort_candidates(depth, step)
-    return num * den[gen], np.minimum((num + 1) * den[gen], cut)
+    a, b = bnd.cantor_ends(*bnd.cantor_nonshort_candidates(depth, step))
+    return a, np.minimum(b, cut)
 
 
 def _cantor_e_integral(weight, depth, eps):
@@ -267,10 +266,10 @@ def _cantor_e_integral(weight, depth, eps):
 
     def children(g, num, _owner):
         w = 3.0**-g
-        x = num * w  # left ends of the live generation-g intervals
-        live = (x + w > eps[-1]) & (x < cut)
+        x, end = bnd.cantor_ends(num, g)  # the live generation-g intervals [x, end]
+        live = (end > eps[-1]) & (x < cut)
         k = np.searchsorted(-eps, -x)  # eps[k] <= x < edges[k]
-        done = live & (k < eps.size) & (x + w <= edges[np.minimum(k, eps.size - 1)]) & (100.0 * w <= x)
+        done = live & (k < eps.size) & (end <= edges[np.minimum(k, eps.size - 1)]) & (100.0 * w <= x)
         n = depth - g
         mid, half = x[done] + 0.5 * w, w * math.sqrt(0.125 - 9.0**-n / 24.0)
         t = np.concatenate((mid - half, mid + half))
@@ -278,10 +277,10 @@ def _cantor_e_integral(weight, depth, eps):
         pieces[:] += np.bincount(np.tile(k[done], 2), rule, eps.size) * (0.5 * w * (2.0 / 3.0) ** n)
         return live & ~done, live & ~done
 
-    w = 3.0**-depth
-    x = bnd.cantor_walk(depth, children)[0] * w  # left ends of the generation-depth intervals
-    x = x[(x + w > eps[-1]) & (x < cut)][:, None]
-    pieces += wts.inv_tw_integral(weight, 1.0, np.maximum(x, eps), np.minimum(x + w, edges[:-1])).sum(axis=0)
+    x, end = bnd.cantor_ends(bnd.cantor_walk(depth, children)[0], depth)  # the generation-depth intervals
+    keep = (end > eps[-1]) & (x < cut)
+    x, end = x[keep][:, None], end[keep][:, None]
+    pieces += wts.inv_tw_integral(weight, 1.0, np.maximum(x, eps), np.minimum(end, edges[:-1])).sum(axis=0)
     return np.cumsum(pieces)
 
 
@@ -531,10 +530,11 @@ def cantor_reduced_partials(weight: wts.WeightSpec, depth: int, count: int = 20)
     Returns (checkpoints, partial sums), checkpoints descending from just
     below the pure cut to 3^-depth.
     """
-    if depth < 8:
-        raise UsageError("need depth >= 8 for a usable scan")
     cut = weight.pure_cut
     u0 = math.log(1.0 / cut) + 0.2
+    need = bnd.cantor_generation(1e-4 * math.exp(-u0))  # divergence_verdict's 4 decades from e^-u0
+    if depth < need:
+        raise UsageError(f"depth {depth} gives checkpoints under 4 geometric decades; need depth >= {need}")
     u_max = depth * math.log(3.0)
     if u_max <= 1.5 * u0:
         raise UsageError("pure region leaves too little depth below the cut")

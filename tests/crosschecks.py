@@ -226,9 +226,8 @@ def witness_poisson_per_sample(weight, bset, ws, herglotz: bool = False) -> Witn
     numpy complex, whose bits are np.hypot's).
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
-    spec = geometry.normalized_for_lambda1(weight)
-    depth = auxfun._witness_depth(spec)
-    tail = auxfun._witness_tail(spec, bset, depth)
+    depth = auxfun._witness_depth(weight)
+    tail = auxfun._witness_tail(weight, bset, depth)
     breaks = []
     for w in ws:
         theta_w, delta = abs(float(np.angle(w))), 1.0 - abs(w)
@@ -236,11 +235,11 @@ def witness_poisson_per_sample(weight, bset, ws, herglotz: bool = False) -> Witn
         near = np.concatenate(([theta_w], theta_w + steps, theta_w - steps))
         breaks.append(-np.log(near[(0.0 < near) & (near < math.pi)]))
     v_lo = math.log(1.0 / math.pi)
-    pos, neg = (geometry.log_rule(geometry.panel_edges(spec, bset, sign, v_lo, depth, np.concatenate(breaks)))
+    pos, neg = (geometry.log_rule(geometry.panel_edges(weight, bset, sign, v_lo, depth, np.concatenate(breaks)))
                 for sign in (1.0, -1.0))
     theta = np.concatenate([np.exp(-pos[0]), -np.exp(-neg[0])])
     fine, coarse = (np.concatenate([pos[k], neg[k]]) for k in (1, 2))
-    data = auxfun.keldysh_log_boundary(spec, bset, theta) * np.abs(theta)
+    data = auxfun.keldysh_log_boundary(weight, bset, theta) * np.abs(theta)
     e = np.exp(1j * theta)
     value, error, beyond = [], [], []
     for w in ws:

@@ -54,7 +54,7 @@ def test_acceptance_1_cantor_threshold():
             true_q = 1.0 - alpha * (1.0 - KAPPA / 2.0)
             assert row["fitted_exponent"] == pytest.approx(true_q, abs=0.05), (alpha, row)
     elapsed = time.monotonic() - started
-    assert elapsed < 60.0
+    assert elapsed < 10.0
     _report(1, "cantor threshold scan, depth 30", started)
 
 
@@ -68,7 +68,7 @@ def test_acceptance_2_interpolating_matrix():
                 expect = "divergent" if prod <= 1.0 else "convergent"
                 assert row["verdict"] == expect, (alpha, beta, row)
     elapsed = time.monotonic() - started
-    assert elapsed < 120.0
+    assert elapsed < 10.0
     _report(2, "interpolating-family matrix", started)
 
 
@@ -160,7 +160,7 @@ def test_acceptance_5_phragmen_lindelof():
         for rho, est in ests.items():
             assert est.mean - 3.0 * est.standard_error <= c_fit * bounds[rho], (rho, est)
     elapsed = time.monotonic() - started
-    assert elapsed < 120.0
+    assert elapsed < 10.0
     _report(5, "sigma closed forms and MC harmonic-measure bound", started)
 
 
@@ -261,7 +261,7 @@ def test_acceptance_8_keldysh_witness():
 
     norm = normalized_for_lambda1(weight)
     ws = [(1.0 - solve_gamma(norm, point, theta).gamma) * cmath.exp(1j * theta) for theta in thetas]
-    bases = _witness_poisson(weight, point, ws).value
+    bases = _witness_poisson(norm, point, ws).value
     for theta, w, base in zip(thetas, ws, bases):
         lhs = amp * base
         rhs = (1.0 - abs(w) ** 2) / abs(1.0 - w) ** 2 + eval_lambda(

@@ -396,7 +396,8 @@ class TestKeldyshWitness:
         weight = WeightSpec("log_power", alpha=2.0)
         for w in (0.3 + 0.2j, 0.5 - 0.1j):
             keldysh_outer(weight, POINT, 1.0, w)
-        assert calls == [(weight, POINT)]
+        # the guard takes the normalized weight, the one the witness uses
+        assert calls == [(normalized_for_lambda1(weight), POINT)]
 
     def test_witness_amplitude_and_inequality(self):
         weight = WeightSpec("log_power", alpha=2.0)
@@ -415,15 +416,26 @@ class TestKeldyshWitness:
                 norm, min(distance_to_set(POINT, w), 2.0))
             assert math.log(abs(F)) > rhs
 
+    def test_guard_takes_the_normalized_weight(self):
+        # above scale ~2.7 every scale normalizes to the same weight up to its
+        # last bit, so the witness and its guard must not see the raw scale,
+        # whose gamma has no root below 1 at 1e6
+        small, large = (WeightSpec("log_power", alpha=3.0, scale=s) for s in (1e4, 1e6))
+        thetas = [1e-2, 1e-3]
+        assert witness_amplitude_search(large, POINT, thetas) == witness_amplitude_search(small, POINT, thetas) == 4
+        for w in (0.3 + 0.2j, 0.9 * cmath.exp(0.01j)):
+            assert keldysh_outer(large, POINT, 1.0, w) == pytest.approx(keldysh_outer(small, POINT, 1.0, w), rel=1e-12)
+
     def test_interior_value_reproducible_two_quadratures(self):
         # |F| at an interior point, computed via the Herglotz route and via
         # the real Poisson route, agree to the quadrature tolerance
         from cyclicity.auxfun import _witness_poisson
 
         weight = WeightSpec("log_power", alpha=2.0)
+        norm = normalized_for_lambda1(weight)
         w = 0.15 + 0.1j
-        herg = _witness_poisson(weight, POINT, [w], herglotz=True).value[0]
-        pois = _witness_poisson(weight, POINT, [w], herglotz=False).value[0]
+        herg = _witness_poisson(norm, POINT, [w], herglotz=True).value[0]
+        pois = _witness_poisson(norm, POINT, [w], herglotz=False).value[0]
         assert herg.real == pytest.approx(pois, rel=1e-9)
         F = keldysh_outer(weight, POINT, 2.0, w)
         assert abs(F) == pytest.approx(math.exp(2.0 * pois), rel=1e-9)
@@ -469,8 +481,8 @@ class TestWitnessRule:
         # the values, error estimates, tails and Herglotz values are, bit for
         # bit, those of the reference whose breaks and sums are made one
         # sample at a time
-        weight = WeightSpec("log_power", alpha=alpha)
-        sol = geometry.solve_gamma_array(normalized_for_lambda1(weight), bset, [1e-2, -1e-3, 1e-4, 2.5])
+        weight = normalized_for_lambda1(WeightSpec("log_power", alpha=alpha))
+        sol = geometry.solve_gamma_array(weight, bset, [1e-2, -1e-3, 1e-4, 2.5])
         ws = np.concatenate([(1.0 - sol.gamma) * np.exp(1j * sol.theta), [0.15 + 0.1j, -0.6j]])
         for herglotz in (False, True):
             got = auxfun._witness_poisson(weight, bset, ws, herglotz=herglotz)

@@ -16,7 +16,9 @@ from cyclicity.boundary import (
     BoundarySet,
     arc_arrays,
     arc_blocks,
+    cantor_ends,
     cantor_gaps,
+    cantor_locate,
     cantor_measure,
     complementary_arcs,
     distance_to_set,
@@ -177,6 +179,35 @@ class TestComplementaryArcs:
         for first, second in zip(arcs, arcs[1:]):
             assert first.b > second.b
             assert second.b <= first.a or second.a >= first.b  # disjoint
+
+    @given(st.integers(min_value=1, max_value=38), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1))
+    @example(33, [0.0, 0.3, 1.0])
+    @example(34, [0.0, 0.3, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_cantor_ends_are_correctly_rounded(self, gen, fractions):
+        # num / 3^gen and (num + 1) / 3^gen equal Python's int quotients bit
+        # for bit, for one generation and for an array of generations
+        num = [min(int(f * 3**gen), 3**gen - 1) for f in fractions]
+        expect = [[n / 3**gen for n in num], [(n + 1) / 3**gen for n in num]]
+        num = np.array(num, dtype=np.int64)
+        for got in (cantor_ends(num, gen), cantor_ends(num, np.full(num.size, gen))):
+            assert [end.tolist() for end in got] == expect
+
+    def test_cantor_ends_mix_generations(self):
+        # an array of generations on both sides of 3^33 < 2^53 < 3^34
+        gen = np.array([1, 33, 34, 38, 20])
+        num = np.array([1, 3**33 - 2, 3**34 // 2, 3**38 - 1, 12345], dtype=np.int64)
+        got = cantor_ends(num, gen)
+        for end, k in zip(got, (num, num + 1)):
+            assert end.tolist() == [n / 3**g for n, g in zip(k.tolist(), gen.tolist())]
+
+    @pytest.mark.parametrize("depth", [1, 5, 9, 13])
+    def test_located_gap_ends_are_the_listed_ends(self, depth):
+        # the gap holding each listed arc's midpoint, as cantor_locate (and so
+        # distance_to_set) finds it, has the listed float ends
+        a, b = arc_arrays(BoundarySet("cantor", depth=depth), 0.0)
+        lo, hi, _ = cantor_locate(depth, 0.5 * (a + b))
+        assert lo.tolist() == a.tolist() and hi.tolist() == b.tolist()
 
     def test_cantor_self_similarity_exact(self):
         # depth N+1 gaps inside [0, 1/3] are exactly one third of depth N gaps:

@@ -152,6 +152,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "--version")
         assert (code, out, err) == (EXIT_OK, __version__ + "\n", "")
 
+    @pytest.mark.parametrize("alpha, depth, need", [(1.0, 8, 11), (2.0, 10, 11), (4.0, 11, 13)])
+    def test_shallow_teo3_scan_names_the_depth_it_needs(self, capsys, alpha, depth, need):
+        code, out, err = run(capsys, "scan", "--theorem", "teo3", "--alpha-from", repr(alpha),
+                             "--alpha-to", repr(alpha), "--step", "1", "--depth", str(depth))
+        assert code == EXIT_USAGE and out == ""
+        assert f"need depth >= {need}" in err and "4 geometric decades" in err
+        code, _, _ = run(capsys, "scan", "--theorem", "teo3", "--alpha-from", repr(alpha),
+                         "--alpha-to", repr(alpha), "--step", "1", "--depth", str(need))
+        assert code == EXIT_OK
+
+    def test_keldysh_at_a_large_scale_normalizes_before_its_guard(self, capsys):
+        amplitudes = []
+        for scale in ("1e4", "1e6"):
+            weight = f'{{"family":"log_power","alpha":3.0,"scale":{scale}}}'
+            code, out, _ = run(capsys, "aux", "keldysh", "--weight", weight, "--set", PT, "--samples", "1e-2,1e-3")
+            assert code == EXIT_OK
+            amplitudes.append(json.loads(out)["results"]["amplitude"])
+        assert amplitudes == [4, 4]
+
     def test_help_returns_exit_code(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == EXIT_OK and out.startswith("usage: cyclicity")

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from crosschecks import checkpoint_sums_by_segment, condition_partials_quad, divergence_verdict_numpy
 from cyclicity import criterion
-from cyclicity.boundary import Arc, BoundarySet, arc_arrays, cantor_gaps, complementary_arcs
+from cyclicity.boundary import Arc, BoundarySet, arc_arrays, complementary_arcs
 from cyclicity.criterion import (
     DEFAULT_MARGIN,
     KAPPA,
@@ -197,14 +197,13 @@ class TestCantorEngineExact:
            st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=13))
     @settings(max_examples=150, deadline=None)
     def test_walk_lists_exactly_the_nonshort_gaps(self, family, exponent, log_scale, t_cut, depth, eps_gen):
-        # the walk's bound only prunes: of all the gaps, with the same float
-        # ends, it lists those scored, kept and found non-short by _arc_class
+        # the walk's bound only prunes: of all the gaps the per-arc listing
+        # gives, with the same float ends, it lists those scored, kept and
+        # found non-short by _arc_class
         exp = {"log_power": {"alpha": exponent}, "from_w": {"p": exponent}, "const_w": {}}[family]
         weight = WeightSpec(family, t_cut=t_cut, scale=10.0**log_scale, **exp)
         eps_min = 3.0 ** -min(eps_gen, depth)
-        num, gen = cantor_gaps(depth, 0.0)
-        den = np.array([3.0**-g for g in range(depth + 1)])
-        a, b = num * den[gen], (num + 1) * den[gen]
+        a, b = arc_arrays(BoundarySet("cantor", depth=depth), 0.0)
         keep = criterion.is_scored(weight, a) & (b >= eps_min)
         a, b = a[keep], np.minimum(b[keep], weight.pure_cut)
         nonshort = criterion._arc_class(a, b, effective_w(weight, b)) != 0
@@ -763,6 +762,17 @@ class TestScan:
             if alpha <= 1.4:
                 true_q = 1.0 - alpha * (1.0 - KAPPA / 2.0)
                 assert row["fitted_exponent"] == pytest.approx(true_q, abs=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 8.0, 12.0])
+    def test_teo3_names_the_smallest_depth_that_fits(self, alpha):
+        # a depth too shallow for 4 decades of checkpoints is refused before
+        # the fit, naming the smallest depth, and that depth is fitted
+        with pytest.raises(UsageError, match=r"need depth >= \d+") as refused:
+            theorem_scan_point("teo3", alpha, depth=1)
+        need = int(str(refused.value).rsplit(">= ", 1)[1])
+        with pytest.raises(UsageError, match=f"need depth >= {need}$"):
+            theorem_scan_point("teo3", alpha, depth=need - 1)
+        assert theorem_scan_point("teo3", alpha, depth=need)["verdict"] in ("divergent", "convergent", "inconclusive")
 
     def test_nikolski_rows(self):
         # the square-root condition integral grows like u^(1 - alpha/2) in
