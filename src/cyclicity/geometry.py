@@ -6,15 +6,14 @@ boundary radius 1 - gamma(theta), where gamma solves
     gamma = theta^2 * Lambda(gamma + dist(e^{i theta}, E)).
 
 g(gamma) = gamma - theta^2 Lambda(gamma + d) is strictly increasing (Lambda
-is decreasing), so the root is unique; it is found by Chandrupatla's method
-(inverse quadratic interpolation safeguarded by bisection) in x = log gamma,
-with u = log(1/|theta|) in place of theta^2 (gamma may be as small as
-1e-300, where g is hopeless to evaluate in linear space).  The bracket comes
-from one fixed-point step: in x the equation reads x = T(x) with T
-decreasing, so x and T(x) lie on opposite sides of the root, and two
-evaluations from the guess gamma + d = |theta| bracket it tightly, or
-land on it exactly.  Where they do neither, the bracket falls back to
-[1e-300, 1 - 1e-12], whose ends decide the refusals.  The root-finder runs on arrays of angles,
+is decreasing), so the root is unique.  It is found in x = log gamma, with
+u = log(1/|theta|) in place of theta^2 (gamma may be as small as 1e-300,
+where g is hopeless to evaluate in linear space), by safeguarded Newton
+steps from the guess gamma + d = |theta|.  The equation is evaluated as a
+sum of terms that are each exact or small, with its closed-form slope from
+weights.log_w2, which lies in [1, 2]; the global bracket
+[1e-300, 1 - 1e-12] bounds the iterates, and its ends, where an iterate
+reaches them, decide the refusals.  The solver runs on arrays of angles,
 freezing each as it converges; solve_gamma is its one-angle case.  Every
 solution carries a residual certificate.
 
@@ -45,9 +44,10 @@ from . import weights as wts
 from .errors import DomainError, NumericError, UsageError
 
 _GAMMA_FLOOR = 1e-300
+_LOG2 = math.log(2.0)  # log t where Lambda's argument is held at t = 2
 _THETA_FLOOR = 1e-300  # below this theta itself is not representable
 _RESIDUAL_REL = 1e-12
-_MAX_STEPS = 200  # root-finder steps; about 10 are needed
+_MAX_STEPS = 200  # root-finder steps; Newton on gamma needs about 5, increasing_root about 10
 _BLOCK = 4096  # angles solved together; bounds the solver's working memory
 _RULE_ORDER = 20  # Gauss-Legendre points per panel; the error estimate uses half as many
 _ROUNDING = 50.0 * np.finfo(float).eps  # relative rounding allowance of a rule sum
@@ -134,59 +134,82 @@ def increasing_root(f, lo, hi, f_lo, f_hi, *args):
     raise NumericError("root-finder did not converge within the step cap")
 
 
-def _gamma_equation(spec: wts.WeightSpec, x, u, d):
-    """h(x) = x + 2u - log Lambda(e^x + d): the sign of gamma - theta^2 Lambda(gamma + d), gamma = e^x."""
-    return x + 2.0 * u - np.log(wts.eval_lambda(spec, np.minimum(np.exp(x) + d, 2.0)))
+def _gamma_equation(spec: wts.WeightSpec, x, u, log_d_u):
+    """h(x) = log gamma - log(theta^2 Lambda(gamma + d)) at gamma = e^x, and its slope h'(x).
+
+    log_d_u is log d + u = log(d/|theta|) (-inf where d = 0).  With
+    t = min(gamma + d, 2) and Lambda(t) = 1/(t w_eff(t)^2),
+    h = (x + u) + (log t + u) + 2 log w_eff(t), where log t + u is
+    max(x + u, log d + u) + log1p(e^-|x - log d|): near the root x + u and
+    log d + u are sums of two nearly opposite terms, which are exact, so h
+    keeps its absolute accuracy where gamma and |theta| are tiny.  Where t
+    reaches 2, log t + u is held at log 2 + u and h' = 1; elsewhere
+    h' = 1 + (gamma/t)(1 + d(2 log w_eff)/d(log t)), which lies in [1, 2].
+    """
+    x_u, cap = x + u, _LOG2 + u
+    log_t_u = np.maximum(x_u, log_d_u) + np.log1p(np.exp(-np.abs(x_u - log_d_u)))
+    held = log_t_u >= cap
+    log_t_u = np.minimum(log_t_u, cap)
+    w2, slope = wts.log_w2(spec, u - log_t_u)
+    dh = 1.0 + np.exp(x_u - log_t_u) * (1.0 + slope)
+    dh[held] = 1.0
+    return x_u + log_t_u + w2, dh
 
 
-def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _log_gamma(spec: wts.WeightSpec, u: np.ndarray, log_d_u: np.ndarray) -> np.ndarray:
     """x = log gamma of gamma = e^(-2u) Lambda(gamma + d), elementwise (1-d arrays).
 
-    _gamma_equation is h(x) = x - T(x) with T(x) = log Lambda(min(e^x + d, 2))
-    - 2u decreasing, so x and T(x) lie on opposite sides of the root.  The
-    bracket starts from x0 = log Lambda(min(|theta|, 2)) - 2u, T where
-    gamma + d = |theta| (1 is in E, so d <= |theta|), and x1 = x0 - h(x0),
-    both clamped to [log 1e-300, log(1 - 1e-12)].  Where h(x1) == 0 strictly
-    inside those ends, x1 is the root and is returned as it is: x1 == x0
-    where h(x0) == 0, as for const_w on the full circle and wherever
-    Lambda's argument is held at 2.  Elsewhere, where the pair does not
-    strictly bracket, that side falls back to its global end, whose sign
-    decides the refusals as if the whole bracket had been evaluated; that
-    happens at a clamped end and where rounding leaves h(x1) on the side of
-    h(x0).
-    increasing_root then narrows the bracket to at most 1e-14 + 4e-16
-    |log gamma|; converged elements are frozen.
+    Safeguarded Newton on _gamma_equation (rtsafe, Press et al., Numerical
+    Recipes, sec. 9.4), started where gamma + d = |theta| (1 is in E, so
+    d <= |theta|).  Every iterate is clipped to the global bracket
+    [log 1e-300, log(1 - 1e-12)] and kept strictly inside the bracket of the
+    iterates evaluated so far (h <= 0 at its lower end, h >= 0 at its upper);
+    where a step leaves it, the solver bisects it, with the global end in
+    place of a side that has no iterate yet.  A global end evaluated with
+    the wrong sign of h refuses the block as if both ends had been evaluated
+    for every angle: the lower end's refusal where any h(log 1e-300) >= 0.
+    An angle stops when its Newton step is at most 1e-14 + 4e-16 |x| and
+    returns x minus that step (unless that leaves the global bracket);
+    converged angles are frozen.
     """
-    h = functools.partial(_gamma_equation, spec)
     ends = (math.log(_GAMMA_FLOOR), math.log(1.0 - 1e-12))
-    x0 = np.clip(np.log(wts.eval_lambda(spec, np.minimum(np.exp(-u), 2.0))) - 2.0 * u, *ends)
-    h0 = h(x0, u, d)
-    root = np.clip(x0 - h0, *ends)
-    h1 = h(root, u, d)
-    rest = ~((h1 == 0.0) & (ends[0] < root) & (root < ends[1]))
-    x0, h0, x1, h1, u, d = (v[rest] for v in (x0, h0, root, h1, u, d))
-    swap = x1 < x0
-    lo, h_lo = np.where(swap, x1, x0), np.where(swap, h1, h0)
-    hi, h_hi = np.where(swap, x0, x1), np.where(swap, h0, h1)
-    for x, hx, bad, end in ((lo, h_lo, ~(h_lo < 0.0), ends[0]), (hi, h_hi, ~(h_hi > 0.0), ends[1])):
-        if np.count_nonzero(bad):
-            x[bad] = end
-            hx[bad] = h(x[bad], u[bad], d[bad])
-    if np.any(h_lo >= 0.0):
-        raise NumericError("lower bracket failed; weight is not admissible at this theta")
-    if np.any(h_hi <= 0.0):
-        raise NumericError(
-            "no root with gamma < 1; Lambda is too large at scale 1 "
-            "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
-        )
-    root[rest] = increasing_root(h, lo, hi, h_lo, h_hi, u, d)
-    return root
+    L = np.maximum(u, -_LOG2)  # log(1/min(|theta|, 2))
+    x = np.clip(L - wts.log_w2(spec, L)[0] - 2.0 * u, *ends)
+    lo, hi = np.full(x.shape, -np.inf), np.full(x.shape, np.inf)
+    root, idx, args = np.empty(x.shape), np.arange(x.size), (u, log_d_u)
+    for _ in range(_MAX_STEPS):
+        if not idx.size:
+            return root
+        h, dh = _gamma_equation(spec, x, *args)
+        np.putmask(lo, h <= 0.0, x)
+        np.putmask(hi, h >= 0.0, x)
+        if np.count_nonzero((hi <= ends[0]) | (lo >= ends[1])):
+            if np.count_nonzero(_gamma_equation(spec, np.full(u.shape, ends[0]), u, log_d_u)[0] >= 0.0):
+                raise NumericError("lower bracket failed; weight is not admissible at this theta")
+            raise NumericError(
+                "no root with gamma < 1; Lambda is too large at scale 1 "
+                "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
+            )
+        step = h / dh
+        new = x - step
+        small = np.abs(step) <= 1e-14 + 4e-16 * np.abs(x)
+        x = np.minimum(np.maximum(new, ends[0]), ends[1])  # np.clip, without its dispatch cost
+        done = small & (x == new)
+        if np.count_nonzero(done):
+            root[idx[done]] = new[done]
+            keep = ~done
+            idx, x, lo, hi = (v[keep] for v in (idx, x, lo, hi))
+            args = tuple(v[keep] for v in args)
+        out = (x <= lo) | (x >= hi)
+        if np.count_nonzero(out):
+            x[out] = 0.5 * (np.maximum(lo[out], ends[0]) + np.minimum(hi[out], ends[1]))
+    raise NumericError("root-finder did not converge within the step cap")
 
 
-def _residual(spec: wts.WeightSpec, x, u, d):
-    """|gamma - theta^2 Lambda(gamma + d)| = gamma |1 - exp(-_gamma_equation)|, underflow-safe."""
+def _residual(spec: wts.WeightSpec, x, u, log_d_u):
+    """|gamma - theta^2 Lambda(gamma + d)| = gamma |1 - exp(-h)| with h from _gamma_equation, underflow-safe."""
     gamma = np.exp(x)
-    residual = gamma * np.abs(1.0 - np.exp(-_gamma_equation(spec, x, u, d)))
+    residual = gamma * np.abs(1.0 - np.exp(-_gamma_equation(spec, x, u, log_d_u)[0]))
     bad = ~(residual <= _RESIDUAL_REL * np.maximum(gamma, _GAMMA_FLOOR))  # a NaN residual fails
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
@@ -217,7 +240,9 @@ def solve_gamma_array(weight: wts.WeightSpec, bset: bnd.BoundarySet, thetas) -> 
         t = flat[block]
         d[block] = bnd.distance_to_set(bset, np.exp(1j * t))
         u = -np.log(np.abs(t))
-        gamma[block], residual[block] = _residual(weight, _log_gamma(weight, u, d[block]), u, d[block])
+        with np.errstate(divide="ignore"):  # d = 0 on E gives log d = -inf, which h handles
+            log_d_u = np.log(d[block]) + u
+        gamma[block], residual[block] = _residual(weight, _log_gamma(weight, u, log_d_u), u, log_d_u)
     shape = theta.shape
     return GammaSolution(theta=theta, gamma=gamma.reshape(shape), residual=residual.reshape(shape),
                          dist_at_theta=d.reshape(shape))

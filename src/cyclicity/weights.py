@@ -17,7 +17,9 @@ is continuous, keeps Lambda strictly decreasing on all of (0, 2], and cannot
 change any divergence verdict (those depend on t -> 0 only).
 
 eval_lambda and effective_w have one path for scalars and arrays: a scalar
-t is evaluated as a one-element array and gives a float.
+t is evaluated as a one-element array and gives a float.  log_w2 gives
+2 log w_eff = -log(t Lambda) and its slope in log t as functions of
+L = log(1/t), for callers that work in logs (the gamma solver).
 
 inv_tw_integral is the one closed form of the integrals of dt/(t w_eff^power)
 over the pure region.  The classical condition integrals are its powers:
@@ -28,6 +30,7 @@ C_beta condition Lambda^(1-beta)/t^beta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -142,6 +145,30 @@ def eval_lambda(spec: WeightSpec, t):
     return _result(spec.scale * unit, t)
 
 
+@functools.lru_cache(maxsize=64)
+def _log_cut(cut: float) -> float:
+    """log(1/cut) with the bits _log_inv gives t = cut, so that t <= cut is L >= _log_cut(cut)."""
+    return float(_log_inv(np.array([cut]), cut)[0])
+
+
+def log_w2(spec: WeightSpec, L):
+    """2 log w_eff(t) = -log(t Lambda(t)) and its derivative in log t, at L = log(1/t) (arrays).
+
+    On the pure region these are a log L - log scale and -a/L; on the tail
+    t Lambda(t) is constant, so the value is held at L_cut = log(1/pure_cut)
+    and the derivative is 0.  Lambda itself is never formed, so t may be as
+    small as L allows.  const_w gives -log scale and 0.
+    """
+    L = np.asarray(L, dtype=float)
+    a, log_scale = spec.log_exponent, math.log(spec.scale)
+    if a == 0.0:
+        return np.full(L.shape, -log_scale), np.zeros(L.shape)
+    L_cut = _log_cut(spec.pure_cut)
+    pure = L >= L_cut
+    L = np.maximum(L, L_cut)
+    return a * np.log(L) - log_scale, np.where(pure, -a / L, 0.0)
+
+
 def effective_w(spec: WeightSpec, t):
     """w for which Lambda = 1/(t w^2) holds identically on (0, 2].
 
@@ -202,8 +229,8 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
     """Grid report of t*Lambda(t), t|Lambda'|/Lambda, monotonicity.
 
     The grid must be decreasing, contain at least 8 points inside the pure
-    region, and span at least 4 decades.  On the pure region
-    t|Lambda'|/Lambda = |1 - a/log(1/t)|, which needs no Lambda' (that
+    region, and span at least 4 decades.  t|Lambda'|/Lambda is
+    |1 + d(2 log w_eff)/d(log t)| from log_w2, which needs no Lambda' (that
     overflows below t ~ 1e-154).
     """
     ts = np.fromiter(grid, dtype=float)
@@ -220,8 +247,7 @@ def check_regularity(spec: WeightSpec, grid) -> RegularityReport:
     lam = eval_lambda(spec, ts)
     tl = ts * lam
     i_max = int(np.argmax(tl))
-    a = spec.log_exponent
-    ratios = np.abs(1.0 - a / _log_inv(ts, cut)) if a > 0.0 else np.ones_like(ts)
+    ratios = np.abs(1.0 + log_w2(spec, _log_inv(ts, cut))[1])
     return RegularityReport(
         max_t_lambda=float(tl[i_max]),
         argmax_t_lambda=float(ts[i_max]),

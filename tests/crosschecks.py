@@ -7,7 +7,6 @@ one block after another, the reference of the windowed walk, and the
 witness integrals summed one sample at a time."""
 
 import cmath
-import functools
 import math
 
 import mpmath
@@ -198,16 +197,20 @@ def cut_crossings_bisection(spec, bset, sign: float, kinks, floor: float) -> np.
     return 0.5 * (lo + hi)
 
 
-def log_gamma_global_bracket(spec, u, d):
-    """geometry._log_gamma started from the whole bracket [log 1e-300, log(1 - 1e-12)].
+def log_gamma_global_bracket(spec, u, log_d_u):
+    """geometry._log_gamma solved by increasing_root from the whole bracket [log 1e-300, log(1 - 1e-12)].
 
-    The solver's former start: both global ends are evaluated for every
-    angle, they alone decide the refusals, and increasing_root runs from
-    there to the same stopping rule.
+    A bracketing solve of the same h: both global ends are evaluated for
+    every angle, they alone decide the refusals, and increasing_root runs
+    from there to the same stopping rule.
     """
     lo = np.full(u.shape, math.log(1e-300))
     hi = np.full(u.shape, math.log(1.0 - 1e-12))
-    h_lo, h_hi = geometry._gamma_equation(spec, lo, u, d), geometry._gamma_equation(spec, hi, u, d)
+
+    def h(x, u, log_d_u):
+        return geometry._gamma_equation(spec, x, u, log_d_u)[0]
+
+    h_lo, h_hi = h(lo, u, log_d_u), h(hi, u, log_d_u)
     if np.any(h_lo >= 0.0):
         raise NumericError("lower bracket failed; weight is not admissible at this theta")
     if np.any(h_hi <= 0.0):
@@ -215,7 +218,7 @@ def log_gamma_global_bracket(spec, u, d):
             "no root with gamma < 1; Lambda is too large at scale 1 "
             "(solve for normalized_for_lambda1(weight) or restrict to smaller |theta|)"
         )
-    return increasing_root(functools.partial(geometry._gamma_equation, spec), lo, hi, h_lo, h_hi, u, d)
+    return increasing_root(h, lo, hi, h_lo, h_hi, u, log_d_u)
 
 
 def witness_poisson_per_sample(weight, bset, ws, herglotz: bool = False) -> WitnessIntegral:

@@ -14,6 +14,7 @@ from cyclicity.weights import (
     eval_lambda,
     effective_w,
     inv_tw_integral,
+    log_w2,
 )
 
 E = math.e
@@ -173,11 +174,50 @@ class TestEvalW:
         assert type(effective_w(WeightSpec("const_w"), 0.01)) is float
 
 
+class TestLogW2:
+    @pytest.mark.parametrize("family, exponent", [("log_power", 0.5), ("log_power", 2.0), ("log_power", 10.0),
+                                                  ("from_w", 0.3), ("from_w", 1.25), ("const_w", None)])
+    @pytest.mark.parametrize("t_cut", [math.exp(-2.0), math.exp(-3.0)], ids=["cut-e^-2", "cut-e^-3"])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_mpmath_closed_form(self, family, exponent, t_cut, scale):
+        # the value is -log(t Lambda(t)) of the closed form and the slope its
+        # derivative in log t, on both sides of the pure cut and up to t = 2
+        spec = WeightSpec(family, alpha=exponent if family == "log_power" else None,
+                          p=exponent if family == "from_w" else None, t_cut=t_cut, scale=scale)
+        cut = spec.pure_cut
+        ts = np.concatenate([np.geomspace(1e-300, 2.0, 40), cut * np.array([1.0 - 1e-6, 1.0 + 1e-6])])
+        L = np.log(1.0 / ts)
+        value, slope = log_w2(spec, L)
+        with mpmath.workdps(30):
+            cut_mp = mpmath.mpf(cut)
+
+            def minus_log_t_lambda(s):  # at t = e^s
+                t = mpmath.exp(s)
+                x = min(t, cut_mp)
+                lam = spec.scale / (x * mpmath.log(1 / x) ** spec.log_exponent) * x / t
+                return -mpmath.log(t * lam)
+
+            for k, t in enumerate(ts.tolist()):
+                s = -mpmath.mpf(L[k])  # log t as the helper sees it
+                assert abs(value[k] - minus_log_t_lambda(s)) <= 1e-14 * max(1.0, abs(value[k])), t
+                assert abs(slope[k] - mpmath.diff(minus_log_t_lambda, s)) <= 1e-12, t
+            assert np.all(slope[ts > cut * (1.0 + 1e-9)] == 0.0)
+
+    def test_check_regularity_reads_the_slope(self):
+        # t|Lambda'|/Lambda = |1 + slope|; a grid point on the cut itself takes
+        # the pure side, slope -a/L = -1 for a cut at e^-a, not the tail's 0
+        spec = WeightSpec("log_power", alpha=3.0)
+        grid = np.geomspace(spec.pure_cut, 1e-9, 12)
+        _, slope = log_w2(spec, np.log(1.0 / grid))
+        assert slope[0] == pytest.approx(-1.0, rel=1e-15)
+        assert check_regularity(spec, grid).max_log_deriv_ratio == float(np.abs(1.0 + slope).max())
+
+
 class TestLogDerivativeRatio:
     @pytest.mark.parametrize("spec", [WeightSpec("log_power", alpha=1.0), WeightSpec("from_w", p=0.8, scale=3.0),
                                       WeightSpec("log_power", alpha=2.5), WeightSpec("const_w")])
     def test_against_central_differences(self, spec):
-        # check_regularity's closed form |1 - a/log(1/t)| is t|Lambda'|/Lambda;
+        # check_regularity's |1 + slope| from log_w2 is t|Lambda'|/Lambda;
         # it grows as t falls, so a grid cut off at t reports it at t
         grid = np.geomspace(spec.pure_cut * 0.9, 1e-12, 40)
         for k in range(31, 40):
